@@ -254,10 +254,18 @@ def analyze(f, params: JacobiParams, n_coeffs: int, n_quad: int | None = None) -
 
 
 def eval_symm_expansion(e: SymmExpansion, theta) -> np.ndarray:
-    """Pointwise sum of the expansion at the given angles."""
+    """Pointwise sum of the expansion at the given angles.
+
+    Sums the even and odd half-line parts over their cached half-line
+    tables; no symmetrized table is assembled.
+    """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    table = symm_eigenfunction_table(len(e), e.params, th)
-    return e.coeffs @ table
+    even, odd = to_halfline(e)
+    vals = even.coeffs @ eigenfunction_table(len(even) - 1, even.params, th)
+    if len(e) > 1:
+        odd_vals = odd.coeffs @ eigenfunction_table(len(odd) - 1, odd.params, th)
+        vals = vals + np.sign(th) * odd_vals
+    return vals
 
 
 def synthesize(e: SymmExpansion, grid: QuadratureGrid) -> GridFunction:

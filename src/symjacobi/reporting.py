@@ -6,6 +6,7 @@ every numeric field bit for bit, so serialization goes through json.dumps
 with sorted keys and no timestamp other than the wall-clock field.
 """
 
+import csv
 import dataclasses
 import json
 import os
@@ -70,10 +71,11 @@ def _series_table(series: dict):
 
 
 def _write_csv(path: str, columns, rows) -> None:
-    lines = [",".join(columns)]
-    lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # minimal quoting keeps labels such as "(-0.5,-0.5)" in one cell
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_format_cell(v) for v in row] for row in rows)
 
 
 _STROKES = ("#1f6f8b", "#c05621", "#5a7d2a", "#7b4b8a", "#9b2335")

@@ -93,7 +93,7 @@ def square_function(e, spec: SquareFunctionSpec, theta) -> np.ndarray:
     table, rates = _mode_table(e, spec, theta)
     kern = _kernel(rates, spec)
     weights = np.outer(e.coeffs, np.conj(e.coeffs)) * kern
-    vals = np.real(np.einsum("ni,nm,mi->i", table, weights, table))
+    vals = np.real(np.einsum("ni,ni->i", table, weights @ table))
     return np.sqrt(np.clip(vals, 0.0, None))
 
 

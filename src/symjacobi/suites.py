@@ -2,16 +2,13 @@
 
 Each suite is a pure function from a validated SuiteConfig to an
 ExperimentReport; file output lives in the reporting module. Suites never
-read each other's results, and ensemble members are processed through an
-order-preserving parallel map so the reports are deterministic for a fixed
-config regardless of thread count.
+read each other's results, and a fixed config gives the same report on every
+run.
 """
 
 import dataclasses
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -210,29 +207,6 @@ def validate_config(config: SuiteConfig) -> None:
                         "the two parameter pairs must differ; "
                         f"({pr.alpha}, {pr.beta}) matches the built-in partner"
                     )
-
-
-def thread_count() -> int:
-    raw = os.environ.get("VERIF_THREADS")
-    if raw is None:
-        return min(8, os.cpu_count() or 1)
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ConfigError(f"VERIF_THREADS must be a positive integer, got {raw!r}")
-    return n
-
-
-def parallel_map(fn, items) -> list:
-    """Order-preserving map over independent work items."""
-    items = list(items)
-    n = thread_count()
-    if n == 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _case(name: str, passed, value, tolerance=None, detail: str = "") -> dict:
@@ -466,7 +440,7 @@ def run_potentials(config: SuiteConfig) -> ExperimentReport:
             )
             return num / den
 
-        ratios = parallel_map(ratio, members)
+        ratios = [ratio(m) for m in members]
         window = max(ratios) / min(ratios)
         label = _pair_label(pr)
         cases.append(
@@ -521,7 +495,7 @@ def run_decomposition(config: SuiteConfig) -> ExperimentReport:
             split = _parity_split_norm(member, 2, s, grid)
             return whole / split
 
-        ratios = parallel_map(ratio_p2, members)
+        ratios = [ratio_p2(m) for m in members]
         dev = float(np.max(np.abs(np.asarray(ratios) - 1.0)))
         cases.append(_case(f"parity-ratio-p2-{label}", dev <= 1e-9, dev, 1e-9))
         if not ratio_rows:
@@ -837,7 +811,7 @@ def run_squarefn(config: SuiteConfig) -> ExperimentReport:
             )
             return num / den
 
-        ratios = parallel_map(p2_ratio, members)
+        ratios = [p2_ratio(m) for m in members]
         expected = l2_equivalence_constant(gamma, int(k))
         dev = float(np.max(np.abs(np.asarray(ratios) - expected)))
         cases.append(
@@ -851,7 +825,7 @@ def run_squarefn(config: SuiteConfig) -> ExperimentReport:
                 den = potential_norm(member, q_alt, gamma, grid)
                 return num / den
 
-            alt = parallel_map(alt_ratio, members)
+            alt = [alt_ratio(m) for m in members]
             window = max(alt) / min(alt)
             cases.append(
                 _case(
@@ -1048,7 +1022,7 @@ def run_embed(config: SuiteConfig) -> ExperimentReport:
             num = lp_norm(GridFunction(grid, eval_symm_expansion(member, grid.nodes)), q)
             return num / potential_norm(member, p, s, grid)
 
-        ratios = parallel_map(ratio, members)
+        ratios = [ratio(m) for m in members]
         maxima.append(max(ratios))
         if degree == degree_lo:
             ratio_rows = [[i, float(r)] for i, r in enumerate(ratios)]
@@ -1079,7 +1053,7 @@ def run_embed(config: SuiteConfig) -> ExperimentReport:
                 )
                 return num / potential_norm(member, p, s_sup, grid)
 
-            ratios = parallel_map(sup_ratio, members)
+            ratios = [sup_ratio(m) for m in members]
             sup_maxima.append(max(ratios))
             if degree == degree_lo:
                 sup_rows = [[i, float(r)] for i, r in enumerate(ratios)]
@@ -1196,7 +1170,7 @@ def run_schrodinger(config: SuiteConfig) -> ExperimentReport:
             bound_ratio = max(bound_ratio, err / bound)
         return worst, bound_ratio
 
-    results = parallel_map(max_error, times)
+    results = [max_error(t) for t in times]
     errors = [r[0] for r in results]
     worst_bound_ratio = max(r[1] for r in results)
     cases.append(

@@ -269,6 +269,26 @@ class TestSynthesize:
         np.testing.assert_allclose(g.values[k:], ev.values, atol=1e-14)
 
 
+class TestHalfLineSynthesisPath:
+    """eval_symm_expansion sums two half-line tables instead of the interleaved one."""
+
+    @pytest.mark.parametrize("length", [1, 2, 7, 12])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_symmetrized_table(self, length, kind):
+        rng = np.random.default_rng([length, kind == "complex"])
+        for pr in PAIRS:
+            coeffs = rng.uniform(-1, 1, length)
+            if kind == "complex":
+                coeffs = coeffs + 1j * rng.uniform(-1, 1, length)
+            nodes = symmetric_rule(40, pr).nodes
+            got = eval_symm_expansion(SymmExpansion(pr, coeffs), nodes)
+            want = coeffs @ symm_eigenfunction_table(length, pr, nodes)
+            assert got.shape == want.shape
+            assert np.iscomplexobj(got) == (kind == "complex")
+            bound = 1e-13 * np.linalg.norm(coeffs)
+            assert float(np.max(np.abs(got - want))) <= bound
+
+
 class TestHalfLineRoundTrip:
     def test_unit_even_vector(self):
         pr = JacobiParams(0.3, 0.7)

@@ -7,6 +7,8 @@ nodes as a cross-check on the rule construction.
 """
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +16,9 @@ from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
 from symjacobi.core import (
+    _TABLE_CACHE,
+    _TABLE_CACHE_BYTES,
+    _TableCache,
     GridFunction,
     JacobiParams,
     QuadratureGrid,
@@ -24,6 +29,7 @@ from symjacobi.core import (
     gauss_jacobi_rule,
     jacobi_poly_table,
     norm_constant,
+    norm_constant_table,
     symmetric_rule,
     trig_weight,
 )
@@ -259,6 +265,108 @@ class TestEigenfunction:
         table = eigenfunction_table(5, pr, th)
         for n in range(6):
             np.testing.assert_allclose(table[n], eval_eigenfunction(n, pr, th), rtol=1e-13)
+
+
+def retained_bytes():
+    return sum(size for _, size in _TABLE_CACHE._entries.values())
+
+
+class TestTableCache:
+    def test_hit_is_fresh_build_and_read_only(self):
+        _TABLE_CACHE.clear()
+        pr = JacobiParams(0.3, 0.7)
+        th = np.linspace(0.1, 3.0, 40)
+        first = eigenfunction_table(12, pr, th)
+        hit = eigenfunction_table(12, pr, th.copy())
+        assert hit is first
+        fresh = (
+            norm_constant_table(12, pr)[:, None]
+            * trig_weight(pr, th)[None, :]
+            * jacobi_poly_table(12, pr, np.cos(th))
+        )
+        np.testing.assert_array_equal(hit, fresh)
+        assert not hit.flags.writeable
+        with pytest.raises(ValueError):
+            hit[0, 0] = 1.0
+
+    def test_key_covers_degree_pair_and_nodes(self):
+        _TABLE_CACHE.clear()
+        pr = JacobiParams(0.3, 0.7)
+        th = np.linspace(0.1, 3.0, 40)
+        base = eigenfunction_table(12, pr, th)
+        nudged = th.copy()
+        nudged[7] = np.nextafter(nudged[7], 4.0)
+        others = [
+            eigenfunction_table(11, pr, th),
+            eigenfunction_table(12, JacobiParams(0.3, 0.7 + 1e-15), th),
+            eigenfunction_table(12, pr, nudged),
+            eigenfunction_table(12, pr, th[:-1]),
+        ]
+        assert all(t is not base for t in others)
+        assert others[0].shape == (12, 40)
+        # the table depends on |theta| only, so mirrored nodes share it
+        assert eigenfunction_table(12, pr, -th) is base
+
+    def test_retained_bytes_stay_within_budget(self):
+        _TABLE_CACHE.clear()
+        th = np.linspace(0.05, 3.0, 256)
+        requested = 0
+        for i in range(10):
+            table = eigenfunction_table(255, JacobiParams(0.1 * i, 0.5), th)
+            requested += table.nbytes
+            assert _TABLE_CACHE.nbytes == retained_bytes() <= _TABLE_CACHE_BYTES
+        assert requested > _TABLE_CACHE_BYTES
+        # least recently used tables went first; the newest one is kept
+        assert eigenfunction_table(255, JacobiParams(0.9, 0.5), th) is table
+
+    def test_oversized_table_is_returned_not_retained(self):
+        _TABLE_CACHE.clear()
+        pr = JacobiParams(0.3, 0.7)
+        th = np.linspace(0.05, 3.0, 300)
+        small = eigenfunction_table(8, pr, th)
+        kept = _TABLE_CACHE.nbytes
+        big = eigenfunction_table(1023, pr, th)
+        assert big.nbytes > _TABLE_CACHE_BYTES
+        assert big.shape == (1024, 300)
+        assert not big.flags.writeable
+        # the oversized table neither stays nor pushes the small one out
+        assert _TABLE_CACHE.nbytes == kept == retained_bytes()
+        assert eigenfunction_table(8, pr, th) is small
+        again = eigenfunction_table(1023, pr, th)
+        assert again is not big
+        np.testing.assert_array_equal(again, big)
+
+    def test_failed_calls_store_nothing(self):
+        _TABLE_CACHE.clear()
+        th = np.array([0.0, 0.5, 1.0])
+        for _ in range(2):
+            with pytest.raises(SingularPointError):
+                eigenfunction_table(4, JacobiParams(-0.7, 0.4), th)
+            with pytest.raises(DomainError):
+                eigenfunction_table(4, JacobiParams(0.3, 0.7), np.array([0.5, math.pi]))
+        assert _TABLE_CACHE.nbytes == 0 == retained_bytes()
+
+    def test_concurrent_puts_keep_the_byte_count(self):
+        # forty small tables over a ten-table budget: threads insert and evict
+        # at once, and a lost update would leave the count off or raise
+        tables = [np.full((4, 8), float(i)) for i in range(40)]
+        keys = [(3, b"", (8,), bytes([i]) * 8) for i in range(40)]
+        cache = _TableCache(budget=10 * (tables[0].nbytes + 8))
+
+        def work(seed):
+            for i in np.random.default_rng(seed).integers(0, 40, 20000):
+                if cache.get(keys[i]) is None:
+                    cache.put(keys[i], tables[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                list(pool.map(work, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        retained = sum(size for _, size in cache._entries.values())
+        assert cache.nbytes == retained <= cache.budget
 
 
 class TestGaussJacobiRule:

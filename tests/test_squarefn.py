@@ -1,5 +1,6 @@
 """Square functions against gamma-integral oracles and exact identities."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,8 @@ from symjacobi.core import JacobiParams, symmetric_rule
 from symjacobi.errors import ConfigError, DomainError
 from symjacobi.squarefn import (
     SquareFunctionSpec,
+    _kernel,
+    _mode_table,
     eigenmode_constant,
     l2_equivalence_constant,
     square_function,
@@ -249,3 +252,30 @@ class TestHalfLineVariant:
         ev, _ = to_halfline(f)
         with pytest.raises(ConfigError):
             square_function(ev, SquareFunctionSpec(0.5, 1), [1.0])
+
+
+def three_operand_square_function(e, spec, theta):
+    # the original contraction sum_nm T_ni W_nm T_mi, kept as a reference
+    table, rates = _mode_table(e, spec, theta)
+    weights = np.outer(e.coeffs, np.conj(e.coeffs)) * _kernel(rates, spec)
+    vals = np.real(np.einsum("ni,nm,mi->i", table, weights, table))
+    return np.sqrt(np.clip(vals, 0.0, None))
+
+
+class TestContraction:
+    @pytest.mark.parametrize("variant", ["plain", "modified", "halfline"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_three_operand_reference(self, variant, kind):
+        rng = np.random.default_rng([len(variant), kind == "complex"])
+        theta = symmetric_rule(40, GENERIC).nodes
+        for pr in PAIRS:
+            coeffs = rng.uniform(-1, 1, 24)
+            if kind == "complex":
+                coeffs = coeffs + 1j * rng.uniform(-1, 1, 24)
+            e = SymmExpansion(pr, coeffs)
+            inputs = to_halfline(e) if variant == "halfline" else (e,)
+            for f, (gamma, k) in itertools.product(inputs, ((0.5, 1), (1.5, 2))):
+                spec = SquareFunctionSpec(gamma, k, variant)
+                got = square_function(f, spec, theta)
+                want = three_operand_square_function(f, spec, theta)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(want))

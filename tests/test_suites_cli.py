@@ -1,18 +1,18 @@
+import csv
 import json
 import os
 
 import pytest
 
 from symjacobi import cli
+from symjacobi.core import _TABLE_CACHE
 from symjacobi.errors import ConfigError
 from symjacobi.reporting import ExperimentReport, emit_plots, write_report
 from symjacobi.suites import (
     SUITES,
     SuiteConfig,
     default_pairs,
-    parallel_map,
     run_suite,
-    thread_count,
     validate_config,
 )
 
@@ -112,25 +112,6 @@ class TestConfigValidation:
             validate_config(cfg)
 
 
-class TestThreading:
-    def test_thread_count_env(self, monkeypatch):
-        monkeypatch.setenv("VERIF_THREADS", "3")
-        assert thread_count() == 3
-
-    def test_thread_count_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("VERIF_THREADS", "many")
-        with pytest.raises(ConfigError, match="positive integer"):
-            thread_count()
-        monkeypatch.setenv("VERIF_THREADS", "0")
-        with pytest.raises(ConfigError, match="positive integer"):
-            thread_count()
-
-    def test_parallel_map_preserves_order(self, monkeypatch):
-        monkeypatch.setenv("VERIF_THREADS", "4")
-        out = parallel_map(lambda x: x * x, range(17))
-        assert out == [x * x for x in range(17)]
-
-
 class TestRunSuite:
     def test_write_false_leaves_directory_alone(self, tmp_path):
         cfg = fast_config("basis", out=str(tmp_path))
@@ -149,11 +130,23 @@ class TestRunSuite:
         assert doc["passed"] is True
         assert doc["seed"] == 1729
         assert "wall_clock_s" in doc
-        csv = (tmp_path / "eigen-eigen-residual.csv").read_text().splitlines()
-        assert csv[0] == "n,max_rel_residual"
-        assert "," in csv[1] and "." in csv[1]
+        lines = (tmp_path / "eigen-eigen-residual.csv").read_text().splitlines()
+        assert lines[0] == "n,max_rel_residual"
+        assert "," in lines[1] and "." in lines[1]
         svg = (tmp_path / "eigen-eigen-residual.svg").read_text()
         assert svg.startswith("<svg")
+
+    def test_csv_keeps_pair_labels_in_one_cell(self, tmp_path):
+        run_suite(fast_config("basis", out=str(tmp_path)))
+        with open(tmp_path / "basis-gram-deviation.csv", newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            records = list(reader)
+        assert reader.fieldnames == ["pair", "halfline_dev", "symmetric_dev"]
+        # a row with more cells than the header would carry a None key
+        assert all(None not in r and len(r) == 3 for r in records)
+        labels = [f"({pr.alpha:g},{pr.beta:g})" for pr in default_pairs()]
+        assert [r["pair"] for r in records] == labels
+        assert all(float(r["halfline_dev"]) < 1e-10 for r in records)
 
     def test_config_echo_keeps_overrides(self, tmp_path):
         cfg = fast_config("basis", out=str(tmp_path), seed=42)
@@ -178,11 +171,12 @@ class TestRunSuite:
         assert written == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["stub-report.json"]
 
-    def test_reports_deterministic_across_threads(self, tmp_path, monkeypatch):
+    def test_reports_identical_with_cold_and_warm_table_cache(self, tmp_path):
+        # the first run builds every table, the second reads them back
+        _TABLE_CACHE.clear()
         docs = []
         blobs = []
-        for i, threads in enumerate(("1", "5")):
-            monkeypatch.setenv("VERIF_THREADS", threads)
+        for i in range(2):
             out = tmp_path / f"run{i}"
             run_suite(fast_config("decomposition", out=str(out)))
             doc = json.loads((out / "decomposition-report.json").read_text())
