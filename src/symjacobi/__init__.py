@@ -7,7 +7,6 @@ from .basis import (
     analyze,
     eigen_index,
     eval_halfline_expansion,
-    eval_symm_eigenfunction,
     eval_symm_expansion,
     recombine,
     reflect,
@@ -24,9 +23,8 @@ from .core import (
     QuadratureGrid,
     eigenfunction_table,
     eigenvalue,
-    eval_eigenfunction,
     gauss_jacobi_rule,
-    norm_constant,
+    norm_constant_table,
     symmetric_rule,
     trig_weight,
 )
@@ -42,8 +40,6 @@ from .errors import (
 from .norms import (
     AdmissibilityRecord,
     DivergenceVerdict,
-    ExponentTriple,
-    NormReport,
     RatioStats,
     TimeGrid,
     admissibility,
@@ -83,8 +79,6 @@ from .squarefn import (
     l2_equivalence_constant,
     square_function,
     square_function_by_time_quadrature,
-    square_function_halfline,
-    square_function_modified,
 )
 from .suites import SuiteConfig, default_pairs, run_suite, validate_config
 

@@ -28,7 +28,6 @@ __all__ = [
     "HalfLineExpansion",
     "SymmExpansion",
     "eigen_index",
-    "eval_symm_eigenfunction",
     "symm_eigenfunction_table",
     "symm_eigenvalues",
     "reflect",
@@ -57,27 +56,13 @@ def symm_eigenvalues(n_coeffs: int, params: JacobiParams) -> np.ndarray:
     return np.array([eigenvalue(eigen_index(n), params) for n in range(n_coeffs)])
 
 
-def eval_symm_eigenfunction(n: int, params: JacobiParams, theta):
-    """Value of the n-th symmetrized basis function at theta.
+def symm_eigenfunction_table(n_coeffs: int, params: JacobiParams, theta) -> np.ndarray:
+    """Rows n = 0..n_coeffs-1 of symmetrized basis values at theta.
 
     Even n: the (n/2)-th half-line eigenfunction over sqrt(2), an even
     function. Odd n: sign(theta) times the ((n-1)/2)-th eigenfunction of the
     shifted pair over sqrt(2), an odd function vanishing at 0.
     """
-    if n < 0:
-        raise DomainError(f"basis index must be nonnegative, got {n}")
-    scalar = np.isscalar(theta)
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    if n % 2 == 0:
-        vals = eigenfunction_table(n // 2, params, th)[n // 2] / SQRT2
-    else:
-        base = eigenfunction_table((n - 1) // 2, params.shift(1), th)[(n - 1) // 2]
-        vals = np.sign(th) * base / SQRT2
-    return float(vals[0]) if scalar else vals
-
-
-def symm_eigenfunction_table(n_coeffs: int, params: JacobiParams, theta) -> np.ndarray:
-    """Rows n = 0..n_coeffs-1 of symmetrized basis values at theta."""
     th = np.asarray(theta, dtype=float)
     out = np.empty((n_coeffs, th.shape[0]))
     n_even = (n_coeffs + 1) // 2

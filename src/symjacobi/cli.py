@@ -87,12 +87,7 @@ def make_config(args: argparse.Namespace) -> SuiteConfig:
     for field in ("k", "m"):
         if field in merged:
             kwargs[field] = int(merged[field])
-    return SuiteConfig(
-        suite=args.suite,
-        pairs=pairs,
-        explicit_pair=alpha is not None,
-        **kwargs,
-    )
+    return SuiteConfig(suite=args.suite, pairs=pairs, **kwargs)
 
 
 def main(argv=None) -> int:

@@ -24,11 +24,9 @@ __all__ = [
     "QuadratureGrid",
     "GridFunction",
     "eigenvalue",
-    "eval_jacobi_poly",
     "jacobi_poly_table",
     "trig_weight",
-    "norm_constant",
-    "eval_eigenfunction",
+    "norm_constant_table",
     "eigenfunction_table",
     "gauss_jacobi_rule",
     "symmetric_rule",
@@ -119,15 +117,6 @@ def jacobi_poly_table(n_top: int, params: JacobiParams, x: np.ndarray) -> np.nda
     return out
 
 
-def eval_jacobi_poly(n: int, params: JacobiParams, x: float | np.ndarray):
-    """Jacobi polynomial P_n at x (scalar or array), |x| <= 1."""
-    if n < 0:
-        raise DomainError(f"polynomial degree must be nonnegative, got {n}")
-    scalar = np.isscalar(x)
-    vals = jacobi_poly_table(n, params, np.atleast_1d(x))[n]
-    return float(vals[0]) if scalar else vals
-
-
 def trig_weight(params: JacobiParams, theta: float | np.ndarray):
     """Square-root trigonometric weight |sin(t/2)|^(a+1/2) cos(t/2)^(b+1/2).
 
@@ -147,35 +136,11 @@ def trig_weight(params: JacobiParams, theta: float | np.ndarray):
     return float(vals[0]) if scalar else vals
 
 
-def _ln_weight_norm_sq(n: int, params: JacobiParams) -> float:
-    # log of the squared L2 weight norm of P_n over [-1, 1]
-    a, b = params.alpha, params.beta
-    ln2 = math.log(2.0)
-    if n == 0:
-        return (a + b + 1) * ln2 + gammaln(a + 1) + gammaln(b + 1) - gammaln(a + b + 2)
-    return (
-        (a + b + 1) * ln2
-        + gammaln(n + a + 1)
-        + gammaln(n + b + 1)
-        - math.log(2 * n + a + b + 1)
-        - gammaln(n + a + b + 1)
-        - gammaln(n + 1)
-    )
-
-
-def norm_constant(n: int, params: JacobiParams) -> float:
-    """Positive constant making the n-th eigenfunction unit-norm on (0, pi).
+def norm_constant_table(n_top: int, params: JacobiParams) -> np.ndarray:
+    """Positive constants making eigenfunctions n = 0..n_top unit-norm on (0, pi).
 
     Computed through log-gamma so large degrees stay finite.
     """
-    if n < 0:
-        raise DomainError(f"index must be nonnegative, got {n}")
-    a, b = params.alpha, params.beta
-    return math.exp(0.5 * (a + b + 1) * math.log(2.0) - 0.5 * _ln_weight_norm_sq(n, params))
-
-
-def norm_constant_table(n_top: int, params: JacobiParams) -> np.ndarray:
-    """norm_constant for n = 0..n_top as one vectorized computation."""
     a, b = params.alpha, params.beta
     n = np.arange(n_top + 1)
     ln2 = math.log(2.0)
@@ -187,23 +152,11 @@ def norm_constant_table(n_top: int, params: JacobiParams) -> np.ndarray:
         - gammaln(np.where(n > 0, n + a + b + 1, 1.0))
         - gammaln(n + 1)
     )
+    # at n = 0 the log and gamma terms above reduce to -gammaln(a + b + 2),
+    # which stays finite when a + b + 1 <= 0
     if n_top >= 0:
         ln_h[0] = (a + b + 1) * ln2 + gammaln(a + 1) + gammaln(b + 1) - gammaln(a + b + 2)
     return np.exp(0.5 * (a + b + 1) * ln2 - 0.5 * ln_h)
-
-
-def eval_eigenfunction(n: int, params: JacobiParams, theta: float | np.ndarray):
-    """Normalized eigenfunction on (0, pi), evaluated through |theta|.
-
-    Evaluating through the absolute value makes the function exactly even
-    under reflection, bit for bit.
-    """
-    scalar = np.isscalar(theta)
-    th = np.abs(np.atleast_1d(np.asarray(theta, dtype=float)))
-    w = trig_weight(params, th)
-    p = jacobi_poly_table(n, params, np.cos(th))[n]
-    vals = norm_constant(n, params) * w * p
-    return float(vals[0]) if scalar else vals
 
 
 # Byte budget of the table cache. 2 MiB serves 99 % of the table requests of

@@ -21,39 +21,9 @@ from .operators import (
     FD_MARGIN,
     apply_dunkl_fd,
     dunkl_derivative,
+    spectral_base,
     symm_higher_derivative,
 )
-
-
-@dataclasses.dataclass(frozen=True)
-class ExponentTriple:
-    """Integrability exponent with optional target exponent and smoothness."""
-
-    p: float
-    q: float | None = None
-    s: float | None = None
-
-    def __post_init__(self):
-        if self.p < 1:
-            raise DomainError(f"p must be at least 1, got {self.p}")
-        if self.q is not None and self.q < 1:
-            raise DomainError(f"q must be at least 1, got {self.q}")
-        if self.s is not None and self.s <= 0:
-            raise DomainError(f"s must be positive, got {self.s}")
-
-
-@dataclasses.dataclass(frozen=True)
-class NormReport:
-    """A computed norm value with enough metadata to reproduce it."""
-
-    kind: str
-    value: float
-    params: JacobiParams
-    metadata: dict
-
-    def __post_init__(self):
-        if not self.value >= 0:
-            raise DomainError(f"norm value must be nonnegative, got {self.value}")
 
 
 def lp_norm(f: GridFunction, p: float) -> float:
@@ -75,13 +45,6 @@ def _require_admissible(params: JacobiParams, p: float) -> None:
         )
 
 
-def _smoothing_rates(e: SymmExpansion, s: float) -> np.ndarray:
-    lam = e.eigenvalues()
-    if e.params.eigen_shift == 0.0:
-        return (1.0 + lam) ** (s / 2.0)
-    return lam ** (s / 2.0)
-
-
 def potential_norm(e: SymmExpansion, p: float, s: float, grid: QuadratureGrid) -> float:
     """Norm of the exact coefficient-space preimage under the smoothing flow.
 
@@ -92,7 +55,8 @@ def potential_norm(e: SymmExpansion, p: float, s: float, grid: QuadratureGrid) -
     if s <= 0:
         raise DomainError(f"smoothness must be positive, got {s}")
     _require_admissible(e.params, p)
-    sharpened = SymmExpansion(e.params, e.coeffs * _smoothing_rates(e, s))
+    rates = spectral_base(e.params, e.eigenvalues()) ** (s / 2.0)
+    sharpened = SymmExpansion(e.params, e.coeffs * rates)
     values = eval_symm_expansion(sharpened, grid.nodes)
     return lp_norm(GridFunction(grid, values), p)
 
@@ -271,7 +235,11 @@ def mixed_norm(
 
 @dataclasses.dataclass(frozen=True)
 class RatioStats:
-    """Summary of norm_a / norm_b over an ensemble."""
+    """Summary of norm_a / norm_b over an ensemble.
+
+    ratios holds the per-member ratios in ensemble order, without the
+    members whose two norms both vanish.
+    """
 
     minimum: float
     maximum: float
@@ -279,6 +247,7 @@ class RatioStats:
     count: int
     min_index: int
     max_index: int
+    ratios: tuple
 
     @property
     def window(self) -> float:
@@ -308,6 +277,7 @@ def equivalence_ratio(norm_a, norm_b, ensemble) -> RatioStats:
         count=len(ratios),
         min_index=indices[lo],
         max_index=indices[hi],
+        ratios=tuple(ratios.tolist()),
     )
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "SpectralMultiplier",
     "LadderCoefficients",
     "apply_multiplier",
+    "spectral_base",
     "riesz_potential",
     "bessel_potential",
     "modified_riesz_potential",
@@ -78,6 +79,16 @@ def _require_positive(value: float, name: str) -> None:
 
 def _has_zero_bottom(params: JacobiParams) -> bool:
     return params.eigen_shift == 0.0
+
+
+def spectral_base(params: JacobiParams, eigenvalues: np.ndarray) -> np.ndarray:
+    """Base of the smoothing powers: 1 + eigenvalue when the bottom
+    eigenvalue is 0, the eigenvalue itself otherwise.
+
+    Negative powers of the plain operator blow up at a zero eigenvalue, so
+    that case takes the shifted operator throughout.
+    """
+    return 1.0 + eigenvalues if _has_zero_bottom(params) else eigenvalues
 
 
 def riesz_potential(e: SymmExpansion, sigma: float) -> SymmExpansion:
@@ -141,12 +152,6 @@ class LadderCoefficients:
     """Index-lowering constants sqrt(n (n + alpha + beta + 1)), with entry 0 at 0."""
 
     params: JacobiParams
-
-    def entry(self, n: int) -> float:
-        if n < 0:
-            raise DomainError(f"ladder index must be nonnegative, got {n}")
-        s = self.params.alpha + self.params.beta + 1.0
-        return math.sqrt(n * (n + s))
 
     def table(self, count: int) -> np.ndarray:
         n = np.arange(count, dtype=float)
@@ -246,11 +251,9 @@ def symm_higher_derivative(
 
 def _inverse_root_symbol(params: JacobiParams, k: int) -> SpectralMultiplier:
     # negative half-power of the operator, shifted when the bottom eigenvalue is 0
-    if _has_zero_bottom(params):
-        return SpectralMultiplier(
-            f"(1+eigenvalue)^(-{k}/2)", lambda lam: (1.0 + lam) ** (-k / 2)
-        )
-    return SpectralMultiplier(f"eigenvalue^(-{k}/2)", lambda lam: lam ** (-k / 2))
+    return SpectralMultiplier(
+        f"spectral_base^(-{k}/2)", lambda lam: spectral_base(params, lam) ** (-k / 2)
+    )
 
 
 def riesz_transform(e: SymmExpansion, k: int) -> SymmExpansion:

@@ -97,14 +97,6 @@ def square_function(e, spec: SquareFunctionSpec, theta) -> np.ndarray:
     return np.sqrt(np.clip(vals, 0.0, None))
 
 
-def square_function_modified(e: SymmExpansion, gamma: float, k: int, theta) -> np.ndarray:
-    return square_function(e, SquareFunctionSpec(gamma, k, "modified"), theta)
-
-
-def square_function_halfline(h: HalfLineExpansion, gamma: float, k: int, theta) -> np.ndarray:
-    return square_function(h, SquareFunctionSpec(gamma, k, "halfline"), theta)
-
-
 def square_function_by_time_quadrature(
     e,
     spec: SquareFunctionSpec,

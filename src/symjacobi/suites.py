@@ -15,7 +15,6 @@ import numpy as np
 from ._version import __version__
 from .basis import (
     SymmExpansion,
-    eval_symm_eigenfunction,
     eval_symm_expansion,
     symm_eigenfunction_table,
     symm_eigenvalues,
@@ -25,7 +24,6 @@ from .core import (
     JacobiParams,
     eigenfunction_table,
     eigenvalue,
-    eval_eigenfunction,
     gauss_jacobi_rule,
     symmetric_rule,
 )
@@ -54,6 +52,7 @@ from .operators import (
     riesz_transform,
     riesz_transform_shifted,
     schrodinger_propagator,
+    spectral_base,
     symm_higher_derivative,
 )
 from .reporting import ExperimentReport, emit_plots, write_report
@@ -104,12 +103,10 @@ class SuiteConfig:
     ensemble: int = 50
     seed: int = 1729
     out: str = "."
-    explicit_pair: bool = False
 
     def __post_init__(self):
         if not self.pairs:
             self.pairs = default_pairs()
-            self.explicit_pair = False
         else:
             self.pairs = tuple(
                 pr if isinstance(pr, JacobiParams) else JacobiParams(*pr)
@@ -146,6 +143,19 @@ _ADMISSIBILITY_SUITES = {
 }
 
 
+def _pairs_given(config: SuiteConfig) -> bool:
+    # pairs equal to the built-in sweep count as none given; this also holds
+    # for the sub-configs run_suite derives, whose pairs are already filled in
+    return config.pairs != default_pairs()
+
+
+def _embed_exponents(config: SuiteConfig) -> tuple:
+    """Smoothness s and target exponent q of the embed suite."""
+    s = config.s if config.s is not None else 0.3
+    q = config.q if config.q is not None else 4.0
+    return s, q
+
+
 def validate_config(config: SuiteConfig) -> None:
     """Reject exactly the excluded parameter combinations, citing each one."""
     if config.suite not in SUITES and config.suite != "all":
@@ -173,6 +183,7 @@ def validate_config(config: SuiteConfig) -> None:
     if config.m is not None and config.m < 1:
         raise ConfigError(f"derivative order m must be positive, got {config.m}")
 
+    given = _pairs_given(config)
     suites = list(SUITES) if config.suite == "all" else [config.suite]
     for suite in suites:
         if suite in _ADMISSIBILITY_SUITES:
@@ -183,7 +194,7 @@ def validate_config(config: SuiteConfig) -> None:
                         f"p={config.p} lies outside the open admissible interval "
                         f"({lo:.6g}, {hi:.6g}) for alpha={pr.alpha}, beta={pr.beta}"
                     )
-        if suite == "potentials" and config.explicit_pair:
+        if suite == "potentials" and given:
             for pr in config.pairs:
                 if pr.eigen_shift == 0.0:
                     raise ConfigError(
@@ -191,7 +202,7 @@ def validate_config(config: SuiteConfig) -> None:
                         f"eigenvalue: alpha + beta must differ from -1, got "
                         f"alpha={pr.alpha}, beta={pr.beta}"
                     )
-        if suite == "counterexample" and config.explicit_pair:
+        if suite == "counterexample" and given:
             bound = 1.0 / config.p - 0.5
             for pr in config.pairs:
                 if not (pr.alpha < bound and pr.beta < bound):
@@ -199,7 +210,7 @@ def validate_config(config: SuiteConfig) -> None:
                         "the decay witness needs alpha, beta < 1/p - 1/2 = "
                         f"{bound:.6g}; got alpha={pr.alpha}, beta={pr.beta}"
                     )
-        if suite == "noninclusion" and config.explicit_pair:
+        if suite == "noninclusion" and given:
             other = JacobiParams(*NONINCLUSION_OTHER)
             for pr in config.pairs:
                 if pr.alpha == other.alpha and pr.beta == other.beta:
@@ -207,6 +218,13 @@ def validate_config(config: SuiteConfig) -> None:
                         "the two parameter pairs must differ; "
                         f"({pr.alpha}, {pr.beta}) matches the built-in partner"
                     )
+        if suite == "embed":
+            s, q = _embed_exponents(config)
+            pr = _single_pair(config, EMBED_PAIR)
+            if not admissibility(pr, config.p, q=q, s=s).embedding:
+                raise ConfigError(
+                    f"embedding requires 1/q >= 1/p - s; got p={config.p}, q={q}, s={s}"
+                )
 
 
 def _case(name: str, passed, value, tolerance=None, detail: str = "") -> dict:
@@ -245,9 +263,24 @@ def _unit(pr: JacobiParams, n: int, length: int) -> SymmExpansion:
 
 
 def _single_pair(config: SuiteConfig, fallback: tuple) -> JacobiParams:
-    if config.explicit_pair:
+    if _pairs_given(config):
         return config.pairs[0]
     return JacobiParams(*fallback)
+
+
+def _degree_doubling(config: SuiteConfig, pr: JacobiParams, norm_a, norm_b) -> list:
+    """Ratio statistics of norm_a / norm_b as the ensemble degree doubles.
+
+    The equivalence-window protocol the suites share: the seeded ensemble is
+    drawn at degree max(trunc // 2, 8), then at degree trunc, and a suite
+    asks that the window (at most 50) or the largest ratio grows by at most
+    10 % between the two. Returns (degree, RatioStats) for each degree.
+    """
+    out = []
+    for degree in (max(config.trunc // 2, 8), config.trunc):
+        members = random_band_limited(pr, degree, config.ensemble, config.seed)
+        out.append((degree, equivalence_ratio(norm_a, norm_b, members)))
+    return out
 
 
 # ---------------------------------------------------------------- basis
@@ -281,12 +314,13 @@ def run_basis(config: SuiteConfig) -> ExperimentReport:
     if flat:
         pr = flat[0]
         theta = np.linspace(-math.pi + 1e-6, math.pi - 1e-6, 1000)
+        table = symm_eigenfunction_table(17, pr, theta)
         dev = 0.0
         for n in range(1, 9):
-            half_vals = eval_symm_eigenfunction(2 * n, pr, theta) * math.sqrt(2.0)
+            half_vals = table[2 * n] * math.sqrt(2.0)
             dev = max(dev, float(np.max(np.abs(half_vals - math.sqrt(2 / math.pi) * np.cos(n * np.abs(theta))))))
         for n in range(0, 8):
-            odd_vals = eval_symm_eigenfunction(2 * n + 1, pr, theta)
+            odd_vals = table[2 * n + 1]
             target = np.sin((n + 1) * theta) / math.sqrt(math.pi)
             dev = max(dev, float(np.max(np.abs(odd_vals - target))))
         cases.append(_case("flat-weight-degeneration", dev < 1e-12, dev, 1e-12))
@@ -342,14 +376,13 @@ def run_eigen(config: SuiteConfig) -> ExperimentReport:
 
         nodes = np.linspace(0.2, math.pi - 0.2, 9)
         fd_worst = 0.0
+        ladder = LadderCoefficients(pr).table(21)
         for n in (1, 5, 10, 20):
             def f(t, n=n, pr=pr):
-                return eval_eigenfunction(n, pr, t)
+                return eigenfunction_table(n, pr, t)[n]
 
             fd_vals = apply_ladder_down_fd(pr, f, nodes)
-            target = -LadderCoefficients(pr).entry(n) * eval_eigenfunction(
-                n - 1, pr.shift(1), nodes
-            )
+            target = -ladder[n] * eigenfunction_table(n - 1, pr.shift(1), nodes)[n - 1]
             scale = float(np.max(np.abs(target)))
             fd_worst = max(fd_worst, float(np.max(np.abs(fd_vals - target))) / scale)
         cases.append(
@@ -483,7 +516,6 @@ def run_decomposition(config: SuiteConfig) -> ExperimentReport:
     ratio_rows = []
     window_rows = []
     degree_lo = max(config.trunc // 2, 8)
-    degree_hi = config.trunc
 
     for pr in config.pairs:
         label = _pair_label(pr)
@@ -502,27 +534,24 @@ def run_decomposition(config: SuiteConfig) -> ExperimentReport:
             ratio_rows = [[i, float(r)] for i, r in enumerate(ratios)]
 
         if pr.contains_p(3.0):
-            windows = []
-            for degree in (degree_lo, degree_hi):
-                ens = random_band_limited(pr, degree, config.ensemble, config.seed)
-                stats = equivalence_ratio(
-                    lambda e, pr=pr, grid=grid: potential_norm(e, 3.0, s, grid),
-                    lambda e, pr=pr, grid=grid: _parity_split_norm(e, 3.0, s, grid),
-                    ens,
-                )
-                windows.append(stats.window)
-            ok = windows[0] <= 50.0 and windows[1] <= 1.1 * windows[0]
+            (lo, at_lo), (hi, at_hi) = _degree_doubling(
+                config,
+                pr,
+                lambda e: potential_norm(e, 3.0, s, grid),
+                lambda e: _parity_split_norm(e, 3.0, s, grid),
+            )
+            ok = at_lo.window <= 50.0 and at_hi.window <= 1.1 * at_lo.window
             cases.append(
                 _case(
                     f"parity-window-p3-{label}",
                     ok,
-                    windows[1],
+                    at_hi.window,
                     50.0,
-                    f"window {windows[0]:.6g} at degree {degree_lo}, "
-                    f"{windows[1]:.6g} at degree {degree_hi}",
+                    f"window {at_lo.window:.6g} at degree {lo}, "
+                    f"{at_hi.window:.6g} at degree {hi}",
                 )
             )
-            window_rows.append([label, windows[0], windows[1]])
+            window_rows.append([label, at_lo.window, at_hi.window])
 
     series = {
         "ratio-p2": {"columns": ["member", "ratio"], "rows": ratio_rows},
@@ -542,40 +571,33 @@ def run_sobolev(config: SuiteConfig) -> ExperimentReport:
     cases = []
     window_rows = []
     orders = (config.m,) if config.m is not None else (1, 2)
-    degree_lo = max(config.trunc // 2, 8)
-    degree_hi = config.trunc
 
     for pr in config.pairs:
         label = _pair_label(pr)
         grid = symmetric_rule(config.quad_order(), pr)
         for m in orders:
-            windows = []
-            maxima = []
-            for degree in (degree_lo, degree_hi):
-                members = random_band_limited(pr, degree, config.ensemble, config.seed)
-                stats = equivalence_ratio(
-                    lambda e, m=m, grid=grid: sobolev_norm(e, config.p, m, grid),
-                    lambda e, m=m, grid=grid: potential_norm(e, config.p, float(m), grid),
-                    members,
-                )
-                windows.append(stats.window)
-                maxima.append(stats.maximum)
+            (_, at_lo), (_, at_hi) = _degree_doubling(
+                config,
+                pr,
+                lambda e: sobolev_norm(e, config.p, m, grid),
+                lambda e: potential_norm(e, config.p, float(m), grid),
+            )
             ok = (
-                windows[0] <= 50.0
-                and windows[1] <= 1.1 * windows[0]
-                and maxima[1] <= 1.1 * maxima[0]
+                at_lo.window <= 50.0
+                and at_hi.window <= 1.1 * at_lo.window
+                and at_hi.maximum <= 1.1 * at_lo.maximum
             )
             cases.append(
                 _case(
                     f"sobolev-window-m{m}-{label}",
                     ok,
-                    windows[1],
+                    at_hi.window,
                     50.0,
-                    f"window {windows[0]:.6g} -> {windows[1]:.6g}, "
-                    f"max ratio {maxima[0]:.6g} -> {maxima[1]:.6g} as the degree doubles",
+                    f"window {at_lo.window:.6g} -> {at_hi.window:.6g}, "
+                    f"max ratio {at_lo.maximum:.6g} -> {at_hi.maximum:.6g} as the degree doubles",
                 )
             )
-            window_rows.append([label, m, windows[0], windows[1]])
+            window_rows.append([label, m, at_lo.window, at_hi.window])
 
     series = {
         "sobolev-window": {
@@ -597,12 +619,6 @@ def run_counterexample(config: SuiteConfig) -> ExperimentReport:
     cases = []
     p = config.p
     w1 = _single_pair(config, COUNTEREXAMPLE_PAIR)
-    bound = 1.0 / p - 0.5
-    if not (w1.alpha < bound and w1.beta < bound):
-        raise ConfigError(
-            f"the decay witness needs alpha, beta < 1/p - 1/2 = {bound:.6g}; "
-            f"got alpha={w1.alpha}, beta={w1.beta}"
-        )
 
     nodes = np.linspace(0.3, math.pi - 0.3, 9)
     f1 = decay_witness(w1)
@@ -860,14 +876,13 @@ def run_squarefn(config: SuiteConfig) -> ExperimentReport:
     mod_spec = SquareFunctionSpec(0.5, 1, "modified")
     flat = JacobiParams(-0.5, -0.5)
     theta_line = np.linspace(0.2, 2.9, 7)
+    flat_table = symm_eigenfunction_table(5, flat, theta_line)
     worst = 0.0
     for n in (0, 1, 4):
         e = _unit(flat, n, 5)
         lam = symm_eigenvalues(5, flat)[n]
         vals = square_function(e, mod_spec, theta_line)
-        target = eigenmode_constant(mod_spec, lam) * np.abs(
-            eval_symm_eigenfunction(n, flat, theta_line)
-        )
+        target = eigenmode_constant(mod_spec, lam) * np.abs(flat_table[n])
         worst = max(worst, float(np.max(np.abs(vals - target))))
     cases.append(
         _case(
@@ -943,12 +958,9 @@ def run_structure(config: SuiteConfig) -> ExperimentReport:
 
         rng = np.random.default_rng([config.seed, 5])
         e = SymmExpansion(pr, rng.uniform(-1, 1, 13))
-        if pr.eigen_shift != 0.0:
-            twice = riesz_potential(riesz_potential(e, 0.3), 0.5)
-            once = riesz_potential(e, 0.8)
-        else:
-            twice = bessel_potential(bessel_potential(e, 0.3), 0.5)
-            once = bessel_potential(e, 0.8)
+        potential = riesz_potential if pr.eigen_shift != 0.0 else bessel_potential
+        twice = potential(potential(e, 0.3), 0.5)
+        once = potential(e, 0.8)
         comp_dev = float(
             np.max(np.abs(twice.coeffs - once.coeffs)) / np.max(np.abs(once.coeffs))
         )
@@ -966,14 +978,9 @@ def run_structure(config: SuiteConfig) -> ExperimentReport:
                 _case(f"smoothing-isometry-{label}", iso_dev <= 1e-12, iso_dev, 1e-12)
             )
 
-        lam = e.eigenvalues()
         sigma = 0.6
-        if pr.eigen_shift != 0.0:
-            forward = riesz_potential(e, sigma)
-            back = SymmExpansion(pr, forward.coeffs * lam**sigma)
-        else:
-            forward = bessel_potential(e, sigma)
-            back = SymmExpansion(pr, forward.coeffs * (1 + lam) ** sigma)
+        forward = potential(e, sigma)
+        back = SymmExpansion(pr, forward.coeffs * spectral_base(pr, e.eigenvalues()) ** sigma)
         inj_dev = float(np.max(np.abs(back.coeffs - e.coeffs)))
         cases.append(
             _case(
@@ -1002,39 +1009,25 @@ def run_embed(config: SuiteConfig) -> ExperimentReport:
     cases = []
     pr = _single_pair(config, EMBED_PAIR)
     p = config.p
-    s = config.s if config.s is not None else 0.3
-    q = config.q if config.q is not None else 4.0
-    record = admissibility(pr, p, q=q, s=s)
-    if record.embedding is not True:
-        raise ConfigError(
-            f"embedding requires 1/q >= 1/p - s; got p={p}, q={q}, s={s}"
-        )
+    s, q = _embed_exponents(config)
     grid = symmetric_rule(config.quad_order(), pr)
-    degree_lo = max(config.trunc // 2, 8)
-    degree_hi = config.trunc
 
-    ratio_rows = []
-    maxima = []
-    for degree in (degree_lo, degree_hi):
-        members = random_band_limited(pr, degree, config.ensemble, config.seed)
+    def grid_norm(member, exponent):
+        return lp_norm(GridFunction(grid, eval_symm_expansion(member, grid.nodes)), exponent)
 
-        def ratio(member, grid=grid):
-            num = lp_norm(GridFunction(grid, eval_symm_expansion(member, grid.nodes)), q)
-            return num / potential_norm(member, p, s, grid)
-
-        ratios = [ratio(m) for m in members]
-        maxima.append(max(ratios))
-        if degree == degree_lo:
-            ratio_rows = [[i, float(r)] for i, r in enumerate(ratios)]
-    ok = math.isfinite(maxima[0]) and maxima[1] <= 1.1 * maxima[0]
+    (lo, at_lo), (hi, at_hi) = _degree_doubling(
+        config, pr, lambda e: grid_norm(e, q), lambda e: potential_norm(e, p, s, grid)
+    )
+    ratio_rows = [[i, r] for i, r in enumerate(at_lo.ratios)]
+    ok = math.isfinite(at_lo.maximum) and at_hi.maximum <= 1.1 * at_lo.maximum
     cases.append(
         _case(
             "embedding-ratio-stable",
             ok,
-            maxima[1],
-            1.1 * maxima[0],
-            f"max ratio {maxima[0]:.6g} at degree {degree_lo}, "
-            f"{maxima[1]:.6g} at degree {degree_hi}",
+            at_hi.maximum,
+            1.1 * at_lo.maximum,
+            f"max ratio {at_lo.maximum:.6g} at degree {lo}, "
+            f"{at_hi.maximum:.6g} at degree {hi}",
         )
     )
 
@@ -1042,28 +1035,20 @@ def run_embed(config: SuiteConfig) -> ExperimentReport:
     sup_record = admissibility(pr, p, s=s_sup)
     sup_rows = []
     if sup_record.continuity is True:
-        sup_maxima = []
-        for degree in (degree_lo, degree_hi):
-            members = random_band_limited(pr, degree, config.ensemble, config.seed)
-
-            def sup_ratio(member, grid=grid):
-                num = lp_norm(
-                    GridFunction(grid, eval_symm_expansion(member, grid.nodes)),
-                    math.inf,
-                )
-                return num / potential_norm(member, p, s_sup, grid)
-
-            ratios = [sup_ratio(m) for m in members]
-            sup_maxima.append(max(ratios))
-            if degree == degree_lo:
-                sup_rows = [[i, float(r)] for i, r in enumerate(ratios)]
-        sup_ok = math.isfinite(sup_maxima[0]) and sup_maxima[1] <= 1.1 * sup_maxima[0]
+        (_, sup_lo), (_, sup_hi) = _degree_doubling(
+            config,
+            pr,
+            lambda e: grid_norm(e, math.inf),
+            lambda e: potential_norm(e, p, s_sup, grid),
+        )
+        sup_rows = [[i, r] for i, r in enumerate(sup_lo.ratios)]
+        sup_ok = math.isfinite(sup_lo.maximum) and sup_hi.maximum <= 1.1 * sup_lo.maximum
         cases.append(
             _case(
                 "supnorm-ratio-stable",
                 sup_ok,
-                sup_maxima[1],
-                1.1 * sup_maxima[0],
+                sup_hi.maximum,
+                1.1 * sup_lo.maximum,
                 f"smoothness {s_sup} above the continuity threshold 1/p",
             )
         )
@@ -1088,8 +1073,6 @@ def run_noninclusion(config: SuiteConfig) -> ExperimentReport:
     p = config.p
     own = _single_pair(config, NONINCLUSION_OWN)
     other = JacobiParams(*NONINCLUSION_OTHER)
-    if own.alpha == other.alpha and own.beta == other.beta:
-        raise ConfigError("the two parameter pairs must differ")
 
     nodes = np.linspace(0.3, math.pi - 0.3, 9)
     series_rows = []

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import JacobiParams
+from .core import JacobiParams, norm_constant_table
 
 __all__ = [
     "trig_power",
     "decay_witness",
     "decay_witness_first_derivative",
-    "decay_witness_raising_residual_is_zero",
     "growth_witness",
     "growth_witness_coefficient",
     "growth_witness_double_derivative",
@@ -66,17 +65,6 @@ def decay_witness_first_derivative(params: JacobiParams):
     return g
 
 
-def decay_witness_raising_residual_is_zero(params: JacobiParams):
-    """The raising operator of the base pair annihilates the witness's
-    restriction; provided as the zero function for residual tests."""
-
-    def z(theta):
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        return np.zeros_like(th)
-
-    return z
-
-
 def growth_witness(params: JacobiParams):
     """Odd witness sign(t) * trig_power(a+1, b+1, t).
 
@@ -96,9 +84,7 @@ def growth_witness(params: JacobiParams):
 
 def growth_witness_coefficient(params: JacobiParams) -> float:
     """Coefficient of the witness on the first odd basis slot."""
-    from .core import norm_constant
-
-    return float(np.sqrt(2.0) / norm_constant(0, params.shift(1)))
+    return float(np.sqrt(2.0) / norm_constant_table(0, params.shift(1))[0])
 
 
 def growth_witness_double_derivative(params: JacobiParams):

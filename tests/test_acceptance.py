@@ -16,7 +16,6 @@ import pytest
 
 from symjacobi.basis import (
     SymmExpansion,
-    eval_symm_eigenfunction,
     symm_eigenfunction_table,
     symm_eigenvalues,
 )
@@ -25,7 +24,6 @@ from symjacobi.core import (
     JacobiParams,
     eigenfunction_table,
     eigenvalue,
-    eval_eigenfunction,
     gauss_jacobi_rule,
     symmetric_rule,
 )
@@ -109,22 +107,20 @@ def test_criterion_02_fourier_degeneration(capsys):
     pr = JacobiParams(-0.5, -0.5)
     theta = np.linspace(-math.pi + 1e-6, math.pi - 1e-6, 1000)
     half = np.linspace(1e-6, math.pi - 1e-6, 1000)
-    dev = float(np.max(np.abs(
-        eval_eigenfunction(0, pr, half) - 1.0 / math.sqrt(math.pi))))
+    table = eigenfunction_table(10, pr, half)
+    dev = float(np.max(np.abs(table[0] - 1.0 / math.sqrt(math.pi))))
     for n in range(1, 11):
         target = math.sqrt(2 / math.pi) * np.cos(n * half)
-        dev = max(dev, float(np.max(np.abs(
-            eval_eigenfunction(n, pr, half) - target))))
+        dev = max(dev, float(np.max(np.abs(table[n] - target))))
+    symm = symm_eigenfunction_table(21, pr, theta)
     dev = max(dev, float(np.max(np.abs(
-        eval_symm_eigenfunction(0, pr, theta) - 1.0 / math.sqrt(2 * math.pi)))))
+        symm[0] - 1.0 / math.sqrt(2 * math.pi)))))
     for n in range(1, 11):
         even = np.cos(n * theta) / math.sqrt(math.pi)
-        dev = max(dev, float(np.max(np.abs(
-            eval_symm_eigenfunction(2 * n, pr, theta) - even))))
+        dev = max(dev, float(np.max(np.abs(symm[2 * n] - even))))
     for n in range(0, 10):
         odd = np.sin((n + 1) * theta) / math.sqrt(math.pi)
-        dev = max(dev, float(np.max(np.abs(
-            eval_symm_eigenfunction(2 * n + 1, pr, theta) - odd))))
+        dev = max(dev, float(np.max(np.abs(symm[2 * n + 1] - odd))))
     ok = dev < 1e-12
     announce(capsys, 2, ok,
              f"flat-weight cosine/sine forms dev {dev:.3g} (tol 1e-12) "
@@ -156,12 +152,12 @@ def test_criterion_03_eigen_relation_and_ladder(capsys):
     nodes = np.linspace(0.2, math.pi - 0.2, 9)
     fd_worst = 0.0
     for pr in PAIRS:
-        ladder = LadderCoefficients(pr)
+        ladder = LadderCoefficients(pr).table(21)
+        shifted = eigenfunction_table(19, pr.shift(1), nodes)
         for n in range(1, 21):
             fd_vals = apply_ladder_down_fd(
-                pr, lambda t, n=n, pr=pr: eval_eigenfunction(n, pr, t), nodes)
-            target = -ladder.entry(n) * eval_eigenfunction(
-                n - 1, pr.shift(1), nodes)
+                pr, lambda t, n=n, pr=pr: eigenfunction_table(n, pr, t)[n], nodes)
+            target = -ladder[n] * shifted[n - 1]
             scale = float(np.max(np.abs(target)))
             fd_worst = max(
                 fd_worst, float(np.max(np.abs(fd_vals - target))) / scale)

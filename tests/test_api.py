@@ -1,0 +1,25 @@
+"""The exported names of the package and its modules all resolve."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import symjacobi
+
+MODULES = [symjacobi] + [
+    importlib.import_module(f"symjacobi.{info.name}")
+    for info in pkgutil.iter_modules(symjacobi.__path__)
+]
+
+
+@pytest.mark.parametrize(
+    "module", [m for m in MODULES if hasattr(m, "__all__")], ids=lambda m: m.__name__
+)
+def test_every_exported_name_resolves(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_normalization_is_exported():
+    assert symjacobi.norm_constant_table is symjacobi.core.norm_constant_table
+    assert "norm_constant_table" in symjacobi.core.__all__

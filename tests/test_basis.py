@@ -11,7 +11,6 @@ from symjacobi.basis import (
     analyze,
     eigen_index,
     eval_halfline_expansion,
-    eval_symm_eigenfunction,
     eval_symm_expansion,
     min_quadrature_order,
     recombine,
@@ -24,11 +23,12 @@ from symjacobi.basis import (
     to_halfline,
 )
 from symjacobi.core import (
+    _TABLE_CACHE,
     GridFunction,
     JacobiParams,
-    eval_eigenfunction,
+    eigenfunction_table,
     gauss_jacobi_rule,
-    norm_constant,
+    norm_constant_table,
     symmetric_rule,
 )
 from symjacobi.errors import ConfigError, DomainError, GridError
@@ -71,35 +71,31 @@ class TestIndexMap:
 
 class TestSymmEigenfunction:
     def test_parity_bitwise(self):
+        # built afresh both times, so the cache cannot make this hold
         pr = JacobiParams(0.3, 0.7)
         th = np.linspace(0.07, 3.05, 11)
+        _TABLE_CACHE.clear()
+        plus = symm_eigenfunction_table(10, pr, th)
+        _TABLE_CACHE.clear()
+        minus = symm_eigenfunction_table(10, pr, -th)
         for n in (0, 2, 6):
-            np.testing.assert_array_equal(
-                eval_symm_eigenfunction(n, pr, th), eval_symm_eigenfunction(n, pr, -th)
-            )
+            np.testing.assert_array_equal(plus[n], minus[n])
         for n in (1, 3, 9):
-            np.testing.assert_array_equal(
-                eval_symm_eigenfunction(n, pr, th), -eval_symm_eigenfunction(n, pr, -th)
-            )
+            np.testing.assert_array_equal(plus[n], -minus[n])
 
     def test_fourier_degeneration(self):
         # even slots become cos(n t)/sqrt(pi), odd slots sin((n+1) t)/sqrt(pi)
         pr = JacobiParams(-0.5, -0.5)
         th = np.linspace(-3.0, 3.0, 41)
-        np.testing.assert_allclose(
-            eval_symm_eigenfunction(0, pr, th), 1 / math.sqrt(2 * math.pi), rtol=1e-13
-        )
+        table = symm_eigenfunction_table(7, pr, th)
+        np.testing.assert_allclose(table[0], 1 / math.sqrt(2 * math.pi), rtol=1e-13)
         for k in (1, 3):
             np.testing.assert_allclose(
-                eval_symm_eigenfunction(2 * k, pr, th),
-                np.cos(k * th) / math.sqrt(math.pi),
-                atol=1e-13,
+                table[2 * k], np.cos(k * th) / math.sqrt(math.pi), atol=1e-13
             )
         for k in (0, 2):
             np.testing.assert_allclose(
-                eval_symm_eigenfunction(2 * k + 1, pr, th),
-                np.sin((k + 1) * th) / math.sqrt(math.pi),
-                atol=1e-13,
+                table[2 * k + 1], np.sin((k + 1) * th) / math.sqrt(math.pi), atol=1e-13
             )
 
     def test_gram_identity(self):
@@ -109,20 +105,14 @@ class TestSymmEigenfunction:
             gram = (table * grid.weights) @ table.T
             np.testing.assert_allclose(gram, np.eye(41), atol=1e-10)
 
-    def test_table_matches_scalar(self):
-        pr = JacobiParams(1.0, 2.0)
-        th = np.linspace(-2.9, 2.9, 7)
-        table = symm_eigenfunction_table(6, pr, th)
-        for n in range(6):
-            np.testing.assert_allclose(table[n], eval_symm_eigenfunction(n, pr, th), rtol=1e-13)
-
 
 class TestReflect:
     def test_even_odd_samples(self):
         pr = JacobiParams(0.3, 0.7)
         grid = symmetric_rule(12, pr)
-        even = GridFunction(grid, eval_symm_eigenfunction(4, pr, grid.nodes))
-        odd = GridFunction(grid, eval_symm_eigenfunction(3, pr, grid.nodes))
+        table = symm_eigenfunction_table(5, pr, grid.nodes)
+        even = GridFunction(grid, table[4])
+        odd = GridFunction(grid, table[3])
         np.testing.assert_array_equal(reflect(even).values, even.values)
         np.testing.assert_array_equal(reflect(odd).values, -odd.values)
 
@@ -149,21 +139,22 @@ class TestSplitEvenOdd:
     def test_pure_parity_inputs(self):
         pr = JacobiParams(0.3, 0.7)
         grid = symmetric_rule(16, pr)
-        f2 = GridFunction(grid, eval_symm_eigenfunction(2, pr, grid.nodes))
+        table = symm_eigenfunction_table(3, pr, grid.nodes)
+        f2 = GridFunction(grid, table[2])
         ev, od = split_even_odd(f2)
         np.testing.assert_allclose(
             ev.values,
-            eval_eigenfunction(1, pr, ev.grid.nodes) / math.sqrt(2),
+            eigenfunction_table(1, pr, ev.grid.nodes)[1] / math.sqrt(2),
             rtol=1e-14,
         )
         np.testing.assert_allclose(od.values, 0.0, atol=1e-16)
 
-        f1 = GridFunction(grid, eval_symm_eigenfunction(1, pr, grid.nodes))
+        f1 = GridFunction(grid, table[1])
         ev, od = split_even_odd(f1)
         np.testing.assert_allclose(ev.values, 0.0, atol=1e-16)
         np.testing.assert_allclose(
             od.values,
-            eval_eigenfunction(0, pr.shift(1), od.grid.nodes) / math.sqrt(2),
+            eigenfunction_table(0, pr.shift(1), od.grid.nodes)[0] / math.sqrt(2),
             rtol=1e-14,
         )
 
@@ -187,7 +178,7 @@ class TestSplitEvenOdd:
 class TestAnalyze:
     def test_unit_vector_recovery(self):
         pr = JacobiParams(0.3, 0.7)
-        e = analyze(lambda t: eval_symm_eigenfunction(3, pr, t), pr, 6)
+        e = analyze(lambda t: symm_eigenfunction_table(4, pr, t)[3], pr, 6)
         expect = np.zeros(6)
         expect[3] = 1.0
         np.testing.assert_allclose(e.coeffs, expect, atol=1e-13)
@@ -196,7 +187,8 @@ class TestAnalyze:
         pr = JacobiParams(-0.7, 0.4)
 
         def f(t):
-            return eval_symm_eigenfunction(0, pr, t) + 2 * eval_symm_eigenfunction(5, pr, t)
+            table = symm_eigenfunction_table(6, pr, t)
+            return table[0] + 2 * table[5]
 
         e = analyze(f, pr, 8)
         expect = np.zeros(8)
@@ -217,7 +209,7 @@ class TestAnalyze:
 
         e = analyze(f, pr, 10)
         np.testing.assert_allclose(e.coeffs[0::2], 0.0, atol=1e-14)
-        expect_b1 = math.sqrt(2) / norm_constant(0, up)
+        expect_b1 = math.sqrt(2) / norm_constant_table(0, up)[0]
         assert e.coeffs[1] == pytest.approx(expect_b1, rel=1e-12)
         np.testing.assert_allclose(e.coeffs[3::2], 0.0, atol=1e-12)
 

@@ -24,11 +24,8 @@ from symjacobi.core import (
     QuadratureGrid,
     eigenfunction_table,
     eigenvalue,
-    eval_eigenfunction,
-    eval_jacobi_poly,
     gauss_jacobi_rule,
     jacobi_poly_table,
-    norm_constant,
     norm_constant_table,
     symmetric_rule,
     trig_weight,
@@ -112,43 +109,35 @@ class TestEigenvalue:
 class TestJacobiPoly:
     def test_degree_zero_and_one(self):
         pr = JacobiParams(0.3, 0.7)
-        assert eval_jacobi_poly(0, pr, 0.2) == 1.0
+        table = jacobi_poly_table(1, pr, 0.2)
+        assert table[0, 0] == 1.0
         # P_1 = (a - b)/2 + (a + b + 2) x / 2
-        assert eval_jacobi_poly(1, pr, 0.2) == pytest.approx(
-            0.5 * (0.3 - 0.7) + 0.5 * 3.0 * 0.2, rel=1e-15
-        )
+        assert table[1, 0] == pytest.approx(0.5 * (0.3 - 0.7) + 0.5 * 3.0 * 0.2, rel=1e-15)
 
     def test_legendre_case_frozen(self):
         # hand-iterated Legendre recurrence at x = 0.7
-        assert eval_jacobi_poly(5, JacobiParams(0.0, 0.0), 0.7) == pytest.approx(
+        assert jacobi_poly_table(5, JacobiParams(0.0, 0.0), 0.7)[5, 0] == pytest.approx(
             -0.36519875, abs=1e-12
         )
 
     def test_legendre_case_sweep(self):
-        pr = JacobiParams(0.0, 0.0)
+        xs = (-0.9, -0.3, 0.0, 0.55, 1.0)
+        table = jacobi_poly_table(11, JacobiParams(0.0, 0.0), xs)
         for n in range(12):
-            for x in (-0.9, -0.3, 0.0, 0.55, 1.0):
-                assert eval_jacobi_poly(n, pr, x) == pytest.approx(
-                    legendre_by_own_recurrence(n, x), abs=1e-13
-                )
+            for x, value in zip(xs, table[n]):
+                assert value == pytest.approx(legendre_by_own_recurrence(n, x), abs=1e-13)
 
     def test_endpoint_value(self):
         # P_n(1) = binom(n + a, n)
         for pr in PAIRS:
+            table = jacobi_poly_table(7, pr, 1.0)
             for n in range(8):
                 expect = math.exp(
                     math.lgamma(n + pr.alpha + 1)
                     - math.lgamma(pr.alpha + 1)
                     - math.lgamma(n + 1)
                 )
-                assert eval_jacobi_poly(n, pr, 1.0) == pytest.approx(expect, rel=1e-12)
-
-    def test_table_matches_scalar(self):
-        pr = JacobiParams(-0.7, 0.4)
-        x = np.linspace(-1, 1, 7)
-        table = jacobi_poly_table(6, pr, x)
-        for n in range(7):
-            np.testing.assert_allclose(table[n], eval_jacobi_poly(n, pr, x), rtol=1e-14)
+                assert table[n, 0] == pytest.approx(expect, rel=1e-12)
 
     def test_recurrence_stable_at_degree_200(self):
         # endpoint values have log-gamma closed forms
@@ -160,12 +149,13 @@ class TestJacobiPoly:
             at_minus_one = math.exp(
                 math.lgamma(n + pr.beta + 1) - math.lgamma(pr.beta + 1) - math.lgamma(n + 1)
             )
-            assert eval_jacobi_poly(n, pr, 1.0) == pytest.approx(at_one, rel=1e-8)
-            assert eval_jacobi_poly(n, pr, -1.0) == pytest.approx(at_minus_one, rel=1e-8)
+            top = jacobi_poly_table(n, pr, [1.0, -1.0])[n]
+            assert top[0] == pytest.approx(at_one, rel=1e-8)
+            assert top[1] == pytest.approx(at_minus_one, rel=1e-8)
 
     def test_domain_check(self):
         with pytest.raises(DomainError):
-            eval_jacobi_poly(2, JacobiParams(0.0, 0.0), 1.001)
+            jacobi_poly_table(2, JacobiParams(0.0, 0.0), 1.001)
 
 
 class TestTrigWeight:
@@ -202,10 +192,10 @@ class TestTrigWeight:
 
 class TestNormConstant:
     def test_frozen_closed_forms(self):
-        assert norm_constant(0, JacobiParams(-0.5, -0.5)) == pytest.approx(
+        assert norm_constant_table(0, JacobiParams(-0.5, -0.5))[0] == pytest.approx(
             1.0 / math.sqrt(math.pi), rel=1e-14
         )
-        assert norm_constant(0, JacobiParams(1.0, 0.0)) == pytest.approx(
+        assert norm_constant_table(0, JacobiParams(1.0, 0.0))[0] == pytest.approx(
             math.sqrt(2.0), rel=1e-14
         )
 
@@ -214,16 +204,16 @@ class TestNormConstant:
     def test_against_direct_quadrature(self, n, pr):
         # c_n = (integral of (weight * P_n)^2 over the half line)^(-1/2)
         def integrand(t):
-            return (trig_weight(pr, t) * eval_jacobi_poly(n, pr, math.cos(t))) ** 2
+            return (trig_weight(pr, t) * jacobi_poly_table(n, pr, math.cos(t))[n, 0]) ** 2
 
         val, err = quad(integrand, 0.0, math.pi, limit=200)
         assert err < 1e-7
-        assert norm_constant(n, pr) == pytest.approx(val ** -0.5, rel=1e-7)
+        assert norm_constant_table(n, pr)[n] == pytest.approx(val ** -0.5, rel=1e-7)
 
     def test_large_degree_finite(self):
         for pr in PAIRS:
-            c = norm_constant(200, pr)
-            assert math.isfinite(c) and c > 0
+            c = norm_constant_table(200, pr)
+            assert np.all(np.isfinite(c)) and np.all(c > 0)
 
 
 class TestEigenfunction:
@@ -231,40 +221,31 @@ class TestEigenfunction:
         # at (-1/2, -1/2): phi_0 = 1/sqrt(pi), phi_n = sqrt(2/pi) cos(n t)
         pr = JacobiParams(-0.5, -0.5)
         th = np.linspace(0.001, math.pi - 0.001, 1000)
-        np.testing.assert_allclose(
-            eval_eigenfunction(0, pr, th), 1.0 / math.sqrt(math.pi), rtol=1e-12
-        )
+        table = eigenfunction_table(9, pr, th)
+        np.testing.assert_allclose(table[0], 1.0 / math.sqrt(math.pi), rtol=1e-12)
         for n in (1, 2, 5, 9):
             np.testing.assert_allclose(
-                eval_eigenfunction(n, pr, th),
-                math.sqrt(2 / math.pi) * np.cos(n * th),
-                atol=1e-12,
+                table[n], math.sqrt(2 / math.pi) * np.cos(n * th), atol=1e-12
             )
 
     def test_sine_degeneration(self):
         # at (1/2, 1/2): phi_n = sqrt(2/pi) sin((n+1) t)
         pr = JacobiParams(0.5, 0.5)
         th = np.linspace(0.05, 3.09, 13)
+        table = eigenfunction_table(7, pr, th)
         for n in (0, 1, 4, 7):
             np.testing.assert_allclose(
-                eval_eigenfunction(n, pr, th),
-                math.sqrt(2 / math.pi) * np.sin((n + 1) * th),
-                atol=1e-12,
+                table[n], math.sqrt(2 / math.pi) * np.sin((n + 1) * th), atol=1e-12
             )
 
     def test_even_extension_bitwise(self):
+        # built afresh both times, so the cache cannot make this hold
         pr = JacobiParams(0.3, 0.7)
         th = np.linspace(0.1, 3.0, 9)
-        np.testing.assert_array_equal(
-            eval_eigenfunction(3, pr, th), eval_eigenfunction(3, pr, -th)
-        )
-
-    def test_table_matches_scalar(self):
-        pr = JacobiParams(2.5, 1.5)
-        th = np.linspace(0.2, 2.9, 6)
-        table = eigenfunction_table(5, pr, th)
-        for n in range(6):
-            np.testing.assert_allclose(table[n], eval_eigenfunction(n, pr, th), rtol=1e-13)
+        _TABLE_CACHE.clear()
+        plus = eigenfunction_table(3, pr, th).copy()
+        _TABLE_CACHE.clear()
+        np.testing.assert_array_equal(eigenfunction_table(3, pr, -th), plus)
 
 
 def retained_bytes():

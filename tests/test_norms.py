@@ -7,8 +7,8 @@ import pytest
 
 from symjacobi.basis import (
     SymmExpansion,
-    eval_symm_eigenfunction,
     eval_symm_expansion,
+    symm_eigenfunction_table,
 )
 from symjacobi.core import (
     GridFunction,
@@ -16,7 +16,7 @@ from symjacobi.core import (
     QuadratureGrid,
     eigenvalue,
     gauss_jacobi_rule,
-    norm_constant,
+    norm_constant_table,
     symmetric_rule,
     trig_weight,
 )
@@ -28,8 +28,6 @@ from symjacobi.errors import (
 )
 from symjacobi.norms import (
     AdmissibilityRecord,
-    ExponentTriple,
-    NormReport,
     admissibility,
     alt_sobolev_norms,
     equivalence_ratio,
@@ -71,8 +69,9 @@ class TestLpNorm:
     def test_basis_members_are_unit(self):
         for pr in PAIRS:
             grid = symmetric_rule(48, pr)
+            table = symm_eigenfunction_table(13, pr, grid.nodes)
             for n in (0, 1, 5, 12):
-                vals = eval_symm_eigenfunction(n, pr, grid.nodes)
+                vals = table[n]
                 assert lp_norm(GridFunction(grid, vals), 2) == pytest.approx(1.0, abs=1e-9)
 
     def test_parity_split_change_of_variables(self):
@@ -199,7 +198,7 @@ class TestAltSobolevNorms:
         coeffs = np.zeros(3)
         coeffs[2] = 1.0
         e = SymmExpansion(pr, coeffs)
-        d1 = LadderCoefficients(pr).entry(1)
+        d1 = LadderCoefficients(pr).table(2)[1]
         fixed, _ = alt_sobolev_norms(e, 2, 2, grid)
         assert fixed == pytest.approx(1.0 + d1 + d1**2, rel=1e-10)
 
@@ -213,8 +212,8 @@ class TestAltSobolevNorms:
         e = SymmExpansion(pr, coeffs)
         _, variable = alt_sobolev_norms(e, 2, 2, grid)
 
-        d1 = LadderCoefficients(pr).entry(1)
-        c0 = norm_constant(0, pr.shift(1))
+        d1 = LadderCoefficients(pr).table(2)[1]
+        c0 = norm_constant_table(0, pr.shift(1))[0]
         th = np.abs(grid.nodes)
         outer = (
             d1
@@ -279,20 +278,6 @@ class TestAdmissibility:
         assert rec.embedding is None
         assert rec.continuity is None
 
-    def test_triple_validation(self):
-        ExponentTriple(2.0, 4.0, 0.5)
-        with pytest.raises(DomainError):
-            ExponentTriple(0.5)
-        with pytest.raises(DomainError):
-            ExponentTriple(2.0, 0.0)
-        with pytest.raises(DomainError):
-            ExponentTriple(2.0, 2.0, -1.0)
-
-    def test_report_validation(self):
-        NormReport("test", 1.0, GENERIC, {})
-        with pytest.raises(DomainError):
-            NormReport("test", -1.0, GENERIC, {})
-
 
 class TestMixedNorm:
     def test_constant(self):
@@ -315,7 +300,7 @@ class TestMixedNorm:
     def test_unimodular_time_factor(self):
         grid = symmetric_rule(32, GENERIC)
         tg = uniform_time_grid(12)
-        phi = eval_symm_eigenfunction(3, GENERIC, grid.nodes)
+        phi = symm_eigenfunction_table(4, GENERIC, grid.nodes)[3]
         lam = eigenvalue(2, GENERIC)
         vals = phi[:, None] * np.exp(1j * tg.nodes * lam)[None, :]
         p, q = 3.0, 2.0
@@ -366,6 +351,14 @@ class TestEquivalenceRatio:
         stats = equivalence_ratio(whole, split, members)
         assert stats.minimum == pytest.approx(1.0, abs=1e-9)
         assert stats.maximum == pytest.approx(1.0, abs=1e-9)
+
+    def test_per_member_ratios_skip_degenerate_members(self):
+        members = [SymmExpansion(GENERIC, [c]) for c in (2.0, 0.0, -3.0)]
+        stats = equivalence_ratio(
+            lambda e: e.coeffs[0] ** 2, lambda e: abs(e.coeffs[0]), members
+        )
+        assert stats.ratios == (2.0, 3.0)
+        assert (stats.min_index, stats.max_index) == (0, 2)
 
     def test_degenerate_ensemble(self):
         zero = [SymmExpansion(GENERIC, np.zeros(3))]

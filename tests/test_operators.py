@@ -11,7 +11,6 @@ from symjacobi.basis import (
     HalfLineExpansion,
     SymmExpansion,
     eval_halfline_expansion,
-    eval_symm_eigenfunction,
     eval_symm_expansion,
     recombine,
     symm_eigenfunction_table,
@@ -20,8 +19,8 @@ from symjacobi.basis import (
 )
 from symjacobi.core import (
     JacobiParams,
+    eigenfunction_table,
     eigenvalue,
-    eval_eigenfunction,
     symmetric_rule,
 )
 from symjacobi.errors import DomainError, UnsupportedParametersError
@@ -43,6 +42,7 @@ from symjacobi.operators import (
     riesz_transform,
     riesz_transform_shifted,
     schrodinger_propagator,
+    spectral_base,
     symm_higher_derivative,
     var_index_derivative,
 )
@@ -109,6 +109,12 @@ class TestPotentials:
             riesz_potential(e, 0.5)
         with pytest.raises(DomainError):
             riesz_potential(unit(GENERIC, 1, 3), -0.2)
+
+    def test_spectral_base_shifts_only_a_zero_bottom(self):
+        lam = symm_eigenvalues(5, ZERO_BOTTOM)
+        np.testing.assert_array_equal(spectral_base(ZERO_BOTTOM, lam), 1.0 + lam)
+        lam = symm_eigenvalues(5, GENERIC)
+        assert spectral_base(GENERIC, lam) is lam
 
     def test_bessel_handles_zero_bottom(self):
         e = unit(ZERO_BOTTOM, 0, 3)
@@ -239,14 +245,13 @@ class TestLadder:
         # spectral route vs 5-point stencil on the first-order expression
         nodes = interior_nodes(margin=0.2)
         for pr in (GENERIC, JacobiParams(-0.7, 0.4)):
+            ladder = LadderCoefficients(pr).table(21)
             for n in (1, 7, 20):
                 def f(t, n=n, pr=pr):
-                    return eval_eigenfunction(n, pr, t)
+                    return eigenfunction_table(n, pr, t)[n]
 
                 fd_vals = apply_ladder_down_fd(pr, f, nodes)
-                target = -LadderCoefficients(pr).entry(n) * eval_eigenfunction(
-                    n - 1, pr.shift(1), nodes
-                )
+                target = -ladder[n] * eigenfunction_table(n - 1, pr.shift(1), nodes)[n - 1]
                 scale = np.max(np.abs(target))
                 np.testing.assert_allclose(fd_vals, target, atol=1e-5 * scale)
 
@@ -254,14 +259,13 @@ class TestLadder:
         nodes = interior_nodes(margin=0.2)
         for pr in (GENERIC, JacobiParams(1.0, 2.0)):
             up = pr.shift(1)
+            ladder = LadderCoefficients(pr).table(13)
             for n in (0, 3, 11):
                 def f(t, n=n, up=up):
-                    return eval_eigenfunction(n, up, t)
+                    return eigenfunction_table(n, up, t)[n]
 
                 fd_vals = apply_ladder_up_fd(pr, f, nodes)
-                target = -LadderCoefficients(pr).entry(n + 1) * eval_eigenfunction(
-                    n + 1, pr, nodes
-                )
+                target = -ladder[n + 1] * eigenfunction_table(n + 1, pr, nodes)[n + 1]
                 scale = np.max(np.abs(target))
                 np.testing.assert_allclose(fd_vals, target, atol=1e-5 * scale)
 
@@ -357,7 +361,7 @@ class TestVarIndexDerivative:
         nodes = interior_nodes(7, margin=0.4)
 
         def f(t):
-            return eval_eigenfunction(n, pr, t)
+            return eigenfunction_table(n, pr, t)[n]
 
         def first(t):
             return apply_ladder_down_fd(pr, f, t)
@@ -365,7 +369,7 @@ class TestVarIndexDerivative:
         nested = apply_ladder_down_fd(pr.shift(1), first, nodes)
         h = HalfLineExpansion(pr, np.eye(n + 1)[n], "even")
         out = var_index_derivative(h, 2)
-        target = out.coeffs[n - 2] * eval_eigenfunction(n - 2, pr.shift(2), nodes)
+        target = out.coeffs[n - 2] * eigenfunction_table(n - 2, pr.shift(2), nodes)[n - 2]
         scale = np.max(np.abs(target))
         np.testing.assert_allclose(nested, target, atol=1e-4 * scale)
 
@@ -508,7 +512,7 @@ class TestWitnessClosedForms:
         c = growth_witness_coefficient(pr)
         th = np.linspace(-2.9, 2.9, 12)
         np.testing.assert_allclose(
-            f(th), c * eval_symm_eigenfunction(1, pr, th), rtol=1e-13
+            f(th), c * symm_eigenfunction_table(2, pr, th)[1], rtol=1e-13
         )
 
     def test_growth_witness_double_derivative_closed_form(self):

@@ -8,7 +8,12 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from symjacobi.basis import SymmExpansion, reflect_coeffs, to_halfline
+from symjacobi.basis import (
+    SymmExpansion,
+    reflect_coeffs,
+    symm_eigenfunction_table,
+    to_halfline,
+)
 from symjacobi.core import JacobiParams, symmetric_rule
 from symjacobi.errors import ConfigError, DomainError
 from symjacobi.squarefn import (
@@ -19,8 +24,6 @@ from symjacobi.squarefn import (
     l2_equivalence_constant,
     square_function,
     square_function_by_time_quadrature,
-    square_function_halfline,
-    square_function_modified,
 )
 
 PAIRS = [
@@ -97,11 +100,10 @@ class TestGammaIntegralOracle:
 
 class TestSingleModeValues:
     def test_plain_closed_form(self):
-        from symjacobi.basis import eval_symm_eigenfunction
-
         theta = np.linspace(-2.8, 2.8, 10)  # even count keeps 0 off the grid
         spec = SquareFunctionSpec(0.7, 2)
         for pr in PAIRS:
+            table = symm_eigenfunction_table(10, pr, theta)
             for n in (0, 1, 4, 9):
                 e = unit(pr, n, 10)
                 lam = e.eigenvalues()[n]
@@ -110,24 +112,19 @@ class TestSingleModeValues:
                     np.testing.assert_array_equal(square_function(e, spec, theta), 0.0)
                     continue
                 vals = square_function(e, spec, theta)
-                expect = eigenmode_constant(spec, lam) * np.abs(
-                    eval_symm_eigenfunction(n, pr, theta)
-                )
+                expect = eigenmode_constant(spec, lam) * np.abs(table[n])
                 np.testing.assert_allclose(vals, expect, rtol=1e-9, atol=1e-12)
 
     def test_modified_closed_form(self):
-        from symjacobi.basis import eval_symm_eigenfunction
-
         theta = np.linspace(-2.8, 2.8, 9)
         spec = SquareFunctionSpec(0.5, 1, "modified")
         pr = JacobiParams(-0.5, -0.5)
+        table = symm_eigenfunction_table(6, pr, theta)
         for n in (0, 1, 5):
             e = unit(pr, n, 6)
             lam = e.eigenvalues()[n]
-            vals = square_function_modified(e, 0.5, 1, theta)
-            expect = eigenmode_constant(spec, lam) * np.abs(
-                eval_symm_eigenfunction(n, pr, theta)
-            )
+            vals = square_function(e, spec, theta)
+            expect = eigenmode_constant(spec, lam) * np.abs(table[n])
             np.testing.assert_allclose(vals, expect, rtol=1e-9, atol=1e-12)
             assert expect.max() > 0  # the shifted flow never kills a mode
 
@@ -216,7 +213,7 @@ class TestGlobalL2Identity:
         rates = 1.0 + np.sqrt(e.eigenvalues())
         grid = symmetric_rule(48, pr)
         gamma, k = 0.7, 2
-        vals = square_function_modified(e, gamma, k, grid.nodes)
+        vals = square_function(e, SquareFunctionSpec(gamma, k, "modified"), grid.nodes)
         lhs = math.sqrt(grid.integrate(vals**2))
         rhs = math.sqrt(np.sum(e.coeffs**2 * rates ** (2 * gamma)))
         assert lhs == pytest.approx(l2_equivalence_constant(gamma, k) * rhs, rel=1e-10)
@@ -231,7 +228,7 @@ class TestHalfLineVariant:
         theta = np.linspace(0.15, 3.0, 13)
         gamma, k = 0.5, 1
         whole = square_function(f, SquareFunctionSpec(gamma, k), theta)
-        part = square_function_halfline(ev, gamma, k, theta)
+        part = square_function(ev, SquareFunctionSpec(gamma, k, "halfline"), theta)
         np.testing.assert_allclose(part, whole, rtol=1e-12)
 
     def test_odd_part_matches_restriction(self):
@@ -242,7 +239,7 @@ class TestHalfLineVariant:
         theta = np.linspace(0.15, 3.0, 13)
         gamma, k = 0.7, 2
         whole = square_function(f, SquareFunctionSpec(gamma, k), theta)
-        part = square_function_halfline(od, gamma, k, theta)
+        part = square_function(od, SquareFunctionSpec(gamma, k, "halfline"), theta)
         np.testing.assert_allclose(part, whole, rtol=1e-12)
 
     def test_variant_input_mismatch(self):

@@ -81,9 +81,7 @@ class TestConfigValidation:
             validate_config(cfg)
 
     def test_potentials_rejects_zero_bottom_pair(self):
-        cfg = SuiteConfig(
-            suite="potentials", pairs=((-0.5, -0.5),), explicit_pair=True
-        )
+        cfg = SuiteConfig(suite="potentials", pairs=((-0.5, -0.5),))
         with pytest.raises(ConfigError, match="differ from -1"):
             validate_config(cfg)
 
@@ -93,23 +91,52 @@ class TestConfigValidation:
         validate_config(SuiteConfig(suite="potentials"))
 
     def test_counterexample_hypothesis_cited(self):
-        cfg = SuiteConfig(
-            suite="counterexample", pairs=((0.2, 0.2),), p=2.0, explicit_pair=True
-        )
+        cfg = SuiteConfig(suite="counterexample", pairs=((0.2, 0.2),), p=2.0)
         with pytest.raises(ConfigError, match="1/p - 1/2"):
             validate_config(cfg)
 
     def test_noninclusion_partner_must_differ(self):
-        cfg = SuiteConfig(
-            suite="noninclusion", pairs=((-0.45, -0.35),), explicit_pair=True
-        )
+        cfg = SuiteConfig(suite="noninclusion", pairs=((-0.45, -0.35),))
         with pytest.raises(ConfigError, match="must differ"):
             validate_config(cfg)
 
     def test_all_validates_every_suite(self):
-        cfg = SuiteConfig(suite="all", pairs=((-0.7, 0.4),), p=6.0, explicit_pair=True)
+        cfg = SuiteConfig(suite="all", pairs=((-0.7, 0.4),), p=6.0)
         with pytest.raises(ConfigError):
             validate_config(cfg)
+
+    @pytest.mark.parametrize("suite", ["embed", "all"])
+    def test_embedding_condition_cited(self, suite):
+        cfg = SuiteConfig(suite=suite, q=100.0, s=0.1)
+        with pytest.raises(ConfigError, match="1/q >= 1/p - s"):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize(
+        "suite, pair",
+        [("embed", (0.5, 0.5)), ("noninclusion", (-0.55, -0.45)), ("counterexample", (-0.2, -0.2))],
+    )
+    def test_library_pair_is_the_pair_run(self, tmp_path, suite, pair):
+        # a pair given to SuiteConfig runs exactly as the same pair on the CLI
+        given = run_suite(fast_config(suite, pairs=(pair,)), write=False)[0]
+        built_in = run_suite(fast_config(suite), write=False)[0]
+        assert given.config["pairs"] == [list(pair)]
+        assert given.series != built_in.series
+        code = cli.main(
+            [suite, "--alpha", str(pair[0]), "--beta", str(pair[1]), "--trunc", "32",
+             "--quad", "80", "--ensemble", "6", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        doc = json.loads((tmp_path / f"{suite}-report.json").read_text())
+        assert doc["cases"] == given.cases
+        assert doc["series"] == given.series
+
+    def test_all_runs_the_built_in_pairs(self):
+        # run_suite re-creates each sub-config with the default pairs filled
+        # in; those must still count as no pair given
+        reports = run_suite(SuiteConfig(suite="all", trunc=8, ensemble=2), write=False)
+        noninclusion = [r for r in reports if r.suite == "noninclusion"][0]
+        alone = run_suite(SuiteConfig(suite="noninclusion", trunc=8, ensemble=2), write=False)
+        assert noninclusion.series == alone[0].series
 
 
 class TestRunSuite:
@@ -204,6 +231,17 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "config error" in err and "0 < gamma < k" in err
+
+    def test_exit_two_before_any_suite_writes(self, tmp_path, capsys):
+        # the embed suite runs tenth; its condition is checked before the first
+        out = tmp_path / "out"
+        code = cli.main(
+            ["all", "--q", "100", "--s", "0.1", "--trunc", "8", "--ensemble", "4",
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert "1/q >= 1/p - s" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_exit_two_on_out_of_domain_pair(self, tmp_path, capsys):
         code = cli.main(
