@@ -19,7 +19,6 @@ from .core import (
     JacobiParams,
     QuadratureGrid,
     eigenfunction_table,
-    eigenvalue,
     gauss_jacobi_rule,
 )
 from .errors import ConfigError, DomainError, GridError
@@ -53,7 +52,7 @@ def eigen_index(n: int) -> int:
 
 def symm_eigenvalues(n_coeffs: int, params: JacobiParams) -> np.ndarray:
     """Eigenvalues attached to symmetrized indices 0..n_coeffs-1."""
-    return np.array([eigenvalue(eigen_index(n), params) for n in range(n_coeffs)])
+    return ((np.arange(n_coeffs) + 1) // 2 + params.eigen_shift) ** 2
 
 
 def symm_eigenfunction_table(n_coeffs: int, params: JacobiParams, theta) -> np.ndarray:
@@ -63,7 +62,7 @@ def symm_eigenfunction_table(n_coeffs: int, params: JacobiParams, theta) -> np.n
     function. Odd n: sign(theta) times the ((n-1)/2)-th eigenfunction of the
     shifted pair over sqrt(2), an odd function vanishing at 0.
     """
-    th = np.asarray(theta, dtype=float)
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
     out = np.empty((n_coeffs, th.shape[0]))
     n_even = (n_coeffs + 1) // 2
     n_odd = n_coeffs // 2
@@ -123,9 +122,7 @@ class SymmExpansion:
         return self.coeffs.size
 
     def eigenvalues(self) -> np.ndarray:
-        a = self.params.eigen_shift
-        idx = (np.arange(self.coeffs.size) + 1) // 2
-        return (idx + a) ** 2
+        return symm_eigenvalues(self.coeffs.size, self.params)
 
     def coeff_norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))

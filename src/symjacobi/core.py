@@ -14,8 +14,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
+from scipy.special import gammaln, roots_jacobi
 
 from .errors import DomainError, GridError, SingularPointError
 
@@ -88,14 +87,17 @@ def eigenvalue(n: int, params: JacobiParams) -> float:
     return (n + params.eigen_shift) ** 2
 
 
-def _recurrence_step(n: int, alpha: float, beta: float) -> tuple[float, float, float, float]:
-    # coefficients for P_{n+1} in terms of P_n, P_{n-1} (n >= 1)
+def _recurrence_coeffs(n_top: int, alpha: float, beta: float):
+    # (n, c1, c2, c3, c4) giving P_{n+1} from P_n, P_{n-1} for n = 1..n_top-1;
+    # each product is taken in the same order as for one scalar n, so the
+    # coefficients are bit-identical to scalar ones
+    n = np.arange(1, n_top)
     s = alpha + beta
     c1 = 2.0 * (n + 1) * (n + s + 1) * (2 * n + s)
     c2 = (2 * n + s + 1) * (alpha * alpha - beta * beta)
     c3 = (2 * n + s) * (2 * n + s + 1) * (2 * n + s + 2)
     c4 = 2.0 * (n + alpha) * (n + beta) * (2 * n + s + 2)
-    return c1, c2, c3, c4
+    return zip(n.tolist(), c1.tolist(), c2.tolist(), c3.tolist(), c4.tolist())
 
 
 def jacobi_poly_table(n_top: int, params: JacobiParams, x: np.ndarray) -> np.ndarray:
@@ -111,9 +113,18 @@ def jacobi_poly_table(n_top: int, params: JacobiParams, x: np.ndarray) -> np.nda
     out[0] = 1.0
     if n_top >= 1:
         out[1] = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
-    for n in range(1, n_top):
-        c1, c2, c3, c4 = _recurrence_step(n, a, b)
-        out[n + 1] = ((c2 + c3 * x) * out[n] - c4 * out[n - 1]) / c1
+    # P_{n+1} = ((c2 + c3 x) P_n - c4 P_{n-1}) / c1, one operation at a time
+    # into preallocated rows: the rule builds a table with as many rows as
+    # nodes, and temporaries cost a fifth of that time
+    tmp = np.empty_like(x)
+    for n, c1, c2, c3, c4 in _recurrence_coeffs(n_top, a, b):
+        np.multiply(c3, x, out=tmp)
+        tmp += c2
+        tmp *= out[n]
+        nxt = out[n + 1]
+        np.multiply(c4, out[n - 1], out=nxt)
+        np.subtract(tmp, nxt, out=nxt)
+        nxt /= c1
     return out
 
 
@@ -222,19 +233,24 @@ def eigenfunction_table(n_top: int, params: JacobiParams, theta: np.ndarray) -> 
     The result is read-only and may be shared with other callers: equal
     arguments return one cached array while it stays in the cache.
     """
-    th = np.abs(np.asarray(theta, dtype=float))
+    th = np.abs(np.atleast_1d(np.asarray(theta, dtype=float)))
     # exact bytes, so -0.0 and 0.0 parameters or nearby nodes never share a table
     pair = np.array([params.alpha, params.beta], dtype=float).tobytes()
     key = (n_top, pair, th.shape, th.tobytes())
     table = _TABLE_CACHE.get(key)
     if table is not None:
         return table
+    table = _eigenfunction_rows(n_top, params, th)
+    table.flags.writeable = False
+    return _TABLE_CACHE.put(key, table)
+
+
+def _eigenfunction_rows(n_top: int, params: JacobiParams, th: np.ndarray) -> np.ndarray:
+    # uncached build of the rows n = 0..n_top at the angles th
     w = trig_weight(params, th)
     polys = jacobi_poly_table(n_top, params, np.cos(th))
     consts = norm_constant_table(n_top, params)
-    table = consts[:, None] * w[None, :] * polys
-    table.flags.writeable = False
-    return _TABLE_CACHE.put(key, table)
+    return consts[:, None] * w[None, :] * polys
 
 
 @dataclass(frozen=True)
@@ -260,12 +276,13 @@ class QuadratureGrid:
             raise GridError(f"unknown interval tag {self.interval!r}")
         if nodes.ndim != 1 or nodes.shape != weights.shape:
             raise GridError("nodes and weights must be 1-d arrays of equal length")
-        if np.any(np.diff(nodes) <= 0):
+        # negated comparisons, so a NaN node or weight fails them too
+        if not np.all(np.diff(nodes) > 0):
             raise GridError("nodes must be strictly increasing")
-        if np.any(weights <= 0):
+        if not np.all(weights > 0):
             raise GridError("weights must be positive")
         lo = 0.0 if self.interval == "halfline" else -np.pi
-        if nodes.size and (nodes[0] <= lo or nodes[-1] >= np.pi):
+        if nodes.size and not (nodes[0] > lo and nodes[-1] < np.pi):
             raise GridError("nodes must lie strictly inside the open interval")
         if self.interval == "symmetric" and np.any(nodes == 0.0):
             raise GridError("symmetric grids must not contain 0")
@@ -292,55 +309,24 @@ class GridFunction:
             raise GridError("values must match the grid node count")
 
 
-def _jacobi_recurrence_coeffs(n: int, alpha: float, beta: float):
-    # monic recurrence coefficients for the weight (1-x)^alpha (1+x)^beta
-    k = np.arange(n)
-    s = alpha + beta
-    a_diag = np.empty(n)
-    a_diag[0] = (beta - alpha) / (s + 2.0)
-    if n > 1:
-        kk = k[1:]
-        a_diag[1:] = (beta * beta - alpha * alpha) / ((2 * kk + s) * (2 * kk + s + 2))
-    b_off = np.empty(max(n - 1, 0))
-    if n > 1:
-        b_off[0] = 4.0 * (alpha + 1) * (beta + 1) / ((s + 2) ** 2 * (s + 3))
-    if n > 2:
-        kk = k[2:]
-        b_off[1:] = (
-            4.0 * kk * (kk + alpha) * (kk + beta) * (kk + s)
-            / ((2 * kk + s) ** 2 * (2 * kk + s + 1) * (2 * kk + s - 1))
-        )
-    return a_diag, b_off
-
-
 def gauss_jacobi_rule(n_nodes: int, params: JacobiParams) -> QuadratureGrid:
     """Gauss-Jacobi rule of the given size, mapped to the angle variable.
 
-    Built by the symmetric-tridiagonal eigenvalue method from the recurrence
-    coefficients of the weight (1-x)^alpha (1+x)^beta. The returned weights
-    integrate trig_weight(params, t)^2 times any polynomial in cos(t) of
-    degree at most 2*n_nodes - 1 exactly over (0, pi).
+    The nodes are scipy's Gauss-Jacobi roots. Each weight is the inverse
+    Christoffel function 1 / sum_{n < n_nodes} phi_n(t)^2 of the half-line
+    eigenfunctions themselves, so the rule shares their normalization. The
+    weights integrate trig_weight(params, t)^2 times any polynomial in cos(t)
+    of degree at most 2*n_nodes - 1 exactly over (0, pi).
     """
     if n_nodes < 1:
         raise GridError(f"rule size must be positive, got {n_nodes}")
-    a, b = params.alpha, params.beta
-    diag, off = _jacobi_recurrence_coeffs(n_nodes, a, b)
-    if n_nodes == 1:
-        x = np.array([diag[0]])
-        first_comp_sq = np.array([1.0])
-    else:
-        evals, evecs = eigh_tridiagonal(diag, np.sqrt(off))
-        x = evals
-        first_comp_sq = evecs[0, :] ** 2
-    mu0 = math.exp((a + b + 1) * math.log(2.0) + gammaln(a + 1) + gammaln(b + 1) - gammaln(a + b + 2))
-    v = mu0 * first_comp_sq
-    # ascending theta corresponds to descending x
-    order = np.argsort(-x)
-    x = np.clip(x[order], -1.0, 1.0)
-    v = v[order]
-    theta = np.arccos(x)
-    w = v * (1.0 - x) ** (-(a + 0.5)) * (1.0 + x) ** (-(b + 0.5))
-    return QuadratureGrid(nodes=theta, weights=w, interval="halfline")
+    x, _ = roots_jacobi(n_nodes, params.alpha, params.beta)
+    # ascending theta corresponds to descending x; these N x N rows bypass
+    # the table cache, where they would evict the tables callers reuse
+    theta = np.arccos(x[::-1])
+    rows = _eigenfunction_rows(n_nodes - 1, params, theta)
+    weights = 1.0 / np.sum(rows**2, axis=0)
+    return QuadratureGrid(nodes=theta, weights=weights, interval="halfline")
 
 
 def symmetric_rule(n_nodes_half: int, params: JacobiParams) -> QuadratureGrid:

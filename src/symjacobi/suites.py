@@ -186,8 +186,14 @@ def validate_config(config: SuiteConfig) -> None:
     given = _pairs_given(config)
     suites = list(SUITES) if config.suite == "all" else [config.suite]
     for suite in suites:
+        # embed and counterexample run one pair: the given one or their own
+        pairs = config.pairs
+        if suite == "embed":
+            pairs = [_single_pair(config, EMBED_PAIR)]
+        elif suite == "counterexample":
+            pairs = [_single_pair(config, COUNTEREXAMPLE_PAIR)]
         if suite in _ADMISSIBILITY_SUITES:
-            for pr in config.pairs:
+            for pr in pairs:
                 if not pr.contains_p(config.p):
                     lo, hi = pr.admissible_range()
                     raise ConfigError(
@@ -202,9 +208,9 @@ def validate_config(config: SuiteConfig) -> None:
                         f"eigenvalue: alpha + beta must differ from -1, got "
                         f"alpha={pr.alpha}, beta={pr.beta}"
                     )
-        if suite == "counterexample" and given:
+        if suite == "counterexample":
             bound = 1.0 / config.p - 0.5
-            for pr in config.pairs:
+            for pr in pairs:
                 if not (pr.alpha < bound and pr.beta < bound):
                     raise ConfigError(
                         "the decay witness needs alpha, beta < 1/p - 1/2 = "
@@ -220,8 +226,7 @@ def validate_config(config: SuiteConfig) -> None:
                     )
         if suite == "embed":
             s, q = _embed_exponents(config)
-            pr = _single_pair(config, EMBED_PAIR)
-            if not admissibility(pr, config.p, q=q, s=s).embedding:
+            if not admissibility(pairs[0], config.p, q=q, s=s).embedding:
                 raise ConfigError(
                     f"embedding requires 1/q >= 1/p - s; got p={config.p}, q={q}, s={s}"
                 )

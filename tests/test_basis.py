@@ -83,6 +83,15 @@ class TestSymmEigenfunction:
         for n in (1, 3, 9):
             np.testing.assert_array_equal(plus[n], -minus[n])
 
+    def test_scalar_angle_is_a_one_element_array(self):
+        pr = JacobiParams(0.3, 0.7)
+        for theta in (0.5, -0.5):
+            scalar = symm_eigenfunction_table(3, pr, theta)
+            np.testing.assert_array_equal(
+                scalar, symm_eigenfunction_table(3, pr, np.array([theta]))
+            )
+            assert scalar.shape == (3, 1)
+
     def test_fourier_degeneration(self):
         # even slots become cos(n t)/sqrt(pi), odd slots sin((n+1) t)/sqrt(pi)
         pr = JacobiParams(-0.5, -0.5)

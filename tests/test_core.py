@@ -2,8 +2,8 @@
 
 Expected values come from three places: closed forms at the trigonometric
 parameter pairs where everything degenerates to sines and cosines, direct
-adaptive quadrature of the defining integrals, and scipy's own Gauss-Jacobi
-nodes as a cross-check on the rule construction.
+adaptive quadrature of the defining integrals, and the defining property of
+Gauss nodes, that they are the zeros of the top polynomial.
 """
 
 import math
@@ -13,7 +13,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import roots_jacobi
 
 from symjacobi.core import (
     _TABLE_CACHE,
@@ -153,6 +152,21 @@ class TestJacobiPoly:
             assert top[0] == pytest.approx(at_one, rel=1e-8)
             assert top[1] == pytest.approx(at_minus_one, rel=1e-8)
 
+    def test_matches_the_plain_recurrence_bitwise(self):
+        # reference: one expression per degree, coefficients formed per n
+        x = np.cos(np.linspace(0.01, 3.1, 37))
+        for pr in PAIRS + [JacobiParams(40.0, -0.9)]:
+            a, b = pr.alpha, pr.beta
+            s = a + b
+            ref = [np.ones_like(x), 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x]
+            for n in range(1, 60):
+                c1 = 2.0 * (n + 1) * (n + s + 1) * (2 * n + s)
+                c2 = (2 * n + s + 1) * (a * a - b * b)
+                c3 = (2 * n + s) * (2 * n + s + 1) * (2 * n + s + 2)
+                c4 = 2.0 * (n + a) * (n + b) * (2 * n + s + 2)
+                ref.append(((c2 + c3 * x) * ref[n] - c4 * ref[n - 1]) / c1)
+            np.testing.assert_array_equal(jacobi_poly_table(60, pr, x), np.array(ref))
+
     def test_domain_check(self):
         with pytest.raises(DomainError):
             jacobi_poly_table(2, JacobiParams(0.0, 0.0), 1.001)
@@ -237,6 +251,14 @@ class TestEigenfunction:
             np.testing.assert_allclose(
                 table[n], math.sqrt(2 / math.pi) * np.sin((n + 1) * th), atol=1e-12
             )
+
+    def test_scalar_angle_is_a_one_element_array(self):
+        pr = JacobiParams(0.3, 0.7)
+        _TABLE_CACHE.clear()
+        scalar = eigenfunction_table(3, pr, 0.5).copy()
+        _TABLE_CACHE.clear()
+        np.testing.assert_array_equal(scalar, eigenfunction_table(3, pr, np.array([0.5])))
+        assert scalar.shape == (4, 1)
 
     def test_even_extension_bitwise(self):
         # built afresh both times, so the cache cannot make this hold
@@ -365,11 +387,15 @@ class TestGaussJacobiRule:
         )
         np.testing.assert_allclose(rule.weights, math.pi / 4, rtol=1e-13)
 
-    def test_nodes_match_scipy(self):
+    def test_nodes_are_zeros_of_the_top_polynomial(self):
+        # twelve distinct nodes where P_12 vanishes are all of its zeros
+        fine = np.linspace(-1.0, 1.0, 2001)
         for pr in PAIRS:
-            x_mine = np.cos(gauss_jacobi_rule(12, pr).nodes)[::-1]
-            x_ref, _ = roots_jacobi(12, pr.alpha, pr.beta)
-            np.testing.assert_allclose(x_mine, x_ref, atol=1e-12)
+            rule = gauss_jacobi_rule(12, pr)
+            at_nodes = jacobi_poly_table(12, pr, np.cos(rule.nodes))[12]
+            scale = np.max(np.abs(jacobi_poly_table(12, pr, fine)[12]))
+            assert len(rule) == 12
+            assert np.max(np.abs(at_nodes)) <= 1e-12 * scale
 
     def test_integrates_weighted_polynomials(self):
         # exact for trig_weight^2 * cos^k up to the algebraic degree bound
@@ -397,6 +423,12 @@ class TestGaussJacobiRule:
         ref, err = quad(lambda t: trig_weight(pr, t) ** 2, 0, math.pi, limit=200)
         assert err < 1e-8
         assert approx == pytest.approx(ref, abs=1e-10)
+
+    def test_rows_stay_out_of_the_table_cache(self):
+        # the rule's N x N rows would evict the tables callers reuse
+        _TABLE_CACHE.clear()
+        gauss_jacobi_rule(64, JacobiParams(0.3, 0.7))
+        assert _TABLE_CACHE.nbytes == 0 == retained_bytes()
 
     def test_size_check(self):
         with pytest.raises(GridError):
@@ -437,6 +469,16 @@ class TestGridTypes:
             QuadratureGrid(np.array([-0.1, 0.2]), np.array([1.0, 1.0]), "halfline")
         with pytest.raises(GridError):
             QuadratureGrid(np.array([0.1, 0.2]), np.array([1.0, 1.0]), "circle")
+
+    @pytest.mark.parametrize(
+        "nodes, weights",
+        [([np.nan], [1.0]), ([0.1, np.nan, 0.3], [1.0, 1.0, 1.0]), ([0.1, 0.2], [1.0, np.nan])],
+    )
+    def test_grid_rejects_nan(self, nodes, weights):
+        # scipy returns roots at or past x = 1 for alpha within about 1e-12 of
+        # -1; the rule must then fail instead of carrying NaN angles
+        with pytest.raises(GridError):
+            QuadratureGrid(np.array(nodes), np.array(weights), "halfline")
 
     def test_grid_function_shape(self):
         rule = gauss_jacobi_rule(4, JacobiParams(0.0, 0.0))

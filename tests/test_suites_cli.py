@@ -243,6 +243,27 @@ class TestCli:
         assert "1/q >= 1/p - s" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_embed_checks_p_against_its_own_pair(self, tmp_path):
+        # embed runs (0, 0), whose admissible range has no upper end; the
+        # default sweep's (-0.7, 0.4) would reject p = 6
+        code = cli.main(
+            ["embed", "--p", "6", "--trunc", "8", "--ensemble", "2", "--out", str(tmp_path)]
+        )
+        assert code == 0
+
+    def test_counterexample_checks_its_own_pair_against_the_decay_bound(
+        self, tmp_path, capsys
+    ):
+        code = cli.main(["counterexample", "--p", "6", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "1/p - 1/2" in err and "alpha=-0.3, beta=-0.3" in err
+
+    def test_all_checks_p_against_the_default_sweep(self, tmp_path, capsys):
+        code = cli.main(["all", "--p", "6", "--out", str(tmp_path)])
+        assert code == 2
+        assert "alpha=-0.7, beta=0.4" in capsys.readouterr().err
+
     def test_exit_two_on_out_of_domain_pair(self, tmp_path, capsys):
         code = cli.main(
             ["basis", "--alpha", "-1.5", "--beta", "0", "--out", str(tmp_path)]
