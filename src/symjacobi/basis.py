@@ -74,12 +74,21 @@ def symm_eigenfunction_table(n_coeffs: int, params: JacobiParams, theta) -> np.n
     return out
 
 
+def _coeff_block(coeffs) -> np.ndarray:
+    # one row of coefficients, or a block of rows with a leading member axis
+    coeffs = np.atleast_1d(np.asarray(coeffs))
+    if coeffs.ndim not in (1, 2) or coeffs.size == 0:
+        raise DomainError("coefficients must form a nonempty 1-d array or 2-d block")
+    return coeffs
+
+
 @dataclass(frozen=True)
 class HalfLineExpansion:
     """Finite expansion against the half-line eigenfunctions of params.
 
     parity records how the function extends to the symmetric interval: a
-    plain even extension, or sign(theta) times the half-line values.
+    plain even extension, or sign(theta) times the half-line values. A 2-d
+    coeffs array holds a block of expansions, one per row.
     """
 
     params: JacobiParams
@@ -87,45 +96,55 @@ class HalfLineExpansion:
     parity: str
 
     def __post_init__(self) -> None:
-        coeffs = np.atleast_1d(np.asarray(self.coeffs))
-        object.__setattr__(self, "coeffs", coeffs)
-        if coeffs.ndim != 1 or coeffs.size == 0:
-            raise DomainError("coefficients must form a nonempty 1-d array")
+        object.__setattr__(self, "coeffs", _coeff_block(self.coeffs))
         if self.parity not in ("even", "odd"):
             raise DomainError(f"parity must be 'even' or 'odd', got {self.parity!r}")
 
     def __len__(self) -> int:
-        return self.coeffs.size
+        return self.coeffs.shape[-1]
 
     def eigenvalues(self) -> np.ndarray:
         a = self.params.eigen_shift
-        return (np.arange(self.coeffs.size) + a) ** 2
+        return (np.arange(len(self)) + a) ** 2
 
-    def coeff_norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+    def coeff_norm(self):
+        return _row_norms(self.coeffs)
 
 
 @dataclass(frozen=True)
 class SymmExpansion:
-    """Finite expansion against the symmetrized basis of params."""
+    """Finite expansion against the symmetrized basis of params.
+
+    A 2-d coeffs array of shape (members, coefficients) is a block of
+    expansions over one pair; every operation acts on all rows at once, and
+    a single expansion is the same computation on one row. len() counts
+    coefficients, and block[i] is member i.
+    """
 
     params: JacobiParams
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        coeffs = np.atleast_1d(np.asarray(self.coeffs))
-        object.__setattr__(self, "coeffs", coeffs)
-        if coeffs.ndim != 1 or coeffs.size == 0:
-            raise DomainError("coefficients must form a nonempty 1-d array")
+        object.__setattr__(self, "coeffs", _coeff_block(self.coeffs))
 
     def __len__(self) -> int:
-        return self.coeffs.size
+        return self.coeffs.shape[-1]
+
+    def __getitem__(self, i) -> "SymmExpansion":
+        if self.coeffs.ndim != 2:
+            raise DomainError("only a block of expansions has members")
+        return SymmExpansion(self.params, self.coeffs[i])
 
     def eigenvalues(self) -> np.ndarray:
-        return symm_eigenvalues(self.coeffs.size, self.params)
+        return symm_eigenvalues(len(self), self.params)
 
-    def coeff_norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+    def coeff_norm(self):
+        return _row_norms(self.coeffs)
+
+
+def _row_norms(coeffs: np.ndarray):
+    norms = np.linalg.norm(coeffs, axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def _require_symmetric(grid: QuadratureGrid) -> None:
@@ -137,13 +156,13 @@ def _require_symmetric(grid: QuadratureGrid) -> None:
 def reflect(f: GridFunction) -> GridFunction:
     """Reflection theta -> -theta as an exact node permutation."""
     _require_symmetric(f.grid)
-    return GridFunction(f.grid, f.values[::-1].copy())
+    return GridFunction(f.grid, f.values[..., ::-1].copy())
 
 
 def reflect_coeffs(e: SymmExpansion) -> SymmExpansion:
     """Reflection in coefficient space: odd-index entries change sign."""
     out = e.coeffs.copy()
-    out[1::2] = -out[1::2]
+    out[..., 1::2] = -out[..., 1::2]
     return SymmExpansion(e.params, out)
 
 
@@ -163,8 +182,8 @@ def split_even_odd(f: GridFunction) -> tuple[GridFunction, GridFunction]:
     _require_symmetric(f.grid)
     half = _positive_half(f.grid)
     k = f.grid.nodes.size // 2
-    pos = f.values[k:]
-    neg = f.values[::-1][k:]
+    pos = f.values[..., k:]
+    neg = f.values[..., ::-1][..., k:]
     return (
         GridFunction(half, (pos + neg) / 2),
         GridFunction(half, (pos - neg) / 2),
@@ -225,13 +244,13 @@ def analyze(f, params: JacobiParams, n_coeffs: int, n_quad: int | None = None) -
         raise ConfigError("analyze expects a GridFunction or a callable")
 
     is_complex = np.iscomplexobj(even_vals) or np.iscomplexobj(odd_vals)
-    out = np.zeros(n_coeffs, dtype=complex if is_complex else float)
+    out = np.zeros(even_vals.shape[:-1] + (n_coeffs,), dtype=complex if is_complex else float)
     if n_even:
         table = eigenfunction_table(n_even - 1, params, even_rule.nodes)
-        out[0::2] = SQRT2 * (table * even_rule.weights) @ even_vals
+        out[..., 0::2] = SQRT2 * even_vals @ (table * even_rule.weights).T
     if n_odd:
         table = eigenfunction_table(n_odd - 1, params.shift(1), odd_rule.nodes)
-        out[1::2] = SQRT2 * (table * odd_rule.weights) @ odd_vals
+        out[..., 1::2] = SQRT2 * odd_vals @ (table * odd_rule.weights).T
     return SymmExpansion(params, out)
 
 
@@ -239,7 +258,8 @@ def eval_symm_expansion(e: SymmExpansion, theta) -> np.ndarray:
     """Pointwise sum of the expansion at the given angles.
 
     Sums the even and odd half-line parts over their cached half-line
-    tables; no symmetrized table is assembled.
+    tables; no symmetrized table is assembled. A block gives one row of
+    values per member, from one product with each table.
     """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     even, odd = to_halfline(e)
@@ -251,7 +271,7 @@ def eval_symm_expansion(e: SymmExpansion, theta) -> np.ndarray:
 
 
 def synthesize(e: SymmExpansion, grid: QuadratureGrid) -> GridFunction:
-    """Expansion sampled on a grid."""
+    """Expansion (or block) sampled on a grid."""
     return GridFunction(grid, eval_symm_expansion(e, grid.nodes))
 
 
@@ -272,9 +292,9 @@ def to_halfline(e: SymmExpansion) -> tuple[HalfLineExpansion, HalfLineExpansion]
     the unit-shifted pair; both absorb the 1/sqrt(2) from the basis
     definition so that synthesis needs no extra factor.
     """
-    n_even, n_odd = _coeff_counts(len(e))
-    even_coeffs = e.coeffs[0::2] / SQRT2
-    odd_coeffs = e.coeffs[1::2] / SQRT2 if n_odd else np.zeros(1, dtype=e.coeffs.dtype)
+    c = e.coeffs
+    even_coeffs = c[..., 0::2] / SQRT2
+    odd_coeffs = c[..., 1::2] / SQRT2 if len(e) > 1 else np.zeros_like(c)
     return (
         HalfLineExpansion(e.params, even_coeffs, "even"),
         HalfLineExpansion(e.params.shift(1), odd_coeffs, "odd"),
@@ -302,8 +322,10 @@ def recombine(even_part: HalfLineExpansion, odd_part: HalfLineExpansion) -> Symm
         )
     n_even = len(even_part)
     n_odd = len(odd_part)
-    dtype = np.promote_types(even_part.coeffs.dtype, odd_part.coeffs.dtype)
-    out = np.zeros(max(2 * n_even - 1, 2 * n_odd), dtype=dtype)
-    out[0 : 2 * n_even : 2] = SQRT2 * even_part.coeffs
-    out[1 : 2 * n_odd + 1 : 2] = SQRT2 * odd_part.coeffs
+    ev, od = even_part.coeffs, odd_part.coeffs
+    dtype = np.promote_types(ev.dtype, od.dtype)
+    lead = np.broadcast_shapes(ev.shape[:-1], od.shape[:-1])
+    out = np.zeros(lead + (max(2 * n_even - 1, 2 * n_odd),), dtype=dtype)
+    out[..., 0 : 2 * n_even : 2] = SQRT2 * ev
+    out[..., 1 : 2 * n_odd + 1 : 2] = SQRT2 * od
     return SymmExpansion(even_part.params, out)

@@ -8,6 +8,7 @@ from .errors import (
     AdmissibilityError,
     ConfigError,
     DomainError,
+    GridError,
     UnsupportedParametersError,
 )
 from .suites import SUITES, SuiteConfig, run_suite
@@ -99,7 +100,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"config error: malformed JSON: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, DomainError, AdmissibilityError,
+    except (ConfigError, DomainError, AdmissibilityError, GridError,
             UnsupportedParametersError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -9,6 +9,7 @@ from .basis import (
     SymmExpansion,
     eval_halfline_expansion,
     eval_symm_expansion,
+    synthesize,
 )
 from .core import GridFunction, JacobiParams, QuadratureGrid
 from .errors import (
@@ -26,14 +27,19 @@ from .operators import (
 )
 
 
-def lp_norm(f: GridFunction, p: float) -> float:
-    """Quadrature value of the p-norm; p = inf takes the node maximum."""
+def lp_norm(f: GridFunction, p: float):
+    """Quadrature value of the p-norm; p = inf takes the node maximum.
+
+    One row of values gives a float, a block one norm per row.
+    """
     if p < 1:
         raise DomainError(f"p must be at least 1, got {p}")
     mags = np.abs(f.values)
     if math.isinf(p):
-        return float(np.max(mags)) if mags.size else 0.0
-    return float(f.grid.integrate(mags**p) ** (1.0 / p))
+        norms = np.max(mags, axis=-1, initial=0.0)
+    else:
+        norms = f.grid.integrate(mags**p) ** (1.0 / p)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def _require_admissible(params: JacobiParams, p: float) -> None:
@@ -45,7 +51,7 @@ def _require_admissible(params: JacobiParams, p: float) -> None:
         )
 
 
-def potential_norm(e: SymmExpansion, p: float, s: float, grid: QuadratureGrid) -> float:
+def potential_norm(e: SymmExpansion, p: float, s: float, grid: QuadratureGrid):
     """Norm of the exact coefficient-space preimage under the smoothing flow.
 
     Band-limited input makes the preimage exact, so no integral operator is
@@ -57,8 +63,7 @@ def potential_norm(e: SymmExpansion, p: float, s: float, grid: QuadratureGrid) -
     _require_admissible(e.params, p)
     rates = spectral_base(e.params, e.eigenvalues()) ** (s / 2.0)
     sharpened = SymmExpansion(e.params, e.coeffs * rates)
-    values = eval_symm_expansion(sharpened, grid.nodes)
-    return lp_norm(GridFunction(grid, values), p)
+    return lp_norm(synthesize(sharpened, grid), p)
 
 
 def _pair_values(parts, nodes: np.ndarray) -> np.ndarray:
@@ -66,7 +71,7 @@ def _pair_values(parts, nodes: np.ndarray) -> np.ndarray:
     return eval_halfline_expansion(dev, nodes) + eval_halfline_expansion(dod, nodes)
 
 
-def sobolev_norm(e: SymmExpansion, p: float, m: int, grid: QuadratureGrid) -> float:
+def sobolev_norm(e: SymmExpansion, p: float, m: int, grid: QuadratureGrid):
     """Sum over orders 0..m of the p-norms of the variable-index derivatives."""
     if m < 1:
         raise DomainError(f"order must be a positive integer, got {m}")
@@ -102,8 +107,7 @@ def alt_sobolev_norms(
     for k in range(m + 1):
         if k > 0:
             current = dunkl_derivative(current)
-        values = eval_symm_expansion(current, grid.nodes)
-        fixed_total += lp_norm(GridFunction(grid, values), p)
+        fixed_total += lp_norm(synthesize(current, grid), p)
 
     if m >= 2 and _fd_node_margin(grid) <= FD_MARGIN:
         raise GridError(
@@ -112,7 +116,7 @@ def alt_sobolev_norms(
             "from 0 and the endpoints"
         )
 
-    variable_total = lp_norm(GridFunction(grid, eval_symm_expansion(e, grid.nodes)), p)
+    variable_total = lp_norm(synthesize(e, grid), p)
     first = dunkl_derivative(e)
     for k in range(1, m + 1):
         if k == 1:
@@ -254,20 +258,16 @@ class RatioStats:
         return self.maximum / self.minimum
 
 
-def equivalence_ratio(norm_a, norm_b, ensemble) -> RatioStats:
-    """Ratio statistics of two norm functionals over expansion members."""
-    ratios = []
-    indices = []
-    for i, member in enumerate(ensemble):
-        b = norm_b(member)
-        a = norm_a(member)
-        if a == 0.0 and b == 0.0:
-            continue
-        ratios.append(a / b if b > 0.0 else math.inf)
-        indices.append(i)
-    if not ratios:
+def equivalence_ratio(norms_a, norms_b) -> RatioStats:
+    """Ratio statistics of norms_a / norms_b, two arrays of per-member norms."""
+    a = np.asarray(norms_a, dtype=float)
+    b = np.asarray(norms_b, dtype=float)
+    indices = np.flatnonzero((a != 0.0) | (b != 0.0))
+    if not indices.size:
         raise EnsembleError("ensemble is degenerate: every member has zero norm")
-    ratios = np.asarray(ratios)
+    a, b = a[indices], b[indices]
+    with np.errstate(divide="ignore"):
+        ratios = np.where(b > 0.0, a / b, math.inf)
     lo = int(np.argmin(ratios))
     hi = int(np.argmax(ratios))
     return RatioStats(
@@ -275,8 +275,8 @@ def equivalence_ratio(norm_a, norm_b, ensemble) -> RatioStats:
         maximum=float(ratios[hi]),
         mean=float(np.mean(ratios)),
         count=len(ratios),
-        min_index=indices[lo],
-        max_index=indices[hi],
+        min_index=int(indices[lo]),
+        max_index=int(indices[hi]),
         ratios=tuple(ratios.tolist()),
     )
 
@@ -287,21 +287,17 @@ def random_band_limited(
     count: int,
     seed: int,
     decay: float = 1.0,
-) -> list[SymmExpansion]:
-    """Seeded ensemble with polynomially decaying coefficient envelopes.
+) -> SymmExpansion:
+    """Seeded block of count members with polynomially decaying envelopes.
 
-    Member i draws from a generator keyed by (seed, i), so extending the
-    degree extends each member's coefficients without changing the prefix.
+    Row i draws from a generator keyed by (seed, i), so the draw at a lower
+    degree is exactly the leading columns of the draw at a higher one.
     """
     if degree < 0 or count < 1:
         raise EnsembleError(f"need degree >= 0 and count >= 1, got {degree}, {count}")
     envelope = (1.0 + np.arange(degree + 1)) ** -decay
-    members = []
-    for i in range(count):
-        rng = np.random.default_rng([seed, i])
-        coeffs = rng.uniform(-1.0, 1.0, degree + 1) * envelope
-        members.append(SymmExpansion(params, coeffs))
-    return members
+    rows = [np.random.default_rng([seed, i]).uniform(-1.0, 1.0, degree + 1) for i in range(count)]
+    return SymmExpansion(params, np.stack(rows) * envelope)
 
 
 def truncated_lp_powers(

@@ -175,8 +175,8 @@ def ladder_up(h: HalfLineExpansion) -> HalfLineExpansion:
     """
     target = h.params.shift(-1)
     d = LadderCoefficients(target).table(len(h) + 1)
-    out = np.zeros(len(h) + 1, dtype=h.coeffs.dtype)
-    out[1:] = -d[1:] * h.coeffs
+    out = np.zeros(h.coeffs.shape[:-1] + (len(h) + 1,), dtype=h.coeffs.dtype)
+    out[..., 1:] = -d[1:] * h.coeffs
     parity = "odd" if h.parity == "even" else "even"
     return HalfLineExpansion(target, out, parity)
 
@@ -189,16 +189,16 @@ def dunkl_derivative(e: SymmExpansion) -> SymmExpansion:
     basis, parities exchanged slotwise.
     """
     b = e.coeffs
-    n_in = b.size
+    n_in = len(e)
     out_len = n_in + 1 if n_in % 2 == 0 else n_in
-    out = np.zeros(out_len, dtype=b.dtype)
+    out = np.zeros(b.shape[:-1] + (out_len,), dtype=b.dtype)
     d = LadderCoefficients(e.params).table(n_in // 2 + 2)
     even_idx = np.arange(2, n_in, 2)
     if even_idx.size:
-        out[even_idx - 1] = -d[even_idx // 2] * b[even_idx]
+        out[..., even_idx - 1] = -d[even_idx // 2] * b[..., even_idx]
     odd_idx = np.arange(1, n_in, 2)
     if odd_idx.size:
-        out[odd_idx + 1] = d[(odd_idx - 1) // 2 + 1] * b[odd_idx]
+        out[..., odd_idx + 1] = d[(odd_idx - 1) // 2 + 1] * b[..., odd_idx]
     return SymmExpansion(e.params, out)
 
 
@@ -215,7 +215,7 @@ def var_index_derivative(h: HalfLineExpansion, k: int) -> HalfLineExpansion:
         return h
     n_in = len(h)
     out_len = max(n_in - k, 1)
-    out = np.zeros(out_len, dtype=h.coeffs.dtype)
+    out = np.zeros(h.coeffs.shape[:-1] + (out_len,), dtype=h.coeffs.dtype)
     if n_in > k:
         n = np.arange(k, n_in, dtype=float)
         s = h.params.alpha + h.params.beta + 1.0
@@ -223,7 +223,7 @@ def var_index_derivative(h: HalfLineExpansion, k: int) -> HalfLineExpansion:
         for j in range(k):
             m = n - j
             factor *= np.sqrt(m * (m + s + 2 * j))
-        out[:] = (-1.0) ** k * factor * h.coeffs[k:]
+        out[...] = (-1.0) ** k * factor * h.coeffs[..., k:]
     flips = k % 2
     parity = h.parity if flips == 0 else ("odd" if h.parity == "even" else "even")
     return HalfLineExpansion(h.params.shift(k), out, parity)

@@ -75,26 +75,35 @@ def _mode_table(e, spec: SquareFunctionSpec, theta: np.ndarray):
     if spec.variant == "halfline":
         if not isinstance(e, HalfLineExpansion):
             raise ConfigError("halfline variant expects a half-line expansion")
-        table = eigenfunction_table(len(e.coeffs) - 1, e.params, theta)
+        table = eigenfunction_table(len(e) - 1, e.params, theta)
         if e.parity == "odd":
             table = table * np.sign(theta)[None, :]
         rates = _flow_rates(e.eigenvalues(), False)
     else:
         if not isinstance(e, SymmExpansion):
             raise ConfigError(f"{spec.variant} variant expects a symmetrized expansion")
-        table = symm_eigenfunction_table(len(e.coeffs), e.params, theta)
+        table = symm_eigenfunction_table(len(e), e.params, theta)
         rates = _flow_rates(e.eigenvalues(), spec.variant == "modified")
     return table, rates
 
 
 def square_function(e, spec: SquareFunctionSpec, theta) -> np.ndarray:
-    """Pointwise square function values at the given angles."""
+    """Pointwise square function values at the given angles.
+
+    A block gives one row of values per member. The mode table and the
+    kernel are built once and shared by every row; the rows are contracted
+    one at a time, so no (members, modes, angles) array is ever formed.
+    """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     table, rates = _mode_table(e, spec, theta)
     kern = _kernel(rates, spec)
-    weights = np.outer(e.coeffs, np.conj(e.coeffs)) * kern
-    vals = np.real(np.einsum("ni,ni->i", table, weights @ table))
-    return np.sqrt(np.clip(vals, 0.0, None))
+    rows = np.atleast_2d(e.coeffs)
+    vals = np.empty((rows.shape[0], theta.size))
+    for c, out in zip(rows, vals):
+        weights = np.outer(c, np.conj(c)) * kern
+        out[:] = np.real(np.einsum("ni,ni->i", table, weights @ table))
+    vals = np.sqrt(np.clip(vals, 0.0, None))
+    return vals if e.coeffs.ndim == 2 else vals[0]
 
 
 def square_function_by_time_quadrature(

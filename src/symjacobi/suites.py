@@ -15,9 +15,9 @@ import numpy as np
 from ._version import __version__
 from .basis import (
     SymmExpansion,
-    eval_symm_expansion,
     symm_eigenfunction_table,
     symm_eigenvalues,
+    synthesize,
 )
 from .core import (
     GridFunction,
@@ -277,14 +277,19 @@ def _degree_doubling(config: SuiteConfig, pr: JacobiParams, norm_a, norm_b) -> l
     """Ratio statistics of norm_a / norm_b as the ensemble degree doubles.
 
     The equivalence-window protocol the suites share: the seeded ensemble is
-    drawn at degree max(trunc // 2, 8), then at degree trunc, and a suite
+    taken at degree max(trunc // 2, 8), then at degree trunc, and a suite
     asks that the window (at most 50) or the largest ratio grows by at most
-    10 % between the two. Returns (degree, RatioStats) for each degree.
+    10 % between the two. The norms map a block to one norm per member. The
+    block is drawn once at the top degree; the lower degree is its column
+    prefix, which is exactly the lower-degree draw. Returns (degree,
+    RatioStats) for each degree.
     """
+    degrees = (max(config.trunc // 2, 8), config.trunc)
+    block = random_band_limited(pr, max(degrees), config.ensemble, config.seed)
     out = []
-    for degree in (max(config.trunc // 2, 8), config.trunc):
-        members = random_band_limited(pr, degree, config.ensemble, config.seed)
-        out.append((degree, equivalence_ratio(norm_a, norm_b, members)))
+    for degree in degrees:
+        members = SymmExpansion(pr, block.coeffs[:, : degree + 1])
+        out.append((degree, equivalence_ratio(norm_a(members), norm_b(members))))
     return out
 
 
@@ -348,26 +353,19 @@ def run_eigen(config: SuiteConfig) -> ExperimentReport:
     n_top = min(config.trunc, 40)
     residual_rows = []
     per_n = np.zeros(n_top + 1)
+    units = np.eye(n_top + 1)
+    diag = np.arange(n_top + 1)
     for pr in config.pairs:
-        shift_sq = pr.eigen_shift**2
-        worst = 0.0
-        pattern_ok = True
-        for n in range(n_top + 1):
-            e = _unit(pr, n, n_top + 1)
-            dd = dunkl_derivative(dunkl_derivative(e))
-            size = max(dd.coeffs.size, n_top + 1)
-            out = np.zeros(size)
-            out[: dd.coeffs.size] = -dd.coeffs
-            out[: n_top + 1] += shift_sq * e.coeffs
-            lam = eigenvalue((n + 1) // 2, pr)
-            # absolute residual at a zero bottom eigenvalue, relative otherwise
-            rel = abs(out[n] - lam) / (lam if lam > 0.0 else 1.0)
-            worst = max(worst, rel)
-            per_n[n] = max(per_n[n], rel)
-            mask = np.ones(size, dtype=bool)
-            mask[n] = False
-            if np.any(out[mask] != 0.0):
-                pattern_ok = False
+        # row n is -D^2 + A^2 applied to unit vector n
+        out = -dunkl_derivative(dunkl_derivative(SymmExpansion(pr, units))).coeffs
+        out[:, : n_top + 1] += pr.eigen_shift**2 * units
+        lam = symm_eigenvalues(n_top + 1, pr)
+        # absolute residual at a zero bottom eigenvalue, relative otherwise
+        rel = np.abs(out[diag, diag] - lam) / np.where(lam > 0.0, lam, 1.0)
+        worst = float(np.max(rel))
+        np.maximum(per_n, rel, out=per_n)
+        out[diag, diag] = 0.0
+        pattern_ok = not np.any(out != 0.0)
         label = _pair_label(pr)
         cases.append(
             _case(
@@ -467,19 +465,11 @@ def run_potentials(config: SuiteConfig) -> ExperimentReport:
     for pr in smoothing_pairs:
         grid = symmetric_rule(config.quad_order(), pr)
         members = random_band_limited(pr, config.trunc // 2, config.ensemble, config.seed)
-
-        def ratio(member, pr=pr, grid=grid):
-            smoothed = riesz_potential(member, sigma)
-            num = lp_norm(
-                GridFunction(grid, eval_symm_expansion(smoothed, grid.nodes)), q
-            )
-            den = lp_norm(
-                GridFunction(grid, eval_symm_expansion(member, grid.nodes)), config.p
-            )
-            return num / den
-
-        ratios = [ratio(m) for m in members]
-        window = max(ratios) / min(ratios)
+        smoothed = riesz_potential(members, sigma)
+        ratios = lp_norm(synthesize(smoothed, grid), q) / lp_norm(
+            synthesize(members, grid), config.p
+        )
+        window = np.max(ratios) / np.min(ratios)
         label = _pair_label(pr)
         cases.append(
             _case(
@@ -502,15 +492,15 @@ def run_potentials(config: SuiteConfig) -> ExperimentReport:
 # ---------------------------------------------------------------- decomposition
 
 
-def _parity_split_norm(e: SymmExpansion, p: float, s: float, grid) -> float:
+def _parity_split_norm(e: SymmExpansion, p: float, s: float, grid) -> np.ndarray:
     even = e.coeffs.copy()
-    even[1::2] = 0.0
+    even[..., 1::2] = 0.0
     odd = e.coeffs.copy()
-    odd[0::2] = 0.0
+    odd[..., 0::2] = 0.0
     a = potential_norm(SymmExpansion(e.params, even), p, s, grid)
     b = potential_norm(SymmExpansion(e.params, odd), p, s, grid)
     if p == 2:
-        return math.sqrt(a**2 + b**2)
+        return np.sqrt(a**2 + b**2)
     return a + b
 
 
@@ -526,14 +516,8 @@ def run_decomposition(config: SuiteConfig) -> ExperimentReport:
         label = _pair_label(pr)
         grid = symmetric_rule(config.quad_order(), pr)
         members = random_band_limited(pr, degree_lo, config.ensemble, config.seed)
-
-        def ratio_p2(member, pr=pr, grid=grid):
-            whole = potential_norm(member, 2, s, grid)
-            split = _parity_split_norm(member, 2, s, grid)
-            return whole / split
-
-        ratios = [ratio_p2(m) for m in members]
-        dev = float(np.max(np.abs(np.asarray(ratios) - 1.0)))
+        ratios = potential_norm(members, 2, s, grid) / _parity_split_norm(members, 2, s, grid)
+        dev = float(np.max(np.abs(ratios - 1.0)))
         cases.append(_case(f"parity-ratio-p2-{label}", dev <= 1e-9, dev, 1e-9))
         if not ratio_rows:
             ratio_rows = [[i, float(r)] for i, r in enumerate(ratios)]
@@ -735,12 +719,11 @@ def run_inclusion(config: SuiteConfig) -> ExperimentReport:
     column_rows = []
     for pr in config.pairs:
         label = _pair_label(pr)
+        # row n of each block is the transform of unit vector n, one column
+        units = SymmExpansion(pr, np.eye(n_top + 1))
         for k in orders:
-            norms = []
-            for n in range(n_top + 1):
-                out = riesz_transform(_unit(pr, n, n_top + 1), k)
-                norms.append(float(np.linalg.norm(out.coeffs)))
-            top = max(norms)
+            norms = np.linalg.norm(riesz_transform(units, k).coeffs, axis=-1)
+            top = float(np.max(norms))
             cases.append(
                 _case(
                     f"transform-columns-k{k}-{label}",
@@ -751,17 +734,11 @@ def run_inclusion(config: SuiteConfig) -> ExperimentReport:
                 )
             )
             if k == 2 and not column_rows:
-                column_rows = [[n, norms[n]] for n in range(n_top + 1)]
+                column_rows = [[n, float(c)] for n, c in enumerate(norms)]
 
-            shifted_tops = []
-            for n in range(n_top + 1):
-                dev, dod = riesz_transform_shifted(_unit(pr, n, n_top + 1), k)
-                shifted_tops.append(
-                    math.sqrt(
-                        float(np.sum(dev.coeffs**2)) + float(np.sum(dod.coeffs**2))
-                    )
-                )
-            stop = max(shifted_tops)
+            dev, dod = riesz_transform_shifted(units, k)
+            shifted = np.sqrt(np.sum(dev.coeffs**2, axis=-1) + np.sum(dod.coeffs**2, axis=-1))
+            stop = float(np.max(shifted))
             cases.append(
                 _case(
                     f"shifted-transform-columns-k{k}-{label}",
@@ -793,21 +770,18 @@ def run_squarefn(config: SuiteConfig) -> ExperimentReport:
     for pr in config.pairs:
         label = _pair_label(pr)
         grid = symmetric_rule(config.quad_order(), pr)
-        lam_all = symm_eigenvalues(n_top + 1, pr)
+        # zero modes carry no flow, so only the live unit vectors are measured
+        lam = symm_eigenvalues(n_top + 1, pr)
+        live = np.flatnonzero(lam > 0.0)
+        units = SymmExpansion(pr, np.eye(n_top + 1)[live])
         for gamma, k in index_set:
             spec = SquareFunctionSpec(gamma, int(k))
             expected = l2_equivalence_constant(gamma, int(k))
-            worst = 0.0
-            for n in range(n_top + 1):
-                lam = lam_all[n]
-                if lam == 0.0:
-                    continue
-                e = _unit(pr, n, n_top + 1)
-                vals = square_function(e, spec, grid.nodes)
-                measured = lp_norm(GridFunction(grid, vals), 2) / lam ** (gamma / 2)
-                worst = max(worst, abs(measured - expected))
-                if (gamma, k) == index_set[0] and pr is config.pairs[0]:
-                    constant_rows.append([n, float(measured)])
+            vals = GridFunction(grid, square_function(units, spec, grid.nodes))
+            measured = lp_norm(vals, 2) / lam[live] ** (gamma / 2)
+            worst = float(np.max(np.abs(measured - expected), initial=0.0))
+            if (gamma, k) == index_set[0] and pr is config.pairs[0]:
+                constant_rows = [[int(n), float(m)] for n, m in zip(live, measured)]
             cases.append(
                 _case(
                     f"eigenmode-constant-g{gamma:g}-k{k:g}-{label}",
@@ -821,33 +795,21 @@ def run_squarefn(config: SuiteConfig) -> ExperimentReport:
         gamma, k = index_set[0]
         spec = SquareFunctionSpec(gamma, int(k))
         members = random_band_limited(pr, config.trunc // 2, config.ensemble, config.seed)
-
-        def p2_ratio(member, spec=spec, grid=grid, gamma=gamma):
-            vals = square_function(member, spec, grid.nodes)
-            num = lp_norm(GridFunction(grid, vals), 2)
-            lam = member.eigenvalues()
-            alive = lam > 0
-            den = math.sqrt(
-                float(np.sum(np.abs(member.coeffs[alive]) ** 2 * lam[alive] ** gamma))
-            )
-            return num / den
-
-        ratios = [p2_ratio(m) for m in members]
+        sq = GridFunction(grid, square_function(members, spec, grid.nodes))
+        lam = members.eigenvalues()
+        alive = lam > 0
+        weighted = np.abs(members.coeffs[:, alive]) ** 2 * lam[alive] ** gamma
+        smooth = np.sqrt(np.sum(weighted, axis=-1))
+        ratios = lp_norm(sq, 2) / smooth
         expected = l2_equivalence_constant(gamma, int(k))
-        dev = float(np.max(np.abs(np.asarray(ratios) - expected)))
+        dev = float(np.max(np.abs(ratios - expected)))
         cases.append(
             _case(f"p2-ratio-constant-{label}", dev <= 1e-9, dev, 1e-9)
         )
 
         if pr.contains_p(q_alt):
-            def alt_ratio(member, spec=spec, grid=grid, gamma=gamma):
-                vals = square_function(member, spec, grid.nodes)
-                num = lp_norm(GridFunction(grid, vals), q_alt)
-                den = potential_norm(member, q_alt, gamma, grid)
-                return num / den
-
-            alt = [alt_ratio(m) for m in members]
-            window = max(alt) / min(alt)
+            alt = lp_norm(sq, q_alt) / potential_norm(members, q_alt, gamma, grid)
+            window = float(np.max(alt) / np.min(alt))
             cases.append(
                 _case(
                     f"char-window-p{q_alt:g}-{label}",
@@ -921,13 +883,9 @@ def run_structure(config: SuiteConfig) -> ExperimentReport:
         label = _pair_label(pr)
         grid = symmetric_rule(config.quad_order(), pr)
         members = random_band_limited(pr, config.trunc // 2, min(config.ensemble, 12), config.seed)
-
-        worst = -math.inf
         const = (2 * math.pi) ** (1.0 / config.p - 1.0 / q)
-        for member in members:
-            vals = eval_symm_expansion(member, grid.nodes)
-            f = GridFunction(grid, vals)
-            worst = max(worst, lp_norm(f, config.p) - const * lp_norm(f, q))
+        f = synthesize(members, grid)
+        worst = float(np.max(lp_norm(f, config.p) - const * lp_norm(f, q)))
         cases.append(
             _case(
                 f"holder-containment-{label}",
@@ -939,12 +897,10 @@ def run_structure(config: SuiteConfig) -> ExperimentReport:
         )
 
         if eigenvalue(0, pr) >= 1.0:
-            drops = 0.0
             s_values = (0.5, 1.0, 1.5, 2.0)
-            for member in members[:6]:
-                norms = [potential_norm(member, 2, s, grid) for s in s_values]
-                for a, b in zip(norms, norms[1:]):
-                    drops = max(drops, a - b)
+            # row j holds the norms of the first six members at s_values[j]
+            norms = np.array([potential_norm(members[:6], 2, s, grid) for s in s_values])
+            drops = max(0.0, float(np.max(norms[:-1] - norms[1:])))
             cases.append(
                 _case(
                     f"smoothness-monotone-{label}",
@@ -956,10 +912,7 @@ def run_structure(config: SuiteConfig) -> ExperimentReport:
                 )
             )
             if not monotone_rows:
-                member = members[0]
-                monotone_rows = [
-                    [s, float(potential_norm(member, 2, s, grid))] for s in s_values
-                ]
+                monotone_rows = [[s, float(n)] for s, n in zip(s_values, norms[:, 0])]
 
         rng = np.random.default_rng([config.seed, 5])
         e = SymmExpansion(pr, rng.uniform(-1, 1, 13))
@@ -1016,12 +969,11 @@ def run_embed(config: SuiteConfig) -> ExperimentReport:
     p = config.p
     s, q = _embed_exponents(config)
     grid = symmetric_rule(config.quad_order(), pr)
-
-    def grid_norm(member, exponent):
-        return lp_norm(GridFunction(grid, eval_symm_expansion(member, grid.nodes)), exponent)
-
     (lo, at_lo), (hi, at_hi) = _degree_doubling(
-        config, pr, lambda e: grid_norm(e, q), lambda e: potential_norm(e, p, s, grid)
+        config,
+        pr,
+        lambda e: lp_norm(synthesize(e, grid), q),
+        lambda e: potential_norm(e, p, s, grid),
     )
     ratio_rows = [[i, r] for i, r in enumerate(at_lo.ratios)]
     ok = math.isfinite(at_lo.maximum) and at_hi.maximum <= 1.1 * at_lo.maximum
@@ -1043,7 +995,7 @@ def run_embed(config: SuiteConfig) -> ExperimentReport:
         (_, sup_lo), (_, sup_hi) = _degree_doubling(
             config,
             pr,
-            lambda e: grid_norm(e, math.inf),
+            lambda e: lp_norm(synthesize(e, grid), math.inf),
             lambda e: potential_norm(e, p, s_sup, grid),
         )
         sup_rows = [[i, r] for i, r in enumerate(sup_lo.ratios)]
@@ -1139,24 +1091,17 @@ def run_schrodinger(config: SuiteConfig) -> ExperimentReport:
     members = random_band_limited(
         pr, degree, min(config.ensemble, 8), config.seed, decay=SCHRODINGER_DECAY
     )
-    lam = members[0].eigenvalues()
+    lam = members.eigenvalues()
     lam_max = float(lam[-1])
     times = [2.0**-j for j in range(4, 15)]
 
     tables = symm_eigenfunction_table(degree + 1, pr, grid.nodes)
+    mass = np.sum(np.abs(members.coeffs), axis=-1)
 
     def max_error(t):
-        worst = 0.0
-        bound_ratio = 0.0
-        for member in members:
-            moved = schrodinger_propagator(member, t)
-            diff = moved.coeffs - member.coeffs
-            vals = diff @ tables
-            err = float(np.max(np.abs(vals)))
-            worst = max(worst, err)
-            bound = t * lam_max * float(np.sum(np.abs(member.coeffs)))
-            bound_ratio = max(bound_ratio, err / bound)
-        return worst, bound_ratio
+        diff = schrodinger_propagator(members, t).coeffs - members.coeffs
+        err = np.max(np.abs(diff @ tables), axis=-1)
+        return float(np.max(err)), float(np.max(err / (t * lam_max * mass)))
 
     results = [max_error(t) for t in times]
     errors = [r[0] for r in results]

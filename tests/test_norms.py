@@ -320,11 +320,8 @@ class TestEquivalenceRatio:
     def test_identical_norms(self):
         members = random_band_limited(GENERIC, 8, 5, seed=40)
         grid = symmetric_rule(24, GENERIC)
-
-        def norm(e):
-            return lp_norm(GridFunction(grid, eval_symm_expansion(e, grid.nodes)), 2)
-
-        stats = equivalence_ratio(norm, norm, members)
+        norms = lp_norm(GridFunction(grid, eval_symm_expansion(members, grid.nodes)), 2)
+        stats = equivalence_ratio(norms, norms)
         assert stats.minimum == stats.maximum == stats.mean == 1.0
         assert stats.count == 5
         assert stats.window == 1.0
@@ -335,55 +332,59 @@ class TestEquivalenceRatio:
         grid = symmetric_rule(48, GENERIC)
         members = random_band_limited(GENERIC, 12, 8, seed=41)
         s = 0.7
-
-        def whole(e):
-            return potential_norm(e, 2, s, grid)
-
-        def split(e):
-            even = e.coeffs.copy()
-            even[1::2] = 0.0
-            odd = e.coeffs.copy()
-            odd[0::2] = 0.0
-            a = potential_norm(SymmExpansion(e.params, even), 2, s, grid)
-            b = potential_norm(SymmExpansion(e.params, odd), 2, s, grid)
-            return math.sqrt(a**2 + b**2)
-
-        stats = equivalence_ratio(whole, split, members)
+        even = members.coeffs.copy()
+        even[:, 1::2] = 0.0
+        odd = members.coeffs.copy()
+        odd[:, 0::2] = 0.0
+        a = potential_norm(SymmExpansion(GENERIC, even), 2, s, grid)
+        b = potential_norm(SymmExpansion(GENERIC, odd), 2, s, grid)
+        stats = equivalence_ratio(potential_norm(members, 2, s, grid), np.sqrt(a**2 + b**2))
         assert stats.minimum == pytest.approx(1.0, abs=1e-9)
         assert stats.maximum == pytest.approx(1.0, abs=1e-9)
 
     def test_per_member_ratios_skip_degenerate_members(self):
-        members = [SymmExpansion(GENERIC, [c]) for c in (2.0, 0.0, -3.0)]
-        stats = equivalence_ratio(
-            lambda e: e.coeffs[0] ** 2, lambda e: abs(e.coeffs[0]), members
-        )
+        stats = equivalence_ratio([4.0, 0.0, 9.0], [2.0, 0.0, 3.0])
         assert stats.ratios == (2.0, 3.0)
         assert (stats.min_index, stats.max_index) == (0, 2)
 
+    def test_zero_denominator_gives_an_infinite_ratio(self):
+        stats = equivalence_ratio([1.0, 2.0], [0.0, 1.0])
+        assert stats.ratios == (math.inf, 2.0)
+        assert stats.max_index == 0
+
     def test_degenerate_ensemble(self):
-        zero = [SymmExpansion(GENERIC, np.zeros(3))]
         with pytest.raises(EnsembleError):
-            equivalence_ratio(lambda e: 0.0, lambda e: 0.0, zero)
+            equivalence_ratio(np.zeros(3), np.zeros(3))
 
 
 class TestEnsembles:
     def test_seeded_and_decaying(self):
         a = random_band_limited(GENERIC, 16, 4, seed=7)
         b = random_band_limited(GENERIC, 16, 4, seed=7)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.coeffs, y.coeffs)
-        for member in a:
-            assert np.all(np.abs(member.coeffs) <= (1 + np.arange(17.0)) ** -1.0)
+        np.testing.assert_array_equal(a.coeffs, b.coeffs)
+        assert np.all(np.abs(a.coeffs) <= (1 + np.arange(17.0)) ** -1.0)
+
+    def test_block_shape_and_members(self):
+        block = random_band_limited(GENERIC, 8, 3, seed=11)
+        assert block.coeffs.shape == (3, 9)
+        assert len(block) == 9
+        assert block[0].coeffs.shape == (9,)
+        np.testing.assert_array_equal(block[1].coeffs, block.coeffs[1])
+        assert block[1:].coeffs.shape == (2, 9)
+        with pytest.raises(DomainError):
+            block[0][0]
 
     def test_prefix_stability_under_degree_growth(self):
-        short = random_band_limited(GENERIC, 16, 3, seed=9)
-        long = random_band_limited(GENERIC, 32, 3, seed=9)
-        for s, l in zip(short, long):
-            np.testing.assert_array_equal(s.coeffs, l.coeffs[:17])
+        # the degree-doubling protocol reads its lower degree off the top
+        # draw, so the degree-d draw must be bitwise the first d + 1 columns
+        for low, high in [(0, 1), (8, 16), (16, 32), (64, 128), (127, 128)]:
+            short = random_band_limited(GENERIC, low, 5, seed=9)
+            long = random_band_limited(GENERIC, high, 5, seed=9)
+            np.testing.assert_array_equal(short.coeffs, long.coeffs[:, : low + 1])
 
     def test_members_differ(self):
         members = random_band_limited(GENERIC, 8, 3, seed=11)
-        assert not np.array_equal(members[0].coeffs, members[1].coeffs)
+        assert not np.array_equal(members.coeffs[0], members.coeffs[1])
 
     def test_validation(self):
         with pytest.raises(EnsembleError):

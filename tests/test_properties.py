@@ -6,6 +6,8 @@ tolerance or failed to build. Hypothesis draws its cases from a fixed seed
 (derandomize), so every run checks the same points.
 """
 
+import math
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,9 @@ from symjacobi.basis import (
     to_halfline,
 )
 from symjacobi.core import JacobiParams, eigenfunction_table, gauss_jacobi_rule, symmetric_rule
+from symjacobi.norms import lp_norm, potential_norm, random_band_limited, sobolev_norm
 from symjacobi.operators import dunkl_derivative
+from symjacobi.squarefn import SquareFunctionSpec, square_function
 
 PARAM = st.floats(-0.99, 50.0)
 DEGREE = st.integers(1, 512)
@@ -91,3 +95,38 @@ def test_halfline_split_round_trip(alpha, beta, degree):
     back = recombine(*to_halfline(e))
     assert back.params == e.params
     np.testing.assert_allclose(back.coeffs, e.coeffs, rtol=1e-15, atol=0)
+
+
+@SETTINGS
+@given(alpha=PARAM, beta=PARAM, degree=st.integers(1, 64))
+@example(alpha=-0.99, beta=50.0, degree=64)
+@example(alpha=50.0, beta=50.0, degree=64)
+def test_block_rows_match_single_member_calls(alpha, beta, degree):
+    # a block is one computation over its rows: row i must agree with the
+    # same call on member i alone
+    pr = JacobiParams(alpha, beta)
+    block = random_band_limited(pr, degree, 5, seed=degree)
+    grid = symmetric_rule(2 * degree + 16, pr)
+    spec = SquareFunctionSpec(0.5, 1)
+    f = synthesize(block, grid)
+    checks = [
+        (f.values, lambda e: synthesize(e, grid).values),
+        (square_function(block, spec, grid.nodes), lambda e: square_function(e, spec, grid.nodes)),
+    ]
+    for p in (2.0, 3.0, math.inf):
+        checks.append((lp_norm(f, p), lambda e, p=p: lp_norm(synthesize(e, grid), p)))
+    for p in (2.0, 3.0):
+        if not pr.contains_p(p):
+            continue
+        checks.append(
+            (potential_norm(block, p, 0.7, grid), lambda e, p=p: potential_norm(e, p, 0.7, grid))
+        )
+        for m in (1, 2):
+            checks.append(
+                (sobolev_norm(block, p, m, grid), lambda e, p=p, m=m: sobolev_norm(e, p, m, grid))
+            )
+    for blocked, single in checks:
+        assert len(blocked) == block.coeffs.shape[0]
+        for i, row in enumerate(blocked):
+            want = np.asarray(single(block[i]))
+            assert np.max(np.abs(row - want)) <= 1e-13 * np.max(np.abs(want))

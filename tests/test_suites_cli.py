@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from symjacobi import cli
+import symjacobi
+from symjacobi import cli, core
 from symjacobi.core import _TABLE_CACHE
 from symjacobi.errors import ConfigError
 from symjacobi.reporting import ExperimentReport, emit_plots, write_report
@@ -213,6 +214,31 @@ class TestRunSuite:
         assert docs[0] == docs[1]
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize(
+        "suite", ["decomposition", "sobolev", "squarefn", "potentials", "structure", "embed"]
+    )
+    def test_table_requests_do_not_grow_with_the_ensemble(self, suite, monkeypatch):
+        # an ensemble is one coefficient block, so a suite asks for the same
+        # tables however many members the block holds
+        original = core.eigenfunction_table
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        for name in ("core", "basis", "squarefn", "suites"):
+            module = getattr(symjacobi, name)
+            if getattr(module, "eigenfunction_table", None) is original:
+                monkeypatch.setattr(module, "eigenfunction_table", counting)
+        counts = []
+        for ensemble in (4, 40):
+            calls.clear()
+            run_suite(SuiteConfig(suite=suite, trunc=32, ensemble=ensemble), write=False)
+            counts.append(len(calls))
+        assert counts[0] > 0
+        assert counts[0] == counts[1]
+
 
 class TestCli:
     def test_exit_zero_and_files(self, tmp_path, capsys):
@@ -270,6 +296,16 @@ class TestCli:
         )
         assert code == 2
         assert "exceed -1" in capsys.readouterr().err
+
+    def test_exit_two_when_no_rule_can_be_built(self, tmp_path, capsys):
+        # scipy's Gauss-Jacobi roots hold NaN this close to alpha = -1
+        code = cli.main(
+            ["basis", "--alpha", "-0.999999999999999", "--beta", "50", "--trunc", "64",
+             "--quad", "1000", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "alpha=-0.999999999999999, beta=50.0" in err
 
     def test_exit_two_on_half_pair(self, tmp_path, capsys):
         code = cli.main(["basis", "--alpha", "0.5", "--out", str(tmp_path)])
