@@ -3,7 +3,9 @@
 Each suite is a pure function from a validated SuiteConfig to an
 ExperimentReport; file output lives in the reporting module. Suites never
 read each other's results, and a fixed config gives the same report on every
-run.
+run. What suites of one run_suite call do share are read-only inputs: one
+quadrature grid per (pair, quad order) and one ensemble draw per (degree,
+count, seed, decay), built on first use and dropped when the call ends.
 """
 
 import dataclasses
@@ -22,9 +24,9 @@ from .basis import (
 from .core import (
     GridFunction,
     JacobiParams,
+    QuadratureGrid,
     eigenfunction_table,
     eigenvalue,
-    gauss_jacobi_rule,
     symmetric_rule,
 )
 from .errors import ConfigError
@@ -273,6 +275,52 @@ def _single_pair(config: SuiteConfig, fallback: tuple) -> JacobiParams:
     return JacobiParams(*fallback)
 
 
+# The grids and draws of the current run_suite call, keyed as in _grid and
+# _draw; None outside a call, so a suite run on its own keeps nothing.
+_run_inputs: dict | None = None
+
+
+def _shared(key, build):
+    memo = _run_inputs
+    if memo is None:
+        return build()
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
+def _grid(config: SuiteConfig, pr: JacobiParams) -> QuadratureGrid:
+    """The read-only symmetric rule of pr at the config's quadrature order."""
+    n = config.quad_order()
+
+    def build():
+        grid = symmetric_rule(n, pr)
+        for arr in (grid.nodes, grid.weights, grid.half.nodes, grid.half.weights):
+            arr.flags.writeable = False
+        return grid
+
+    # exact bytes, so -0.0 and 0.0 parameters never share a grid
+    pair = np.array([pr.alpha, pr.beta], dtype=float).tobytes()
+    return _shared(("grid", n, pair), build)
+
+
+def _draw(
+    pr: JacobiParams, degree: int, count: int, seed: int, decay: float = 1.0
+) -> SymmExpansion:
+    """The seeded ensemble block over pr, with read-only coeffs.
+
+    The coefficients do not depend on the pair, so every pair of a run
+    wraps the same block.
+    """
+
+    def build():
+        coeffs = random_band_limited(pr, degree, count, seed, decay).coeffs
+        coeffs.flags.writeable = False
+        return coeffs
+
+    return SymmExpansion(pr, _shared(("draw", degree, count, seed, decay), build))
+
+
 def _degree_doubling(config: SuiteConfig, pr: JacobiParams, norm_a, norm_b) -> list:
     """Ratio statistics of norm_a / norm_b as the ensemble degree doubles.
 
@@ -285,7 +333,7 @@ def _degree_doubling(config: SuiteConfig, pr: JacobiParams, norm_a, norm_b) -> l
     RatioStats) for each degree.
     """
     degrees = (max(config.trunc // 2, 8), config.trunc)
-    block = random_band_limited(pr, max(degrees), config.ensemble, config.seed)
+    block = _draw(pr, max(degrees), config.ensemble, config.seed)
     out = []
     for degree in degrees:
         members = SymmExpansion(pr, block.coeffs[:, : degree + 1])
@@ -301,12 +349,12 @@ def run_basis(config: SuiteConfig) -> ExperimentReport:
     cases, series_rows = [], []
     n_top = min(config.trunc, 40)
     for pr in config.pairs:
-        half = gauss_jacobi_rule(config.quad_order(), pr)
+        grid = _grid(config, pr)
+        half = grid.half
         table = eigenfunction_table(n_top, pr, half.nodes)
         gram = (table * half.weights) @ table.T
         half_dev = float(np.max(np.abs(gram - np.eye(n_top + 1))))
 
-        grid = symmetric_rule(config.quad_order(), pr)
         stable = symm_eigenfunction_table(n_top + 1, pr, grid.nodes)
         sgram = (stable * grid.weights) @ stable.T
         symm_dev = float(np.max(np.abs(sgram - np.eye(n_top + 1))))
@@ -380,12 +428,16 @@ def run_eigen(config: SuiteConfig) -> ExperimentReport:
         nodes = np.linspace(0.2, math.pi - 0.2, 9)
         fd_worst = 0.0
         ladder = LadderCoefficients(pr).table(21)
-        for n in (1, 5, 10, 20):
+        # rows of one top-height table per angle set, so the table cache
+        # serves every n after the first
+        degrees = (1, 5, 10, 20)
+        top = max(degrees)
+        for n in degrees:
             def f(t, n=n, pr=pr):
-                return eigenfunction_table(n, pr, t)[n]
+                return eigenfunction_table(top, pr, t)[n]
 
             fd_vals = apply_ladder_down_fd(pr, f, nodes)
-            target = -ladder[n] * eigenfunction_table(n - 1, pr.shift(1), nodes)[n - 1]
+            target = -ladder[n] * eigenfunction_table(top - 1, pr.shift(1), nodes)[n - 1]
             scale = float(np.max(np.abs(target)))
             fd_worst = max(fd_worst, float(np.max(np.abs(fd_vals - target))) / scale)
         cases.append(
@@ -463,8 +515,8 @@ def run_potentials(config: SuiteConfig) -> ExperimentReport:
         and pr.contains_p(q)
     ]
     for pr in smoothing_pairs:
-        grid = symmetric_rule(config.quad_order(), pr)
-        members = random_band_limited(pr, config.trunc // 2, config.ensemble, config.seed)
+        grid = _grid(config, pr)
+        members = _draw(pr, config.trunc // 2, config.ensemble, config.seed)
         smoothed = riesz_potential(members, sigma)
         ratios = lp_norm(synthesize(smoothed, grid), q) / lp_norm(
             synthesize(members, grid), config.p
@@ -514,8 +566,8 @@ def run_decomposition(config: SuiteConfig) -> ExperimentReport:
 
     for pr in config.pairs:
         label = _pair_label(pr)
-        grid = symmetric_rule(config.quad_order(), pr)
-        members = random_band_limited(pr, degree_lo, config.ensemble, config.seed)
+        grid = _grid(config, pr)
+        members = _draw(pr, degree_lo, config.ensemble, config.seed)
         ratios = potential_norm(members, 2, s, grid) / _parity_split_norm(members, 2, s, grid)
         dev = float(np.max(np.abs(ratios - 1.0)))
         cases.append(_case(f"parity-ratio-p2-{label}", dev <= 1e-9, dev, 1e-9))
@@ -563,7 +615,7 @@ def run_sobolev(config: SuiteConfig) -> ExperimentReport:
 
     for pr in config.pairs:
         label = _pair_label(pr)
-        grid = symmetric_rule(config.quad_order(), pr)
+        grid = _grid(config, pr)
         for m in orders:
             (_, at_lo), (_, at_hi) = _degree_doubling(
                 config,
@@ -769,7 +821,7 @@ def run_squarefn(config: SuiteConfig) -> ExperimentReport:
 
     for pr in config.pairs:
         label = _pair_label(pr)
-        grid = symmetric_rule(config.quad_order(), pr)
+        grid = _grid(config, pr)
         # zero modes carry no flow, so only the live unit vectors are measured
         lam = symm_eigenvalues(n_top + 1, pr)
         live = np.flatnonzero(lam > 0.0)
@@ -794,7 +846,7 @@ def run_squarefn(config: SuiteConfig) -> ExperimentReport:
 
         gamma, k = index_set[0]
         spec = SquareFunctionSpec(gamma, int(k))
-        members = random_band_limited(pr, config.trunc // 2, config.ensemble, config.seed)
+        members = _draw(pr, config.trunc // 2, config.ensemble, config.seed)
         sq = GridFunction(grid, square_function(members, spec, grid.nodes))
         lam = members.eigenvalues()
         alive = lam > 0
@@ -881,8 +933,8 @@ def run_structure(config: SuiteConfig) -> ExperimentReport:
     monotone_rows = []
     for pr in config.pairs:
         label = _pair_label(pr)
-        grid = symmetric_rule(config.quad_order(), pr)
-        members = random_band_limited(pr, config.trunc // 2, min(config.ensemble, 12), config.seed)
+        grid = _grid(config, pr)
+        members = _draw(pr, config.trunc // 2, min(config.ensemble, 12), config.seed)
         const = (2 * math.pi) ** (1.0 / config.p - 1.0 / q)
         f = synthesize(members, grid)
         worst = float(np.max(lp_norm(f, config.p) - const * lp_norm(f, q)))
@@ -968,7 +1020,7 @@ def run_embed(config: SuiteConfig) -> ExperimentReport:
     pr = _single_pair(config, EMBED_PAIR)
     p = config.p
     s, q = _embed_exponents(config)
-    grid = symmetric_rule(config.quad_order(), pr)
+    grid = _grid(config, pr)
     (lo, at_lo), (hi, at_hi) = _degree_doubling(
         config,
         pr,
@@ -1086,11 +1138,9 @@ def run_schrodinger(config: SuiteConfig) -> ExperimentReport:
     started = time.perf_counter()
     cases = []
     pr = _single_pair(config, SCHRODINGER_PAIR)
-    grid = symmetric_rule(config.quad_order(), pr)
+    grid = _grid(config, pr)
     degree = max(config.trunc // 2, 8)
-    members = random_band_limited(
-        pr, degree, min(config.ensemble, 8), config.seed, decay=SCHRODINGER_DECAY
-    )
+    members = _draw(pr, degree, min(config.ensemble, 8), config.seed, decay=SCHRODINGER_DECAY)
     lam = members.eigenvalues()
     lam_max = float(lam[-1])
     times = [2.0**-j for j in range(4, 15)]
@@ -1176,15 +1226,24 @@ SUITES = {
 
 
 def run_suite(config: SuiteConfig, write: bool = True) -> list:
-    """Validate, run the requested suite (or all), write outputs, return reports."""
+    """Validate, run the requested suite (or all), write outputs, return reports.
+
+    The suites of one call share its grids and ensemble draws; they are
+    dropped when the call ends, also when it raises.
+    """
+    global _run_inputs
     validate_config(config)
     names = list(SUITES) if config.suite == "all" else [config.suite]
     reports = []
-    for name in names:
-        sub = dataclasses.replace(config, suite=name)
-        report = SUITES[name](sub)
-        if write:
-            write_report(report, config.out)
-            emit_plots(report, config.out)
-        reports.append(report)
+    _run_inputs = {}
+    try:
+        for name in names:
+            sub = dataclasses.replace(config, suite=name)
+            report = SUITES[name](sub)
+            if write:
+                write_report(report, config.out)
+                emit_plots(report, config.out)
+            reports.append(report)
+    finally:
+        _run_inputs = None
     return reports

@@ -5,8 +5,8 @@ import os
 import pytest
 
 import symjacobi
-from symjacobi import cli, core
-from symjacobi.core import _TABLE_CACHE
+from symjacobi import cli, core, norms, suites
+from symjacobi.core import _TABLE_CACHE, JacobiParams
 from symjacobi.errors import ConfigError
 from symjacobi.reporting import ExperimentReport, emit_plots, write_report
 from symjacobi.suites import (
@@ -200,19 +200,75 @@ class TestRunSuite:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["stub-report.json"]
 
     def test_reports_identical_with_cold_and_warm_table_cache(self, tmp_path):
-        # the first run builds every table, the second reads them back
+        # the first run builds every table, the second reads them back; each
+        # run builds its own grids and draws
         _TABLE_CACHE.clear()
-        docs = []
-        blobs = []
+        outputs = []
         for i in range(2):
             out = tmp_path / f"run{i}"
-            run_suite(fast_config("decomposition", out=str(out)))
-            doc = json.loads((out / "decomposition-report.json").read_text())
-            doc.pop("wall_clock_s")
-            docs.append(json.dumps(doc, sort_keys=True))
-            blobs.append((out / "decomposition-ratio-p2.csv").read_bytes())
-        assert docs[0] == docs[1]
-        assert blobs[0] == blobs[1]
+            run_suite(fast_config("all", out=str(out)))
+            files = {}
+            for path in sorted(out.iterdir()):
+                if path.name.endswith("-report.json"):
+                    doc = json.loads(path.read_text())
+                    doc.pop("wall_clock_s")
+                    files[path.name] = json.dumps(doc, sort_keys=True)
+                else:
+                    files[path.name] = path.read_bytes()
+            outputs.append(files)
+        assert len(outputs[0]) > 2 * len(SUITES)
+        assert outputs[0] == outputs[1]
+
+    def test_each_grid_and_draw_is_built_once_per_run(self, monkeypatch):
+        rules, draws = [], []
+        original_rule = core.gauss_jacobi_rule
+        original_draw = norms.random_band_limited
+
+        def counting_rule(*args, **kwargs):
+            rules.append(args)
+            return original_rule(*args, **kwargs)
+
+        def counting_draw(*args, **kwargs):
+            draws.append(args)
+            return original_draw(*args, **kwargs)
+
+        for name in ("core", "basis", "norms", "suites"):
+            module = getattr(symjacobi, name)
+            if getattr(module, "gauss_jacobi_rule", None) is original_rule:
+                monkeypatch.setattr(module, "gauss_jacobi_rule", counting_rule)
+            if getattr(module, "random_band_limited", None) is original_draw:
+                monkeypatch.setattr(module, "random_band_limited", counting_draw)
+        config = SuiteConfig(suite="all", trunc=32, ensemble=4)
+        run_suite(config, write=False)
+        # one rule per default pair; draws at degrees 16 and 32, and the
+        # faster-decaying schrodinger draw
+        assert (len(rules), len(draws)) == (6, 3)
+        run_suite(config, write=False)
+        assert (len(rules), len(draws)) == (12, 6)
+
+    def test_shared_inputs_are_read_only_and_keyed_exactly(self, monkeypatch):
+        ran = []
+
+        def probe(config):
+            zero, signed = JacobiParams(0.0, 0.0), JacobiParams(-0.0, 0.0)
+            grid = suites._grid(config, zero)
+            block = suites._draw(zero, 8, 3, config.seed)
+            assert suites._grid(config, zero) is grid
+            assert suites._draw(signed, 8, 3, config.seed).coeffs is block.coeffs
+            assert suites._grid(config, signed) is not grid
+            arrays = (grid.nodes, grid.weights, grid.half.nodes, grid.half.weights, block.coeffs)
+            for arr in arrays:
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
+            ran.append(config.suite)
+            raise RuntimeError("probe done")
+
+        monkeypatch.setitem(SUITES, "probe", probe)
+        with pytest.raises(RuntimeError, match="probe done"):
+            run_suite(fast_config("probe"), write=False)
+        assert ran == ["probe"]
+        # nothing outlives the call, also when a suite raises
+        assert suites._run_inputs is None
 
     @pytest.mark.parametrize(
         "suite", ["decomposition", "sobolev", "squarefn", "potentials", "structure", "embed"]
