@@ -18,6 +18,7 @@ from .core import (
     GridFunction,
     JacobiParams,
     QuadratureGrid,
+    _mirror_split,
     eigenfunction_table,
     gauss_jacobi_rule,
 )
@@ -148,8 +149,7 @@ def _row_norms(coeffs: np.ndarray):
 
 
 def _require_symmetric(grid: QuadratureGrid) -> None:
-    nodes = grid.nodes
-    if grid.interval != "symmetric" or np.any(nodes != -nodes[::-1]):
+    if grid.interval != "symmetric" or _mirror_split(grid.nodes) is None:
         raise GridError("operation requires a mirror-symmetric grid")
 
 
@@ -259,15 +259,20 @@ def eval_symm_expansion(e: SymmExpansion, theta) -> np.ndarray:
 
     Sums the even and odd half-line parts over their cached half-line
     tables; no symmetrized table is assembled. A block gives one row of
-    values per member, from one product with each table.
+    values per member, from one product with each table. On a mirrored
+    angle set the products run on the positive half only: the negative
+    half is the even part minus the odd part, reversed.
     """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
+    k = _mirror_split(th)
+    nodes = th if k is None else th[k:]
     even, odd = to_halfline(e)
-    vals = even.coeffs @ eigenfunction_table(len(even) - 1, even.params, th)
-    if len(e) > 1:
-        odd_vals = odd.coeffs @ eigenfunction_table(len(odd) - 1, odd.params, th)
-        vals = vals + np.sign(th) * odd_vals
-    return vals
+    ev = even.coeffs @ eigenfunction_table(len(even) - 1, even.params, nodes)
+    od = odd.coeffs @ eigenfunction_table(len(odd) - 1, odd.params, nodes) if len(e) > 1 else None
+    if k is None:
+        return ev if od is None else ev + np.sign(th) * od
+    neg, pos = (ev, ev) if od is None else (ev - od, ev + od)
+    return np.concatenate([neg[..., ::-1], pos], axis=-1)
 
 
 def synthesize(e: SymmExpansion, grid: QuadratureGrid) -> GridFunction:
@@ -278,11 +283,15 @@ def synthesize(e: SymmExpansion, grid: QuadratureGrid) -> GridFunction:
 def eval_halfline_expansion(h: HalfLineExpansion, theta) -> np.ndarray:
     """Pointwise sum respecting the parity tag on the symmetric interval."""
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    table = eigenfunction_table(len(h) - 1, h.params, th)
-    vals = h.coeffs @ table
-    if h.parity == "odd":
-        vals = np.sign(th) * vals
-    return vals
+    k = _mirror_split(th)
+    nodes = th if k is None else th[k:]
+    vals = h.coeffs @ eigenfunction_table(len(h) - 1, h.params, nodes)
+    if k is None:
+        return np.sign(th) * vals if h.parity == "odd" else vals
+    # on a mirrored set the products ran on the positive half; an odd part
+    # changes sign under reflection
+    neg = -vals if h.parity == "odd" else vals
+    return np.concatenate([neg[..., ::-1], vals], axis=-1)
 
 
 def to_halfline(e: SymmExpansion) -> tuple[HalfLineExpansion, HalfLineExpansion]:

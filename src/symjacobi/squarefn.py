@@ -10,11 +10,10 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .basis import HalfLineExpansion, SymmExpansion, symm_eigenfunction_table
-from .core import eigenfunction_table
+from .core import _mirror_split, eigenfunction_table
 from .errors import ConfigError, DomainError
 
 _VARIANTS = ("plain", "modified", "halfline")
@@ -87,22 +86,38 @@ def _mode_table(e, spec: SquareFunctionSpec, theta: np.ndarray):
     return table, rates
 
 
+def _reflection_signs(e) -> np.ndarray:
+    # phi_n(-t) = s_n phi_n(t): s_n = -1 on the odd slots of a symmetrized
+    # expansion and on every mode of an odd half-line part
+    if isinstance(e, SymmExpansion):
+        return np.where(np.arange(len(e)) % 2, -1.0, 1.0)
+    return np.full(len(e), -1.0 if e.parity == "odd" else 1.0)
+
+
 def square_function(e, spec: SquareFunctionSpec, theta) -> np.ndarray:
     """Pointwise square function values at the given angles.
 
     A block gives one row of values per member. The mode table and the
     kernel are built once and shared by every row; the rows are contracted
-    one at a time, so no (members, modes, angles) array is ever formed.
+    one at a time, so no (members, modes, angles) array is ever formed. On
+    a mirrored angle set the table covers the positive half only; the
+    negative half contracts each row against the reflected table (rows of
+    odd modes negated), reversed.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    table, rates = _mode_table(e, spec, theta)
+    k = _mirror_split(theta)
+    nodes = theta if k is None else theta[k:]
+    table, rates = _mode_table(e, spec, nodes)
+    tables = [table] if k is None else [table, _reflection_signs(e)[:, None] * table]
     kern = _kernel(rates, spec)
     rows = np.atleast_2d(e.coeffs)
-    vals = np.empty((rows.shape[0], theta.size))
-    for c, out in zip(rows, vals):
+    vals = np.empty((len(tables), rows.shape[0], nodes.size))
+    for i, c in enumerate(rows):
         weights = np.outer(c, np.conj(c)) * kern
-        out[:] = np.real(np.einsum("ni,ni->i", table, weights @ table))
+        for t, out in zip(tables, vals[:, i]):
+            out[:] = np.real(np.einsum("ni,ni->i", t, weights @ t))
     vals = np.sqrt(np.clip(vals, 0.0, None))
+    vals = vals[0] if k is None else np.concatenate([vals[1][:, ::-1], vals[0]], axis=1)
     return vals if e.coeffs.ndim == 2 else vals[0]
 
 
@@ -118,6 +133,10 @@ def square_function_by_time_quadrature(
     Kept deliberately independent of the kernel closed form so the two can
     cross-check each other.
     """
+    # scipy.integrate is imported here, not at module level: it is the
+    # slowest part of importing the package and only this route needs it
+    from scipy.integrate import quad
+
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     table, rates = _mode_table(e, spec, theta)
     amplitudes = e.coeffs * (-rates) ** spec.k

@@ -1,7 +1,10 @@
 """The exported names of the package and its modules all resolve."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -23,3 +26,13 @@ def test_every_exported_name_resolves(module):
 def test_normalization_is_exported():
     assert symjacobi.norm_constant_table is symjacobi.core.norm_constant_table
     assert "norm_constant_table" in symjacobi.core.__all__
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # only the slow time-quadrature route needs it, and it imports it itself
+    src = os.path.dirname(os.path.dirname(symjacobi.__file__))
+    code = "import sys, symjacobi; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

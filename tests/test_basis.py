@@ -1,9 +1,12 @@
 """Symmetrized basis: parity bookkeeping, transforms, round trips."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symjacobi.basis import (
     HalfLineExpansion,
@@ -26,12 +29,15 @@ from symjacobi.core import (
     _TABLE_CACHE,
     GridFunction,
     JacobiParams,
+    QuadratureGrid,
+    _eigenfunction_rows,
     eigenfunction_table,
     gauss_jacobi_rule,
     norm_constant_table,
     symmetric_rule,
 )
 from symjacobi.errors import ConfigError, DomainError, GridError
+from symjacobi.norms import random_band_limited
 
 PAIRS = [
     JacobiParams(-0.5, -0.5),
@@ -288,6 +294,98 @@ class TestHalfLineSynthesisPath:
             assert np.iscomplexobj(got) == (kind == "complex")
             bound = 1e-13 * np.linalg.norm(coeffs)
             assert float(np.max(np.abs(got - want))) <= bound
+
+
+def unfolded_synthesis(e, nodes):
+    # eval_symm_expansion without the fold: products over every node
+    even, odd = to_halfline(e)
+    vals = unfolded_halfline(even, nodes)
+    return vals + unfolded_halfline(odd, nodes) if len(e) > 1 else vals
+
+
+def unfolded_halfline(h, nodes):
+    vals = h.coeffs @ _eigenfunction_rows(len(h) - 1, h.params, np.abs(nodes))
+    return np.sign(nodes) * vals if h.parity == "odd" else vals
+
+
+# Half sizes at which the fold is bitwise exact here. OpenBLAS picks its
+# micro-kernel by column position, so one column can round differently in a
+# product over k columns and over 2k; with the x86-64 kernels of the bundled
+# OpenBLAS this happens unless k is a multiple of 8. The CLI-default rule
+# 2*trunc + 16 has such a half size whenever trunc is a multiple of 4.
+ALIGNED = [8, 24, 144]
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestMirrorFold:
+    """On a mirrored angle set synthesis runs on the positive half only."""
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (13,), (4, 13), (3, 1)])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_symm_synthesis_is_bitwise_the_unfolded_one(self, shape, kind):
+        rng = np.random.default_rng([len(shape), shape[-1], kind == "complex"])
+        for pr, n_half in itertools.product(PAIRS, ALIGNED):
+            coeffs = rng.uniform(-1, 1, shape)
+            if kind == "complex":
+                coeffs = coeffs + 1j * rng.uniform(-1, 1, shape)
+            e = SymmExpansion(pr, coeffs)
+            nodes = symmetric_rule(n_half, pr).nodes
+            assert_bitwise(eval_symm_expansion(e, nodes), unfolded_synthesis(e, nodes))
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("shape", [(9,), (3, 9)])
+    def test_halfline_synthesis_is_bitwise_the_unfolded_one(self, parity, shape):
+        rng = np.random.default_rng([len(parity), len(shape)])
+        for pr, n_half in itertools.product(PAIRS, ALIGNED):
+            h = HalfLineExpansion(pr, rng.uniform(-1, 1, shape), parity)
+            nodes = symmetric_rule(n_half, pr).nodes
+            assert_bitwise(eval_halfline_expansion(h, nodes), unfolded_halfline(h, nodes))
+
+    def test_other_half_sizes_agree_to_roundoff(self):
+        e = SymmExpansion(JacobiParams(0.3, 0.7), np.random.default_rng(5).uniform(-1, 1, (3, 40)))
+        for n_half in (23, 46, 101):
+            nodes = symmetric_rule(n_half, e.params).nodes
+            got, want = eval_symm_expansion(e, nodes), unfolded_synthesis(e, nodes)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(alpha=st.floats(-0.99, 50.0), beta=st.floats(-0.99, 50.0), quarter=st.integers(1, 64))
+    def test_fold_property_over_pairs_and_degrees(self, alpha, beta, quarter):
+        # the CLI-default grid of a degree that is a multiple of 4
+        pr, degree = JacobiParams(alpha, beta), 4 * quarter
+        nodes = symmetric_rule(2 * degree + 16, pr).nodes
+        assert_bitwise(
+            eigenfunction_table(degree, pr, nodes),
+            _eigenfunction_rows(degree, pr, np.abs(nodes)),
+        )
+        block = random_band_limited(pr, degree, 3, seed=degree)
+        assert_bitwise(eval_symm_expansion(block, nodes), unfolded_synthesis(block, nodes))
+
+    def test_synthesis_requests_only_half_tables(self):
+        pr = JacobiParams(0.3, 0.7)
+        grid = symmetric_rule(20, pr)
+        _TABLE_CACHE.clear()
+        synthesize(SymmExpansion(pr, np.ones(9)), grid)
+        eval_halfline_expansion(HalfLineExpansion(pr, np.ones(5), "odd"), grid.nodes)
+        assert {key[2] for key in _TABLE_CACHE._entries} == {(20,)}
+        # a node one ulp off its mirror image takes the full-set path
+        nodes = grid.nodes.copy()
+        nodes[3] = np.nextafter(nodes[3], 0.0)
+        _TABLE_CACHE.clear()
+        eval_symm_expansion(SymmExpansion(pr, np.ones(9)), nodes)
+        assert {key[2] for key in _TABLE_CACHE._entries} == {(40,)}
+
+    def test_symmetric_tag_needs_an_exact_mirror(self):
+        grid = symmetric_rule(6, JacobiParams(0.3, 0.7))
+        nodes = grid.nodes.copy()
+        nodes[2] = np.nextafter(nodes[2], 0.0)
+        off = QuadratureGrid(nodes, grid.weights, "symmetric")
+        with pytest.raises(GridError):
+            reflect(GridFunction(off, np.ones(12)))
 
 
 class TestHalfLineRoundTrip:

@@ -7,8 +7,6 @@ Gauss nodes, that they are the zeros of the top polynomial.
 """
 
 import math
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,7 +15,8 @@ from scipy.integrate import quad
 from symjacobi.core import (
     _TABLE_CACHE,
     _TABLE_CACHE_BYTES,
-    _TableCache,
+    _eigenfunction_rows,
+    _mirror_split,
     GridFunction,
     JacobiParams,
     QuadratureGrid,
@@ -349,27 +348,78 @@ class TestTableCache:
                 eigenfunction_table(4, JacobiParams(0.3, 0.7), np.array([0.5, math.pi]))
         assert _TABLE_CACHE.nbytes == 0 == retained_bytes()
 
-    def test_concurrent_puts_keep_the_byte_count(self):
-        # forty small tables over a ten-table budget: threads insert and evict
-        # at once, and a lost update would leave the count off or raise
-        tables = [np.full((4, 8), float(i)) for i in range(40)]
-        keys = [(3, b"", (8,), bytes([i]) * 8) for i in range(40)]
-        cache = _TableCache(budget=10 * (tables[0].nbytes + 8))
 
-        def work(seed):
-            for i in np.random.default_rng(seed).integers(0, 40, 20000):
-                if cache.get(keys[i]) is None:
-                    cache.put(keys[i], tables[i])
+def assert_bitwise(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                list(pool.map(work, range(4), timeout=120))
-        finally:
-            sys.setswitchinterval(interval)
-        retained = sum(size for _, size in cache._entries.values())
-        assert cache.nbytes == retained <= cache.budget
+
+def near_mirrored(case):
+    # angle sets that miss the mirror condition by one node, one count or a 0
+    half = symmetric_rule(10, JacobiParams(0.3, 0.7)).half.nodes
+    nodes = np.concatenate([-half[::-1], half])
+    if case == "nudged":
+        nodes[13] = np.nextafter(nodes[13], 4.0)
+    elif case == "odd":
+        nodes = np.concatenate([-half[::-1], [0.0], half])
+    elif case == "zero":
+        nodes = np.concatenate([-half[::-1], [-0.0, 0.0], half])
+    elif case == "nan":
+        nodes[0] = nodes[-1] = np.nan
+    return nodes
+
+
+class TestMirrorFold:
+    def test_split_of_a_symmetric_rule(self):
+        grid = symmetric_rule(20, JacobiParams(0.3, 0.7))
+        assert _mirror_split(grid.nodes) == 20
+        assert _mirror_split(grid.half.nodes) is None
+        assert _mirror_split(-grid.half.nodes) is None
+
+    @pytest.mark.parametrize("case", ["nudged", "odd", "zero", "nan"])
+    def test_near_mirrored_sets_do_not_split(self, case):
+        assert _mirror_split(near_mirrored(case)) is None
+
+    @pytest.mark.parametrize("case", ["nudged", "odd", "zero"])
+    def test_near_mirrored_sets_take_the_unfolded_path(self, case):
+        pr = JacobiParams(0.3, 0.7)
+        nodes = near_mirrored(case)
+        _TABLE_CACHE.clear()
+        table = eigenfunction_table(6, pr, nodes)
+        # one entry, built at every node of the set
+        (key,) = _TABLE_CACHE._entries
+        assert key[2] == nodes.shape
+        assert _TABLE_CACHE.get(key) is table
+        assert_bitwise(table, _eigenfunction_rows(6, pr, np.abs(nodes)))
+
+    @pytest.mark.parametrize("n_half", [1, 23, 24, 144])
+    def test_table_is_bitwise_the_unfolded_one(self, n_half):
+        # every cell is computed on its own, so the fold is exact at any size
+        for pr in PAIRS:
+            nodes = symmetric_rule(n_half, pr).nodes
+            _TABLE_CACHE.clear()
+            table = eigenfunction_table(30, pr, nodes)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+            assert_bitwise(table, _eigenfunction_rows(30, pr, np.abs(nodes)))
+
+    def test_cache_keeps_only_the_positive_half(self):
+        pr = JacobiParams(0.3, 0.7)
+        grid = symmetric_rule(24, pr)
+        _TABLE_CACHE.clear()
+        full = eigenfunction_table(30, pr, grid.nodes)
+        (key,) = _TABLE_CACHE._entries
+        half = _TABLE_CACHE.get(key)
+        assert half.shape == (31, 24) and key[-1] == grid.half.nodes.tobytes()
+        assert _TABLE_CACHE.nbytes == half.nbytes + grid.half.nodes.nbytes
+        # analysis on the half-line rule shares the entry; each full request
+        # is a fresh array assembled from it
+        assert eigenfunction_table(30, pr, grid.half.nodes) is half
+        again = eigenfunction_table(30, pr, grid.nodes)
+        assert again is not full and not again.flags.writeable
+        assert_bitwise(again, full)
+        assert len(_TABLE_CACHE._entries) == 1
 
 
 class TestGaussJacobiRule:

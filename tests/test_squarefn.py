@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln
 
@@ -14,8 +16,9 @@ from symjacobi.basis import (
     symm_eigenfunction_table,
     to_halfline,
 )
-from symjacobi.core import JacobiParams, symmetric_rule
+from symjacobi.core import JacobiParams, _mirror_split, symmetric_rule
 from symjacobi.errors import ConfigError, DomainError
+from symjacobi.norms import random_band_limited
 from symjacobi.squarefn import (
     SquareFunctionSpec,
     _kernel,
@@ -276,3 +279,70 @@ class TestContraction:
                 got = square_function(f, spec, theta)
                 want = three_operand_square_function(f, spec, theta)
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(want))
+
+
+
+def unfolded_square_function(e, spec, nodes):
+    # square_function without the fold: the full table contracted row by row
+    table, rates = _mode_table(e, spec, nodes)
+    kern = _kernel(rates, spec)
+    rows = np.atleast_2d(e.coeffs)
+    vals = np.empty((rows.shape[0], nodes.size))
+    for c, out in zip(rows, vals):
+        out[:] = np.real(np.einsum("ni,ni->i", table, (np.outer(c, np.conj(c)) * kern) @ table))
+    vals = np.sqrt(np.clip(vals, 0.0, None))
+    return vals if e.coeffs.ndim == 2 else vals[0]
+
+
+# Half sizes at which the fold is bitwise exact here: OpenBLAS rounds a
+# column by its position within the product, and with the x86-64 kernels of
+# the bundled OpenBLAS a product over k and over 2k columns agree column by
+# column when k is a multiple of 8 (test_basis.py says more).
+ALIGNED = [8, 24, 144]
+
+
+class TestMirrorFold:
+    """On a mirrored angle set the contraction runs on the positive half only."""
+
+    @pytest.mark.parametrize("variant", ["plain", "modified", "halfline"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("members", [None, 3])
+    def test_bitwise_the_unfolded_values(self, variant, kind, members):
+        rng = np.random.default_rng([len(variant), kind == "complex", members or 1])
+        shape = (members, 17) if members else (17,)
+        for pr, n_half in itertools.product(PAIRS, ALIGNED):
+            coeffs = rng.uniform(-1, 1, shape)
+            if kind == "complex":
+                coeffs = coeffs + 1j * rng.uniform(-1, 1, shape)
+            e = SymmExpansion(pr, coeffs)
+            inputs = to_halfline(e) if variant == "halfline" else (e,)
+            nodes = symmetric_rule(n_half, pr).nodes
+            for f, (gamma, k) in itertools.product(inputs, ((0.5, 1), (1.5, 2))):
+                spec = SquareFunctionSpec(gamma, k, variant)
+                got = square_function(f, spec, nodes)
+                want = unfolded_square_function(f, spec, nodes)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_other_nodes_agree_to_roundoff(self):
+        e = random_expansion(GENERIC, 15, seed=3)
+        spec = SquareFunctionSpec(0.5, 1)
+        nodes = symmetric_rule(20, GENERIC).nodes
+        nudged = nodes.copy()
+        nudged[4] = np.nextafter(nudged[4], 0.0)
+        assert _mirror_split(nudged) is None
+        others = [nudged] + [symmetric_rule(n, GENERIC).nodes for n in (23, 46)]
+        for theta in others:
+            want = unfolded_square_function(e, spec, theta)
+            got = square_function(e, spec, theta)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(alpha=st.floats(-0.99, 50.0), beta=st.floats(-0.99, 50.0), quarter=st.integers(1, 32))
+    def test_fold_property_over_pairs_and_degrees(self, alpha, beta, quarter):
+        # the CLI-default grid of a degree that is a multiple of 4
+        pr, degree = JacobiParams(alpha, beta), 4 * quarter
+        nodes = symmetric_rule(2 * degree + 16, pr).nodes
+        block = random_band_limited(pr, degree, 2, seed=degree)
+        for spec in (SquareFunctionSpec(0.5, 1), SquareFunctionSpec(1.5, 2, "modified")):
+            got = square_function(block, spec, nodes)
+            assert got.tobytes() == unfolded_square_function(block, spec, nodes).tobytes()
