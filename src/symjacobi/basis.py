@@ -4,7 +4,9 @@ Even basis slots hold the half-line eigenfunctions extended evenly, odd slots
 hold sign(theta) times the parameter-shifted ones, both scaled by 1/sqrt(2).
 This module does the parity bookkeeping: reflection, even/odd splitting,
 analysis and synthesis, and the round trip between symmetric-interval
-expansions and pairs of half-line expansions.
+expansions and pairs of half-line expansions. It alone knows the mirror
+test and the fold f(t) = even(|t|) + sign(t) odd(|t|), which lets every
+evaluation on a mirrored angle set run on the positive half only.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .core import (
     GridFunction,
     JacobiParams,
     QuadratureGrid,
-    _mirror_split,
     eigenfunction_table,
     gauss_jacobi_rule,
 )
@@ -56,22 +57,68 @@ def symm_eigenvalues(n_coeffs: int, params: JacobiParams) -> np.ndarray:
     return ((np.arange(n_coeffs) + 1) // 2 + params.eigen_shift) ** 2
 
 
+def _mirror_split(theta: np.ndarray) -> int | None:
+    """k when the second half of theta mirrors the first exactly, else None.
+
+    Mirrored means theta[k:] > 0 and -theta[:k][::-1] == theta[k:] bitwise,
+    with k = theta.size / 2. A 0 node, a NaN, an odd count or a node one ulp
+    off its mirror image all give None.
+    """
+    if theta.size % 2:
+        return None
+    k = theta.size // 2
+    # the end nodes first: this scalar test turns away most other sets, such
+    # as a half-line rule, at a tenth of the cost of the array test
+    if k and not (theta[-1] > 0 and -theta[0] == theta[-1]):
+        return None
+    pos = theta[k:]
+    if np.all(pos > 0) and np.array_equal(-theta[:k][::-1], pos):
+        return k
+    return None
+
+
+def _fold_nodes(theta) -> tuple[np.ndarray, int | None, np.ndarray]:
+    # the angles, their mirror split, and the angles to evaluate on
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    k = _mirror_split(th)
+    return th, k, th if k is None else th[k:]
+
+
+def _fold(th: np.ndarray, k: int | None, parts: dict) -> np.ndarray:
+    """even(|th|) + sign(th) odd(|th|) at th from values keyed by parity.
+
+    The values lie on th[k:] when k is the mirror split of th, else on every
+    angle of th; a missing key is a zero part.
+    """
+    even, odd = parts.get("even"), parts.get("odd")
+    if k is None:
+        if odd is None:
+            return even
+        odd = np.sign(th) * odd
+        return odd if even is None else even + odd
+    neg = pos = even
+    if odd is not None:
+        neg, pos = (-odd, odd) if even is None else (even - odd, even + odd)
+    return np.concatenate([neg[..., ::-1], pos], axis=-1)
+
+
 def symm_eigenfunction_table(n_coeffs: int, params: JacobiParams, theta) -> np.ndarray:
     """Rows n = 0..n_coeffs-1 of symmetrized basis values at theta.
 
     Even n: the (n/2)-th half-line eigenfunction over sqrt(2), an even
     function. Odd n: sign(theta) times the ((n-1)/2)-th eigenfunction of the
-    shifted pair over sqrt(2), an odd function vanishing at 0.
+    shifted pair over sqrt(2), an odd function vanishing at 0. On a mirrored
+    angle set both half-line tables are requested on the positive half only.
     """
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    th, k, nodes = _fold_nodes(theta)
     out = np.empty((n_coeffs, th.shape[0]))
-    n_even = (n_coeffs + 1) // 2
-    n_odd = n_coeffs // 2
+    n_even, n_odd = _coeff_counts(n_coeffs)
     if n_even:
-        out[0::2] = eigenfunction_table(n_even - 1, params, th) / SQRT2
+        even = eigenfunction_table(n_even - 1, params, nodes) / SQRT2
+        out[0::2] = _fold(th, k, {"even": even})
     if n_odd:
-        odd_rows = eigenfunction_table(n_odd - 1, params.shift(1), th) / SQRT2
-        out[1::2] = np.sign(th)[None, :] * odd_rows
+        odd = eigenfunction_table(n_odd - 1, params.shift(1), nodes) / SQRT2
+        out[1::2] = _fold(th, k, {"odd": odd})
     return out
 
 
@@ -161,9 +208,15 @@ def reflect(f: GridFunction) -> GridFunction:
 
 def reflect_coeffs(e: SymmExpansion) -> SymmExpansion:
     """Reflection in coefficient space: odd-index entries change sign."""
-    out = e.coeffs.copy()
-    out[..., 1::2] = -out[..., 1::2]
-    return SymmExpansion(e.params, out)
+    return SymmExpansion(e.params, e.coeffs * _reflection_signs(e))
+
+
+def _reflection_signs(e) -> np.ndarray:
+    # phi_n(-t) = s_n phi_n(t): s_n = -1 on the odd slots of a symmetrized
+    # expansion and on every mode of an odd half-line part
+    if isinstance(e, SymmExpansion):
+        return np.where(np.arange(len(e)) % 2, -1.0, 1.0)
+    return np.full(len(e), -1.0 if e.parity == "odd" else 1.0)
 
 
 def _positive_half(grid: QuadratureGrid) -> QuadratureGrid:
@@ -254,25 +307,24 @@ def analyze(f, params: JacobiParams, n_coeffs: int, n_quad: int | None = None) -
     return SymmExpansion(params, out)
 
 
+def _eval_parts(parts, theta) -> np.ndarray:
+    # sum at theta of half-line expansions of distinct parity tags: one
+    # product per part with its cached half-line table, then one fold
+    th, k, nodes = _fold_nodes(theta)
+    values = {h.parity: h.coeffs @ eigenfunction_table(len(h) - 1, h.params, nodes) for h in parts}
+    return _fold(th, k, values)
+
+
 def eval_symm_expansion(e: SymmExpansion, theta) -> np.ndarray:
     """Pointwise sum of the expansion at the given angles.
 
     Sums the even and odd half-line parts over their cached half-line
     tables; no symmetrized table is assembled. A block gives one row of
     values per member, from one product with each table. On a mirrored
-    angle set the products run on the positive half only: the negative
-    half is the even part minus the odd part, reversed.
+    angle set the products run on the positive half only.
     """
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    k = _mirror_split(th)
-    nodes = th if k is None else th[k:]
     even, odd = to_halfline(e)
-    ev = even.coeffs @ eigenfunction_table(len(even) - 1, even.params, nodes)
-    od = odd.coeffs @ eigenfunction_table(len(odd) - 1, odd.params, nodes) if len(e) > 1 else None
-    if k is None:
-        return ev if od is None else ev + np.sign(th) * od
-    neg, pos = (ev, ev) if od is None else (ev - od, ev + od)
-    return np.concatenate([neg[..., ::-1], pos], axis=-1)
+    return _eval_parts((even, odd) if len(e) > 1 else (even,), theta)
 
 
 def synthesize(e: SymmExpansion, grid: QuadratureGrid) -> GridFunction:
@@ -282,16 +334,7 @@ def synthesize(e: SymmExpansion, grid: QuadratureGrid) -> GridFunction:
 
 def eval_halfline_expansion(h: HalfLineExpansion, theta) -> np.ndarray:
     """Pointwise sum respecting the parity tag on the symmetric interval."""
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    k = _mirror_split(th)
-    nodes = th if k is None else th[k:]
-    vals = h.coeffs @ eigenfunction_table(len(h) - 1, h.params, nodes)
-    if k is None:
-        return np.sign(th) * vals if h.parity == "odd" else vals
-    # on a mirrored set the products ran on the positive half; an odd part
-    # changes sign under reflection
-    neg = -vals if h.parity == "odd" else vals
-    return np.concatenate([neg[..., ::-1], vals], axis=-1)
+    return _eval_parts((h,), theta)
 
 
 def to_halfline(e: SymmExpansion) -> tuple[HalfLineExpansion, HalfLineExpansion]:

@@ -13,22 +13,30 @@ from .errors import (
 )
 from .suites import SUITES, SuiteConfig, run_suite
 
-# fields a JSON config file may set; flags override file values
-_CONFIG_FIELDS = (
-    "alpha",
-    "beta",
-    "p",
-    "q",
-    "s",
-    "gamma",
-    "k",
-    "m",
-    "trunc",
-    "quad",
-    "ensemble",
-    "seed",
-    "out",
+# (field, type, help) of each flag; a JSON config file may set the same
+# fields, and flags override file values
+_FIELDS = (
+    ("alpha", float, "first weight exponent"),
+    ("beta", float, "second weight exponent"),
+    ("p", float, "primary integrability exponent"),
+    ("q", float, "secondary integrability exponent"),
+    ("s", float, "smoothness index"),
+    ("gamma", float, "square function decay index"),
+    ("k", int, "derivative order inside the flow"),
+    ("m", int, "whole derivative order"),
+    ("trunc", int, "coefficient truncation degree"),
+    ("quad", int, "quadrature order"),
+    ("ensemble", int, "random ensemble size"),
+    ("seed", int, "ensemble seed"),
+    ("out", str, "output directory for reports and plots"),
 )
+
+# the JSON values each field type takes; bool is an int to Python, not to JSON
+_JSON_KINDS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,19 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
         "Jacobi expansions.",
     )
     parser.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    parser.add_argument("--alpha", type=float, help="first weight exponent")
-    parser.add_argument("--beta", type=float, help="second weight exponent")
-    parser.add_argument("--p", type=float, help="primary integrability exponent")
-    parser.add_argument("--q", type=float, help="secondary integrability exponent")
-    parser.add_argument("--s", type=float, help="smoothness index")
-    parser.add_argument("--gamma", type=float, help="square function decay index")
-    parser.add_argument("--k", type=int, help="derivative order inside the flow")
-    parser.add_argument("--m", type=int, help="whole derivative order")
-    parser.add_argument("--trunc", type=int, help="coefficient truncation degree")
-    parser.add_argument("--quad", type=int, help="quadrature order")
-    parser.add_argument("--ensemble", type=int, help="random ensemble size")
-    parser.add_argument("--seed", type=int, help="ensemble seed")
-    parser.add_argument("--out", help="output directory for reports and plots")
+    for name, kind, text in _FIELDS:
+        parser.add_argument(f"--{name}", type=kind, help=text)
     parser.add_argument("--config", help="JSON file with the same fields as the flags")
     return parser
 
@@ -60,35 +57,33 @@ def _load_config_file(path: str) -> dict:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = sorted(set(data) - set(_CONFIG_FIELDS))
+    unknown = sorted(set(data) - {name for name, _, _ in _FIELDS})
     if unknown:
         raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
-    return data
+    checked = {}
+    for name, kind, _ in _FIELDS:
+        if name in data:
+            value = data[name]
+            allowed, wanted = _JSON_KINDS[kind]
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ConfigError(f"config field {name!r} must be {wanted}, got {value!r}")
+            checked[name] = kind(value)
+    return checked
 
 
 def make_config(args: argparse.Namespace) -> SuiteConfig:
-    merged = {}
-    if args.config:
-        merged.update(_load_config_file(args.config))
-    for field in _CONFIG_FIELDS:
-        value = getattr(args, field)
+    merged = _load_config_file(args.config) if args.config else {}
+    for name, _, _ in _FIELDS:
+        value = getattr(args, name)
         if value is not None:
-            merged[field] = value
+            merged[name] = value
 
     alpha = merged.pop("alpha", None)
     beta = merged.pop("beta", None)
     if (alpha is None) != (beta is None):
         raise ConfigError("give both --alpha and --beta or neither")
     pairs = ((alpha, beta),) if alpha is not None else ()
-
-    kwargs = {}
-    for field in ("p", "q", "s", "gamma", "trunc", "quad", "ensemble", "seed", "out"):
-        if field in merged:
-            kwargs[field] = merged[field]
-    for field in ("k", "m"):
-        if field in merged:
-            kwargs[field] = int(merged[field])
-    return SuiteConfig(suite=args.suite, pairs=pairs, **kwargs)
+    return SuiteConfig(suite=args.suite, pairs=pairs, **merged)
 
 
 def main(argv=None) -> int:

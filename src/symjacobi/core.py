@@ -172,9 +172,9 @@ def norm_constant_table(n_top: int, params: JacobiParams) -> np.ndarray:
 # Byte budget of the table cache. Every suite treats an ensemble as one
 # coefficient block and a run shares one grid per pair, so `verif all
 # --trunc 128` makes 612 table requests for 130 distinct tables and builds
-# 168 of them (444 hits, 73 %). A mirrored grid's tables are kept on its
-# positive half only, which is also the key its half-line rule uses, so each
-# entry takes half the bytes. The hits are tables that several norms or
+# 168 of them (444 hits, 73 %). The basis module evaluates a mirrored grid
+# on its positive half only, which is also the key its half-line rule uses,
+# so each entry takes half the bytes. The hits are tables that several norms or
 # suites share on one grid; without them a pass of that run takes about
 # 0.65 s instead of 0.42 s on a 2-core machine. A larger budget saves little
 # and raises peak memory.
@@ -219,47 +219,14 @@ class _TableCache:
 _TABLE_CACHE = _TableCache(_TABLE_CACHE_BYTES)
 
 
-def _mirror_split(theta: np.ndarray) -> int | None:
-    """k when the second half of theta mirrors the first exactly, else None.
-
-    Mirrored means theta[k:] > 0 and -theta[:k][::-1] == theta[k:] bitwise,
-    with k = theta.size / 2. A 0 node, a NaN, an odd count or a node one ulp
-    off its mirror image all give None.
-    """
-    if theta.size % 2:
-        return None
-    k = theta.size // 2
-    # the end nodes first: this scalar test turns away most other sets, such
-    # as a half-line rule, at a tenth of the cost of the array test
-    if k and not (theta[-1] > 0 and -theta[0] == theta[-1]):
-        return None
-    pos = theta[k:]
-    if np.all(pos > 0) and np.array_equal(-theta[:k][::-1], pos):
-        return k
-    return None
-
-
 def eigenfunction_table(n_top: int, params: JacobiParams, theta: np.ndarray) -> np.ndarray:
-    """Rows n = 0..n_top of eigenfunction values at the given angles.
+    """Rows n = 0..n_top of eigenfunction values at the angles |theta|.
 
-    The result is read-only. Equal arguments share one cached array while
-    it stays in the cache. On a mirrored angle set (see _mirror_split) the
-    rows depend on |theta| only, so the cache keeps the positive half, under
-    the same key as a request on those half nodes, and each call returns a
-    fresh full table assembled from it.
+    The rows depend on |theta| only, so -theta gives the same table. The
+    result is read-only, and equal arguments share one cached array while it
+    stays in the cache.
     """
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    k = _mirror_split(th)
-    if k is None:
-        return _cached_rows(n_top, params, np.abs(th))
-    half = _cached_rows(n_top, params, th[k:])
-    table = np.concatenate([half[:, ::-1], half], axis=1)
-    table.flags.writeable = False
-    return table
-
-
-def _cached_rows(n_top: int, params: JacobiParams, th: np.ndarray) -> np.ndarray:
-    # rows at the nonnegative angles th, from the cache or built and stored
+    th = np.abs(np.atleast_1d(np.asarray(theta, dtype=float)))
     # exact bytes, so -0.0 and 0.0 parameters or nearby nodes never share a table
     pair = np.array([params.alpha, params.beta], dtype=float).tobytes()
     key = (n_top, pair, th.shape, th.tobytes())
@@ -348,13 +315,17 @@ def gauss_jacobi_rule(n_nodes: int, params: JacobiParams) -> QuadratureGrid:
     """
     if n_nodes < 1:
         raise GridError(f"rule size must be positive, got {n_nodes}")
-    x, _ = roots_jacobi(n_nodes, params.alpha, params.beta)
-    # ascending theta corresponds to descending x; these N x N rows bypass
-    # the table cache, where they would evict the tables callers reuse
-    theta = np.arccos(x[::-1])
-    rows = _eigenfunction_rows(n_nodes - 1, params, theta)
-    weights = 1.0 / np.sum(rows**2, axis=0)
+    # near alpha or beta = -1 scipy warns and gives NaN or +-1 roots
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x, _ = roots_jacobi(n_nodes, params.alpha, params.beta)
     try:
+        if not np.all(np.abs(x) < 1.0):  # negated, so a NaN root fails it too
+            raise GridError("a root is not finite or lies outside (-1, 1)")
+        # ascending theta corresponds to descending x; these N x N rows bypass
+        # the table cache, where they would evict the tables callers reuse
+        theta = np.arccos(x[::-1])
+        rows = _eigenfunction_rows(n_nodes - 1, params, theta)
+        weights = 1.0 / np.sum(rows**2, axis=0)
         return QuadratureGrid(nodes=theta, weights=weights, interval="halfline")
     except GridError as exc:
         raise GridError(

@@ -5,12 +5,7 @@ import math
 
 import numpy as np
 
-from .basis import (
-    SymmExpansion,
-    eval_halfline_expansion,
-    eval_symm_expansion,
-    synthesize,
-)
+from .basis import SymmExpansion, _eval_parts, eval_symm_expansion, synthesize
 from .core import GridFunction, JacobiParams, QuadratureGrid
 from .errors import (
     AdmissibilityError,
@@ -66,11 +61,6 @@ def potential_norm(e: SymmExpansion, p: float, s: float, grid: QuadratureGrid):
     return lp_norm(synthesize(sharpened, grid), p)
 
 
-def _pair_values(parts, nodes: np.ndarray) -> np.ndarray:
-    dev, dod = parts
-    return eval_halfline_expansion(dev, nodes) + eval_halfline_expansion(dod, nodes)
-
-
 def sobolev_norm(e: SymmExpansion, p: float, m: int, grid: QuadratureGrid):
     """Sum over orders 0..m of the p-norms of the variable-index derivatives."""
     if m < 1:
@@ -78,7 +68,7 @@ def sobolev_norm(e: SymmExpansion, p: float, m: int, grid: QuadratureGrid):
     _require_admissible(e.params, p)
     total = 0.0
     for k in range(m + 1):
-        values = _pair_values(symm_higher_derivative(e, k), grid.nodes)
+        values = _eval_parts(symm_higher_derivative(e, k), grid.nodes)
         total += lp_norm(GridFunction(grid, values), p)
     return total
 

@@ -12,8 +12,15 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from .basis import HalfLineExpansion, SymmExpansion, symm_eigenfunction_table
-from .core import _mirror_split, eigenfunction_table
+from .basis import (
+    HalfLineExpansion,
+    SymmExpansion,
+    _fold,
+    _fold_nodes,
+    _reflection_signs,
+    symm_eigenfunction_table,
+)
+from .core import eigenfunction_table
 from .errors import ConfigError, DomainError
 
 _VARIANTS = ("plain", "modified", "halfline")
@@ -74,9 +81,7 @@ def _mode_table(e, spec: SquareFunctionSpec, theta: np.ndarray):
     if spec.variant == "halfline":
         if not isinstance(e, HalfLineExpansion):
             raise ConfigError("halfline variant expects a half-line expansion")
-        table = eigenfunction_table(len(e) - 1, e.params, theta)
-        if e.parity == "odd":
-            table = table * np.sign(theta)[None, :]
+        table = _fold(theta, None, {e.parity: eigenfunction_table(len(e) - 1, e.params, theta)})
         rates = _flow_rates(e.eigenvalues(), False)
     else:
         if not isinstance(e, SymmExpansion):
@@ -84,14 +89,6 @@ def _mode_table(e, spec: SquareFunctionSpec, theta: np.ndarray):
         table = symm_eigenfunction_table(len(e), e.params, theta)
         rates = _flow_rates(e.eigenvalues(), spec.variant == "modified")
     return table, rates
-
-
-def _reflection_signs(e) -> np.ndarray:
-    # phi_n(-t) = s_n phi_n(t): s_n = -1 on the odd slots of a symmetrized
-    # expansion and on every mode of an odd half-line part
-    if isinstance(e, SymmExpansion):
-        return np.where(np.arange(len(e)) % 2, -1.0, 1.0)
-    return np.full(len(e), -1.0 if e.parity == "odd" else 1.0)
 
 
 def square_function(e, spec: SquareFunctionSpec, theta) -> np.ndarray:
@@ -104,9 +101,7 @@ def square_function(e, spec: SquareFunctionSpec, theta) -> np.ndarray:
     negative half contracts each row against the reflected table (rows of
     odd modes negated), reversed.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    k = _mirror_split(theta)
-    nodes = theta if k is None else theta[k:]
+    _, k, nodes = _fold_nodes(theta)
     table, rates = _mode_table(e, spec, nodes)
     tables = [table] if k is None else [table, _reflection_signs(e)[:, None] * table]
     kern = _kernel(rates, spec)

@@ -175,6 +175,8 @@ def validate_config(config: SuiteConfig) -> None:
         raise ConfigError(f"p must be at least 1, got {config.p}")
     if config.q is not None and config.q < 1:
         raise ConfigError(f"q must be at least 1, got {config.q}")
+    if config.s is not None and not config.s > 0:
+        raise ConfigError(f"smoothness s must be positive, got {config.s}")
     if (config.gamma is None) != (config.k is None):
         raise ConfigError("gamma and k must be given together")
     if config.gamma is not None and not 0.0 < config.gamma < config.k:

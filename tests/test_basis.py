@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from symjacobi.basis import (
     HalfLineExpansion,
     SymmExpansion,
+    _mirror_split,
     analyze,
     eigen_index,
     eval_halfline_expansion,
@@ -321,8 +322,65 @@ def assert_bitwise(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def unfolded_table(n_coeffs, pr, nodes):
+    # symm_eigenfunction_table without the fold: both parts at every node
+    out = np.empty((n_coeffs, nodes.size))
+    out[0::2] = _eigenfunction_rows((n_coeffs - 1) // 2, pr, np.abs(nodes)) / math.sqrt(2)
+    odd = _eigenfunction_rows(n_coeffs // 2 - 1, pr.shift(1), np.abs(nodes)) / math.sqrt(2)
+    out[1::2] = np.sign(nodes) * odd
+    return out
+
+
+def near_mirrored(case):
+    # angle sets that miss the mirror condition by one node, one count or a 0
+    half = symmetric_rule(10, JacobiParams(0.3, 0.7)).half.nodes
+    nodes = np.concatenate([-half[::-1], half])
+    if case == "nudged":
+        nodes[13] = np.nextafter(nodes[13], 4.0)
+    elif case == "odd":
+        nodes = np.concatenate([-half[::-1], [0.0], half])
+    elif case == "zero":
+        nodes = np.concatenate([-half[::-1], [-0.0, 0.0], half])
+    elif case == "nan":
+        nodes[0] = nodes[-1] = np.nan
+    return nodes
+
+
 class TestMirrorFold:
     """On a mirrored angle set synthesis runs on the positive half only."""
+
+    @pytest.mark.parametrize("n_half", [1, 23, 24, 144])
+    def test_symm_table_is_bitwise_the_unfolded_one(self, n_half):
+        # the fold only copies and negates cells, so it is exact at any size
+        for pr in PAIRS:
+            nodes = symmetric_rule(n_half, pr).nodes
+            assert _mirror_split(nodes) == n_half
+            assert_bitwise(symm_eigenfunction_table(31, pr, nodes), unfolded_table(31, pr, nodes))
+
+    @pytest.mark.parametrize("case", ["nudged", "odd", "zero", "nan"])
+    def test_symm_table_off_the_mirror_is_the_unfolded_one(self, case):
+        pr = JacobiParams(0.3, 0.7)
+        nodes = near_mirrored(case)
+        assert _mirror_split(nodes) is None
+        assert_bitwise(symm_eigenfunction_table(12, pr, nodes), unfolded_table(12, pr, nodes))
+
+    def test_cache_keeps_only_the_positive_half(self):
+        pr = JacobiParams(0.3, 0.7)
+        grid = symmetric_rule(24, pr)
+        _TABLE_CACHE.clear()
+        full = symm_eigenfunction_table(61, pr, grid.nodes)
+        assert full.shape == (61, 48)
+        # one half table per parity, under the key of the half-line rule
+        keys = list(_TABLE_CACHE._entries)
+        assert [key[0] for key in keys] == [30, 29]
+        assert all(key[2:] == ((24,), grid.half.nodes.tobytes()) for key in keys)
+        tables = [_TABLE_CACHE.get(key) for key in keys]
+        assert _TABLE_CACHE.nbytes == sum(t.nbytes + grid.half.nodes.nbytes for t in tables)
+        # analysis on the half-line rule shares both entries
+        assert eigenfunction_table(30, pr, grid.half.nodes) is tables[0]
+        assert eigenfunction_table(29, pr.shift(1), grid.half.nodes) is tables[1]
+        assert_bitwise(symm_eigenfunction_table(61, pr, grid.nodes), full)
+        assert len(_TABLE_CACHE._entries) == 2
 
     @pytest.mark.parametrize("shape", [(1,), (2,), (13,), (4, 13), (3, 1)])
     @pytest.mark.parametrize("kind", ["real", "complex"])

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from symjacobi.basis import _mirror_split
 from symjacobi.core import (
     _TABLE_CACHE,
     _TABLE_CACHE_BYTES,
     _eigenfunction_rows,
-    _mirror_split,
     GridFunction,
     JacobiParams,
     QuadratureGrid,
@@ -370,6 +370,12 @@ def near_mirrored(case):
 
 
 class TestMirrorFold:
+    """Tables on a mirrored angle set are plain tables on |theta|.
+
+    Folding evaluations onto the positive half is the basis module's job;
+    its mirror test is checked here against the rules this module builds.
+    """
+
     def test_split_of_a_symmetric_rule(self):
         grid = symmetric_rule(20, JacobiParams(0.3, 0.7))
         assert _mirror_split(grid.nodes) == 20
@@ -394,7 +400,7 @@ class TestMirrorFold:
 
     @pytest.mark.parametrize("n_half", [1, 23, 24, 144])
     def test_table_is_bitwise_the_unfolded_one(self, n_half):
-        # every cell is computed on its own, so the fold is exact at any size
+        # one plain table on |theta|, built at every node of the set
         for pr in PAIRS:
             nodes = symmetric_rule(n_half, pr).nodes
             _TABLE_CACHE.clear()
@@ -403,23 +409,6 @@ class TestMirrorFold:
             with pytest.raises(ValueError):
                 table[0, 0] = 1.0
             assert_bitwise(table, _eigenfunction_rows(30, pr, np.abs(nodes)))
-
-    def test_cache_keeps_only_the_positive_half(self):
-        pr = JacobiParams(0.3, 0.7)
-        grid = symmetric_rule(24, pr)
-        _TABLE_CACHE.clear()
-        full = eigenfunction_table(30, pr, grid.nodes)
-        (key,) = _TABLE_CACHE._entries
-        half = _TABLE_CACHE.get(key)
-        assert half.shape == (31, 24) and key[-1] == grid.half.nodes.tobytes()
-        assert _TABLE_CACHE.nbytes == half.nbytes + grid.half.nodes.nbytes
-        # analysis on the half-line rule shares the entry; each full request
-        # is a fresh array assembled from it
-        assert eigenfunction_table(30, pr, grid.half.nodes) is half
-        again = eigenfunction_table(30, pr, grid.nodes)
-        assert again is not full and not again.flags.writeable
-        assert_bitwise(again, full)
-        assert len(_TABLE_CACHE._entries) == 1
 
 
 class TestGaussJacobiRule:

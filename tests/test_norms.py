@@ -7,6 +7,7 @@ import pytest
 
 from symjacobi.basis import (
     SymmExpansion,
+    eval_halfline_expansion,
     eval_symm_expansion,
     symm_eigenfunction_table,
 )
@@ -41,7 +42,7 @@ from symjacobi.norms import (
     truncated_lp_powers,
     uniform_time_grid,
 )
-from symjacobi.operators import LadderCoefficients
+from symjacobi.operators import LadderCoefficients, symm_higher_derivative
 from symjacobi.witnesses import growth_witness_coefficient
 
 GENERIC = JacobiParams(0.3, 0.7)
@@ -176,6 +177,22 @@ class TestSobolevNorm:
         grid = symmetric_rule(16, pr)
         with pytest.raises(AdmissibilityError):
             sobolev_norm(SymmExpansion(pr, np.ones(3)), 6.0, 1, grid)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_block_is_bitwise_the_sum_of_its_two_parts(self, m):
+        # each order sums the values of its even and odd half-line parts, on
+        # a mirrored grid (folded) and on a half-line rule (not folded)
+        block = random_band_limited(GENERIC, 20, 3, seed=m)
+        for grid in (symmetric_rule(24, GENERIC), gauss_jacobi_rule(24, GENERIC)):
+            want = 0.0
+            for k in range(m + 1):
+                dev, dod = symm_higher_derivative(block, k)
+                values = eval_halfline_expansion(dev, grid.nodes) + eval_halfline_expansion(
+                    dod, grid.nodes
+                )
+                want = want + lp_norm(GridFunction(grid, values), 3.0)
+            got = sobolev_norm(block, 3.0, m, grid)
+            assert got.shape == (3,) and got.tobytes() == want.tobytes()
 
 
 class TestAltSobolevNorms:

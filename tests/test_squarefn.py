@@ -12,11 +12,12 @@ from scipy.special import gammaln
 
 from symjacobi.basis import (
     SymmExpansion,
+    _mirror_split,
     reflect_coeffs,
     symm_eigenfunction_table,
     to_halfline,
 )
-from symjacobi.core import JacobiParams, _mirror_split, symmetric_rule
+from symjacobi.core import JacobiParams, symmetric_rule
 from symjacobi.errors import ConfigError, DomainError
 from symjacobi.norms import random_band_limited
 from symjacobi.squarefn import (

@@ -363,6 +363,50 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and "alpha=-0.999999999999999, beta=50.0" in err
 
+    @pytest.mark.parametrize(
+        "body, field",
+        [
+            ({"trunc": "64"}, "trunc"),
+            ({"trunc": 16.5}, "trunc"),
+            ({"alpha": "0.1", "beta": 0.2}, "alpha"),
+            ({"p": None}, "p"),
+            ({"quad": 20.5}, "quad"),
+            ({"ensemble": 2.5}, "ensemble"),
+            ({"seed": "x"}, "seed"),
+            ({"k": 2.7, "gamma": 0.5}, "k"),
+            ({"ensemble": True}, "ensemble"),
+            ({"out": 3}, "out"),
+        ],
+    )
+    @pytest.mark.parametrize("suite", ["squarefn", "all"])
+    def test_exit_two_on_a_config_value_of_the_wrong_type(
+        self, tmp_path, capsys, body, field, suite
+    ):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(body))
+        out = tmp_path / "out"
+        code = cli.main([suite, "--config", str(conf), "--out", str(out)])
+        assert code == 2
+        assert f"config field {field!r} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_numbers_take_the_flag_types(self, tmp_path):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"p": 2, "s": 1, "trunc": 8, "out": str(tmp_path)}))
+        args = cli.build_parser().parse_args(["potentials", "--config", str(conf)])
+        config = cli.make_config(args)
+        assert (config.p, config.s, config.trunc) == (2.0, 1.0, 8)
+        assert isinstance(config.p, float) and isinstance(config.s, float)
+
+    @pytest.mark.parametrize("suite", ["potentials", "decomposition", "all"])
+    @pytest.mark.parametrize("s", ["0", "-0.5"])
+    def test_exit_two_on_nonpositive_smoothness(self, tmp_path, capsys, suite, s):
+        out = tmp_path / "out"
+        code = cli.main([suite, "--s", s, "--trunc", "8", "--out", str(out)])
+        assert code == 2
+        assert f"smoothness s must be positive, got {float(s)}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_exit_two_on_half_pair(self, tmp_path, capsys):
         code = cli.main(["basis", "--alpha", "0.5", "--out", str(tmp_path)])
         assert code == 2
