@@ -13,7 +13,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi
+from scipy.special import gammaln
 
 from .errors import DomainError, GridError, SingularPointError
 
@@ -87,16 +87,63 @@ def eigenvalue(n: int, params: JacobiParams) -> float:
 
 
 def _recurrence_coeffs(n_top: int, alpha: float, beta: float):
-    # (n, c1, c2, c3, c4) giving P_{n+1} from P_n, P_{n-1} for n = 1..n_top-1;
-    # each product is taken in the same order as for one scalar n, so the
-    # coefficients are bit-identical to scalar ones
+    # c1, c2, c3, c4 giving P_{n+1} = ((c2 + c3 x) P_n - c4 P_{n-1}) / c1 for
+    # n = 1..n_top-1; each product is taken in the same order as for one
+    # scalar n, so the coefficients are bit-identical to scalar ones
     n = np.arange(1, n_top)
     s = alpha + beta
     c1 = 2.0 * (n + 1) * (n + s + 1) * (2 * n + s)
     c2 = (2 * n + s + 1) * (alpha * alpha - beta * beta)
     c3 = (2 * n + s) * (2 * n + s + 1) * (2 * n + s + 2)
     c4 = 2.0 * (n + alpha) * (n + beta) * (2 * n + s + 2)
-    return zip(n.tolist(), c1.tolist(), c2.tolist(), c3.tolist(), c4.tolist())
+    return c1, c2, c3, c4
+
+
+# Rows per block of a recurrence sweep. The factors that do not depend on
+# the previous rows are formed a block at a time, which saves a third of
+# the array operations per row, and the rule's weight sweep holds one block
+# of rows instead of the N x N table of all rows at all nodes.
+_ROW_BLOCK = 64
+
+
+def _jacobi_rows(ring: np.ndarray, n_top: int, params: JacobiParams, x: np.ndarray):
+    """Write P_n(x), n = 0..n_top, by the three-term recurrence into ring.
+
+    Row n goes to ring[n % len(ring)], so a ring of at least three rows keeps
+    the two rows the next one needs. Yields (n0, rows), rows holding P_n0 on,
+    each time the ring fills and once at the end; the caller reads rows
+    before resuming.
+    """
+    a, b = params.alpha, params.beta
+    size = len(ring)
+    ring[0] = 1.0
+    if n_top >= 1:
+        ring[1 % size] = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
+    c1, c2, c3, c4 = _recurrence_coeffs(n_top, a, b)
+    # P_{n+1} = ((c2 + c3 x) P_n - c4 P_{n-1}) / c1, one operation at a time
+    # into preallocated rows; c2 + c3 x is formed for a block of rows at
+    # once, with the same roundings as one row at a time
+    linear = np.empty((min(_ROW_BLOCK, c1.size), x.size))
+    prev, cur = ring[0], ring[1 % size]
+    for lo in range(0, c1.size, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, c1.size)
+        block = linear[: hi - lo]
+        np.multiply(c3[lo:hi, None], x, out=block)
+        block += c2[lo:hi, None]
+        rows = zip(range(lo + 1, hi + 1), block, c1[lo:hi].tolist(), c4[lo:hi].tolist())
+        for n, row, d1, d4 in rows:
+            row *= cur
+            j = (n + 1) % size
+            nxt = ring[j]
+            np.multiply(d4, prev, out=nxt)
+            np.subtract(row, nxt, out=nxt)
+            nxt /= d1
+            prev, cur = cur, nxt
+            if j == size - 1:
+                yield n + 2 - size, ring
+    last = n_top % size
+    if n_top < 2 or last != size - 1:  # rows the loop has not yielded
+        yield n_top - last, ring[: last + 1]
 
 
 def jacobi_poly_table(n_top: int, params: JacobiParams, x: np.ndarray) -> np.ndarray:
@@ -107,23 +154,9 @@ def jacobi_poly_table(n_top: int, params: JacobiParams, x: np.ndarray) -> np.nda
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(np.abs(x) > 1.0):
         raise DomainError("polynomial argument must lie in [-1, 1]")
-    a, b = params.alpha, params.beta
     out = np.empty((n_top + 1, x.shape[0]))
-    out[0] = 1.0
-    if n_top >= 1:
-        out[1] = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
-    # P_{n+1} = ((c2 + c3 x) P_n - c4 P_{n-1}) / c1, one operation at a time
-    # into preallocated rows: the rule builds a table with as many rows as
-    # nodes, and temporaries cost a fifth of that time
-    tmp = np.empty_like(x)
-    for n, c1, c2, c3, c4 in _recurrence_coeffs(n_top, a, b):
-        np.multiply(c3, x, out=tmp)
-        tmp += c2
-        tmp *= out[n]
-        nxt = out[n + 1]
-        np.multiply(c4, out[n - 1], out=nxt)
-        np.subtract(tmp, nxt, out=nxt)
-        nxt /= c1
+    for _ in _jacobi_rows(out, n_top, params, x):
+        pass
     return out
 
 
@@ -304,34 +337,138 @@ class GridFunction:
             raise GridError("values must match the grid node count")
 
 
+# Largest Newton step, relative to the distance of the node from 0 or pi,
+# after which the rule takes its nodes as converged. The step converges
+# cubically, leaving about a quarter of the cube of the relative step as
+# error: up to 2.5e-13 here. Eigenvalues x within a few ulps of +-1 (alpha
+# or beta within about 1e-6 of -1 at several hundred nodes) start further
+# off and take a second step; a rule whose second step is still larger
+# raises.
+_NEWTON_LIMIT = 1e-4
+
+
 def gauss_jacobi_rule(n_nodes: int, params: JacobiParams) -> QuadratureGrid:
     """Gauss-Jacobi rule of the given size, mapped to the angle variable.
 
-    The nodes are scipy's Gauss-Jacobi roots. Each weight is the inverse
-    Christoffel function 1 / sum_{n < n_nodes} phi_n(t)^2 of the half-line
-    eigenfunctions themselves, so the rule shares their normalization. The
-    weights integrate trig_weight(params, t)^2 times any polynomial in cos(t)
-    of degree at most 2*n_nodes - 1 exactly over (0, pi).
+    The nodes start as theta_i = arccos(x_i) of the eigenvalues x_i of the
+    symmetric Jacobi matrix (LAPACK dsterf) and take one Newton step in
+    theta, on a recurrence in 2 sin^2(theta/2) below pi/2 and in
+    2 cos^2(theta/2) above it, so nodes near 0 and pi keep their relative
+    accuracy. A rule whose step is too large to have converged takes a
+    second one, and raises GridError if that is still too large. Each
+    weight is the inverse Christoffel function 1 / sum_{n < n_nodes}
+    phi_n(t)^2 of the half-line eigenfunctions at the polished node, summed
+    over blocks of rows of the same recurrence the tables use, so the rule
+    shares their normalization. The weights integrate trig_weight(params,
+    t)^2 times any polynomial in cos(t) of degree at most 2*n_nodes - 1
+    exactly over (0, pi).
     """
     if n_nodes < 1:
         raise GridError(f"rule size must be positive, got {n_nodes}")
-    # near alpha or beta = -1 scipy warns and gives NaN or +-1 roots
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x, _ = roots_jacobi(n_nodes, params.alpha, params.beta)
     try:
-        if not np.all(np.abs(x) < 1.0):  # negated, so a NaN root fails it too
-            raise GridError("a root is not finite or lies outside (-1, 1)")
-        # ascending theta corresponds to descending x; these N x N rows bypass
-        # the table cache, where they would evict the tables callers reuse
-        theta = np.arccos(x[::-1])
-        rows = _eigenfunction_rows(n_nodes - 1, params, theta)
-        weights = 1.0 / np.sum(rows**2, axis=0)
+        theta = np.arccos(_jacobi_eigenvalues(n_nodes, params))
+        for _ in range(2):
+            start, theta = theta, _newton_step(n_nodes, params, theta)
+            if np.all(np.abs(theta - start) <= _NEWTON_LIMIT * np.minimum(start, np.pi - start)):
+                break
+        else:  # also when a step is NaN
+            raise GridError("a node moved too far in two Newton steps to have converged")
+        weights = _christoffel_weights(params, theta)
         return QuadratureGrid(nodes=theta, weights=weights, interval="halfline")
     except GridError as exc:
         raise GridError(
             f"no Gauss-Jacobi rule of size {n_nodes} for alpha={params.alpha}, "
             f"beta={params.beta}: {exc}"
         ) from exc
+
+
+def _jacobi_eigenvalues(n: int, params: JacobiParams) -> np.ndarray:
+    # zeros of P_n in descending order, as eigenvalues of the Jacobi matrix
+    # of the orthonormal polynomials; scipy.linalg loads here, not on import
+    from scipy.linalg.lapack import dsterf
+
+    a, b = params.alpha, params.beta
+    s = a + b
+    k = np.arange(1, n)
+    diag = np.empty(n)
+    # an infinite or huge pair overflows here; the root check below refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag[0] = (b - a) / (s + 2.0)
+        diag[1:] = (b * b - a * a) / ((2 * k + s) * (2 * k + s + 2))
+        # at k = 1 the factors k + s and 2k + s - 1 cancel, also when both are 0
+        num = 4.0 * k * (k + a) * (k + b) * np.where(k > 1, k + s, 1.0)
+        den = (2 * k + s) ** 2 * (2 * k + s + 1) * np.where(k > 1, 2 * k + s - 1, 1.0)
+        off = np.sqrt(num / den)
+    x = dsterf(diag, off)[0][::-1] if n > 1 else diag
+    if not np.all(np.abs(x) < 1.0):  # negated, so a NaN root fails it too
+        raise GridError("a root is not finite or lies outside (-1, 1)")
+    return x
+
+
+def _newton_step(n: int, params: JacobiParams, theta: np.ndarray) -> np.ndarray:
+    # One Newton step in t on phi_n(t) = trig_weight(t) P_n(cos t), which has
+    # the zeros of P_n. Its equation -phi'' + V phi = lambda phi has no phi'
+    # term, so phi'' = 0 at a zero and the step converges cubically. P_n'
+    # comes from P_n and P_{n-1} by
+    #   (2n+s) sin^2(t) P_n'(x) = n ((a-b) - (2n+s) x) P_n + 2 (n+a)(n+b) P_{n-1}.
+    # P_k is carried as R_k = P_k(x) / P_k(1) in u = 1 - x = 2 sin^2(t/2) for
+    # t < pi/2, and as P_k^(b,a)(-x) / P_k^(b,a)(1) in v = 1 + x = 2 cos^2(t/2)
+    # otherwise, together with D_k = R_k - R_{k-1}:
+    #   D_{k+1} = B_k D_k - C_k w R_k,  R_{k+1} = R_k + D_{k+1},  w = u or v.
+    # Near an endpoint R_k is close to 1 and D_k of order w, so rounding
+    # scales with D_k instead of R_k. The three-term recurrence in u rounds
+    # in proportion to R_k, an error that grows like n^2 eps there when a is
+    # near -1: 2.5e-12 in the first node at (a, b) = (-0.999999, 0), n = 144.
+    a, b = params.alpha, params.beta
+    s = a + b
+    # side 0 for nodes below pi/2, where R_k runs in u with the pair (a, b);
+    # side 1 above, in v with the pair (b, a)
+    side = (theta >= 0.5 * np.pi).astype(np.intp)
+    sin2 = np.sin(0.5 * theta) ** 2
+    cos2 = np.cos(0.5 * theta) ** 2
+    w = 2.0 * np.where(side, cos2, sin2)
+    d = -(s + 2.0) / (2.0 * (np.array([a, b])[side] + 1.0)) * w  # D_1 = R_1 - 1
+    r = 1.0 + d
+    # B_k and C_k of each side, k = 1..n-1, from the three-term coefficients
+    # and the endpoint values P_k(1) = binom(k + near, k)
+    k = np.arange(1, n)[:, None]
+    near, far = np.array([[a, b]]), np.array([[b, a]])
+    top = (k + s + 1) * (k + near + 1)
+    coef_b = k * (k + far) * (2 * k + s + 2) / (top * (2 * k + s))
+    coef_c = (2 * k + s + 1) * (2 * k + s + 2) / (2 * top)
+    rows_b = np.empty((min(_ROW_BLOCK, n - 1), theta.size))
+    rows_cw = np.empty_like(rows_b)
+    tmp = np.empty_like(w)
+    for lo in range(0, n - 1, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n - 1)
+        np.take(coef_b[lo:hi], side, axis=1, out=rows_b[: hi - lo])
+        np.take(coef_c[lo:hi], side, axis=1, out=rows_cw[: hi - lo])
+        rows_cw[: hi - lo] *= w
+        for row_b, row_cw in zip(rows_b[: hi - lo], rows_cw[: hi - lo]):
+            np.multiply(row_cw, r, out=tmp)
+            d *= row_b
+            d -= tmp
+            r += d
+    # P_{n-1} / P_n = (n / (n+a)) R_{n-1} / R_n on side 0; on side 1
+    # P_k = (-1)^k P_k^(b,a)(-x) gives -(n / (n+b)) times the ratio there
+    q = (r - d) * np.array([2.0 * n * (n + b), -2.0 * n * (n + a)])[side]
+    # n ((a-b) - (2n+s) x) minus (2n+s) sin(t) trig_weight'(t) / trig_weight(t)
+    lin = n * (a - b) - (2 * n + s) * ((n + a + 0.5) * cos2 - (n + b + 0.5) * sin2)
+    return theta + (2 * n + s) * np.sin(theta) * r / (lin * r + q)
+
+
+def _christoffel_weights(params: JacobiParams, theta: np.ndarray) -> np.ndarray:
+    # 1 / sum_n phi_n(theta)^2 over n < len(theta), from the rows the tables
+    # use, one block of squared rows and one matrix-vector product at a time
+    n = theta.size
+    consts = norm_constant_table(n - 1, params) ** 2
+    ring = np.empty((min(_ROW_BLOCK, n), n))
+    squares = np.empty_like(ring)
+    total = np.zeros(n)
+    for start, rows in _jacobi_rows(ring, n - 1, params, np.cos(theta)):
+        sq = np.square(rows, out=squares[: len(rows)])
+        total += consts[start : start + len(rows)] @ sq
+    return 1.0 / (trig_weight(params, theta) ** 2 * total)
 
 
 def symmetric_rule(n_nodes_half: int, params: JacobiParams) -> QuadratureGrid:

@@ -171,6 +171,10 @@ def validate_config(config: SuiteConfig) -> None:
         )
     if config.ensemble < 1:
         raise ConfigError(f"ensemble size must be positive, got {config.ensemble}")
+    for name in ("p", "q", "s"):
+        value = getattr(config, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     if config.p < 1:
         raise ConfigError(f"p must be at least 1, got {config.p}")
     if config.q is not None and config.q < 1:

@@ -28,11 +28,22 @@ def test_normalization_is_exported():
     assert "norm_constant_table" in symjacobi.core.__all__
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # only the slow time-quadrature route needs it, and it imports it itself
+def loaded_by_import(module):
+    # a fresh interpreter, so no earlier test has imported the module
     src = os.path.dirname(os.path.dirname(symjacobi.__file__))
-    code = "import sys, symjacobi; print('scipy.integrate' in sys.modules)"
+    code = f"import sys, symjacobi; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # only the slow time-quadrature route needs it, and it imports it itself
+    assert not loaded_by_import("scipy.integrate")
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # only the rule builder needs it, and it imports it itself; loading it
+    # on import adds about 0.1 s to every start
+    assert not loaded_by_import("scipy.linalg")

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import roots_jacobi
 
 from symjacobi.basis import _mirror_split
 from symjacobi.core import (
@@ -152,19 +153,20 @@ class TestJacobiPoly:
             assert top[1] == pytest.approx(at_minus_one, rel=1e-8)
 
     def test_matches_the_plain_recurrence_bitwise(self):
-        # reference: one expression per degree, coefficients formed per n
+        # reference: one expression per degree, coefficients formed per n;
+        # 150 rows span several blocks of the sweep
         x = np.cos(np.linspace(0.01, 3.1, 37))
         for pr in PAIRS + [JacobiParams(40.0, -0.9)]:
             a, b = pr.alpha, pr.beta
             s = a + b
             ref = [np.ones_like(x), 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x]
-            for n in range(1, 60):
+            for n in range(1, 150):
                 c1 = 2.0 * (n + 1) * (n + s + 1) * (2 * n + s)
                 c2 = (2 * n + s + 1) * (a * a - b * b)
                 c3 = (2 * n + s) * (2 * n + s + 1) * (2 * n + s + 2)
                 c4 = 2.0 * (n + a) * (n + b) * (2 * n + s + 2)
                 ref.append(((c2 + c3 * x) * ref[n] - c4 * ref[n - 1]) / c1)
-            np.testing.assert_array_equal(jacobi_poly_table(60, pr, x), np.array(ref))
+            np.testing.assert_array_equal(jacobi_poly_table(150, pr, x), np.array(ref))
 
     def test_domain_check(self):
         with pytest.raises(DomainError):
@@ -436,6 +438,63 @@ class TestGaussJacobiRule:
             assert len(rule) == 12
             assert np.max(np.abs(at_nodes)) <= 1e-12 * scale
 
+    def test_nodes_match_scipy_roots(self):
+        # an independent construction: scipy's Golub-Welsch roots in x
+        for pr in PAIRS:
+            for n in (1, 2, 12, 144):
+                x, _ = roots_jacobi(n, pr.alpha, pr.beta)
+                rule = gauss_jacobi_rule(n, pr)
+                assert np.max(np.abs(np.cos(rule.nodes) - x[::-1])) <= 1e-14
+
+    def test_weights_are_the_inverse_christoffel_function(self):
+        # the blocked sweep against one sum over all rows, at block edges
+        pr = JacobiParams(0.3, 0.7)
+        for n in (1, 2, 3, 63, 64, 65, 128, 129):
+            rule = gauss_jacobi_rule(n, pr)
+            rows = _eigenfunction_rows(n - 1, pr, rule.nodes)
+            np.testing.assert_allclose(rule.weights, 1.0 / np.sum(rows**2, axis=0), rtol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_smallest_rules_are_exact(self, n):
+        # n nodes integrate the products of rows 0..n-1 exactly
+        for pr in PAIRS + [JacobiParams(-0.999999, 0.0), JacobiParams(30.0, 0.5)]:
+            rule = gauss_jacobi_rule(n, pr)
+            table = eigenfunction_table(n - 1, pr, rule.nodes)
+            gram = (table * rule.weights) @ table.T
+            np.testing.assert_allclose(gram, np.eye(n), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "alpha, beta, n",
+        [(0.3, 1.7, 144), (-0.9, 2.0, 144), (30.0, 0.5, 144), (-0.999999, 0.0, 144),
+         (-0.999999, 0.0, 528)],
+    )
+    def test_end_nodes_match_an_mpmath_oracle(self, alpha, beta, n):
+        # the three nodes next to each end, against zeros of P_n(cos t)
+        # refined in 40 digits by Newton steps from scipy's roots; at 528
+        # nodes the first eigenvalue starts too far off for one step
+        mp = pytest.importorskip("mpmath")
+        rule = gauss_jacobi_rule(n, JacobiParams(alpha, beta))
+        start = np.arccos(roots_jacobi(n, alpha, beta)[0][::-1])
+        with mp.workdps(40):
+            a, b = mp.mpf(alpha), mp.mpf(beta)
+            for i in (0, 1, 2, n - 3, n - 2, n - 1):
+                t = mp.mpf(start[i])
+                for _ in range(6):
+                    x = mp.cos(t)
+                    slope = -mp.sin(t) * (n + a + b + 1) / 2 * mp.jacobi(n - 1, a + 1, b + 1, x)
+                    t -= mp.jacobi(n, a, b, x) / slope
+                assert abs(rule.nodes[i] - t) <= 1e-12 * t
+
+    @pytest.mark.parametrize("alpha, beta", [(-0.999999, 0.0), (-0.9, 2.0), (30.0, 0.5)])
+    def test_swapping_the_pair_mirrors_the_nodes(self, alpha, beta):
+        # the nodes of (b, a) are pi minus those of (a, b); nodes next to pi
+        # are polished on the other side from nodes next to 0, so this holds
+        # that side to the same accuracy, a few ulps of pi
+        for n in (144, 1040):
+            ab = gauss_jacobi_rule(n, JacobiParams(alpha, beta)).nodes
+            ba = gauss_jacobi_rule(n, JacobiParams(beta, alpha)).nodes
+            assert np.max(np.abs(np.pi - ab[::-1] - ba)) <= 2e-15
+
     def test_integrates_weighted_polynomials(self):
         # exact for trig_weight^2 * cos^k up to the algebraic degree bound
         pr = JacobiParams(0.3, 0.7)
@@ -464,7 +523,7 @@ class TestGaussJacobiRule:
         assert approx == pytest.approx(ref, abs=1e-10)
 
     def test_rows_stay_out_of_the_table_cache(self):
-        # the rule's N x N rows would evict the tables callers reuse
+        # the rule's rows would evict the tables callers reuse
         _TABLE_CACHE.clear()
         gauss_jacobi_rule(64, JacobiParams(0.3, 0.7))
         assert _TABLE_CACHE.nbytes == 0 == retained_bytes()
@@ -514,8 +573,8 @@ class TestGridTypes:
         [([np.nan], [1.0]), ([0.1, np.nan, 0.3], [1.0, 1.0, 1.0]), ([0.1, 0.2], [1.0, np.nan])],
     )
     def test_grid_rejects_nan(self, nodes, weights):
-        # scipy returns roots at or past x = 1 for alpha within about 1e-12 of
-        # -1; the rule must then fail instead of carrying NaN angles
+        # a rule whose nodes or weights come out NaN must fail instead of
+        # carrying them
         with pytest.raises(GridError):
             QuadratureGrid(np.array(nodes), np.array(weights), "halfline")
 

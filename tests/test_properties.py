@@ -2,8 +2,9 @@
 
 alpha and beta range over [-0.99, 50] and the degree over 1..512. Each
 @example is a point where an earlier rule construction missed the Gram
-tolerance or failed to build. Hypothesis draws its cases from a fixed seed
-(derandomize), so every run checks the same points.
+tolerance or failed to build; the Gram identity also has one just outside
+the drawn range, at alpha = -0.999999. Hypothesis draws its cases from a
+fixed seed (derandomize), so every run checks the same points.
 """
 
 import math
@@ -52,6 +53,7 @@ def seeded_coeffs(degree):
 @SETTINGS
 @given(alpha=PARAM, beta=PARAM, degree=DEGREE)
 @known_failures
+@example(alpha=-0.999999, beta=0.0, degree=64)
 def test_gram_identity_on_the_smallest_and_the_default_rule(alpha, beta, degree):
     pr = JacobiParams(alpha, beta)
     for n_nodes in (degree + 1, 2 * degree + 16):

@@ -354,7 +354,8 @@ class TestCli:
         assert "exceed -1" in capsys.readouterr().err
 
     def test_exit_two_when_no_rule_can_be_built(self, tmp_path, capsys):
-        # scipy's Gauss-Jacobi roots hold NaN this close to alpha = -1
+        # this close to alpha = -1 the first eigenvalue rounds to within an
+        # ulp of x = 1, too far from the node for two Newton steps to converge
         code = cli.main(
             ["basis", "--alpha", "-0.999999999999999", "--beta", "50", "--trunc", "64",
              "--quad", "1000", "--out", str(tmp_path)]
@@ -362,6 +363,35 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "config error" in err and "alpha=-0.999999999999999, beta=50.0" in err
+
+    @pytest.mark.parametrize("trunc", ["64", "256"])
+    def test_basis_passes_next_to_alpha_minus_one(self, tmp_path, trunc):
+        # nodes from arccos of x-roots missed the odd rows' Gram identity
+        # here; at 256 the first node needs a second Newton step
+        code = cli.main(
+            ["basis", "--alpha", "-0.999999", "--beta", "0", "--trunc", trunc,
+             "--out", str(tmp_path)]
+        )
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["inclusion", "--p", "nan"], "p"),
+            (["structure", "--p", "nan"], "p"),
+            (["inclusion", "--p", "inf"], "p"),
+            (["decomposition", "--s", "inf", "--trunc", "8", "--ensemble", "2"], "s"),
+            (["potentials", "--s", "inf"], "s"),
+            (["embed", "--q", "nan"], "q"),
+            (["all", "--q=-inf"], "q"),
+        ],
+    )
+    def test_exit_two_on_a_nonfinite_exponent(self, tmp_path, capsys, argv, field):
+        out = tmp_path / "out"
+        code = cli.main(argv + ["--out", str(out)])
+        assert code == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "body, field",
