@@ -208,15 +208,7 @@ def reflect(f: GridFunction) -> GridFunction:
 
 def reflect_coeffs(e: SymmExpansion) -> SymmExpansion:
     """Reflection in coefficient space: odd-index entries change sign."""
-    return SymmExpansion(e.params, e.coeffs * _reflection_signs(e))
-
-
-def _reflection_signs(e) -> np.ndarray:
-    # phi_n(-t) = s_n phi_n(t): s_n = -1 on the odd slots of a symmetrized
-    # expansion and on every mode of an odd half-line part
-    if isinstance(e, SymmExpansion):
-        return np.where(np.arange(len(e)) % 2, -1.0, 1.0)
-    return np.full(len(e), -1.0 if e.parity == "odd" else 1.0)
+    return SymmExpansion(e.params, e.coeffs * np.where(np.arange(len(e)) % 2, -1.0, 1.0))
 
 
 def _positive_half(grid: QuadratureGrid) -> QuadratureGrid:

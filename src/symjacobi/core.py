@@ -33,15 +33,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class JacobiParams:
-    """Type parameter pair (alpha, beta), each strictly greater than -1."""
+    """Type parameter pair (alpha, beta), each finite and greater than -1."""
 
     alpha: float
     beta: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha > -1.0 and self.beta > -1.0):
+        if not (-1.0 < self.alpha < math.inf and -1.0 < self.beta < math.inf):
             raise DomainError(
-                f"type parameters must each exceed -1, got ({self.alpha}, {self.beta})"
+                f"type parameters must each be finite and exceed -1, got ({self.alpha}, {self.beta})"
             )
 
     @property

@@ -57,6 +57,11 @@ class TestParams:
             JacobiParams(-1.0, 0.0)
         with pytest.raises(DomainError):
             JacobiParams(0.0, -1.5)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                JacobiParams(bad, 0.0)
+            with pytest.raises(DomainError):
+                JacobiParams(0.0, bad)
 
     def test_eigen_shift(self):
         assert JacobiParams(0.0, 0.0).eigen_shift == 0.5

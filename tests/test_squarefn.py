@@ -11,18 +11,22 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from symjacobi.basis import (
+    HalfLineExpansion,
     SymmExpansion,
     _mirror_split,
+    analyze,
     reflect_coeffs,
     symm_eigenfunction_table,
+    symm_eigenvalues,
     to_halfline,
 )
-from symjacobi.core import JacobiParams, symmetric_rule
+from symjacobi.core import JacobiParams, eigenfunction_table, symmetric_rule
 from symjacobi.errors import ConfigError, DomainError
 from symjacobi.norms import random_band_limited
 from symjacobi.squarefn import (
     SquareFunctionSpec,
     _kernel,
+    _kernel_factor,
     _mode_table,
     eigenmode_constant,
     l2_equivalence_constant,
@@ -284,7 +288,9 @@ class TestContraction:
 
 
 def unfolded_square_function(e, spec, nodes):
-    # square_function without the fold: the full table contracted row by row
+    # the quadratic form on the full table, contracted row by row: the
+    # evaluation square_function used before the kernel factor, kept as the
+    # reference it must match to roundoff
     table, rates = _mode_table(e, spec, nodes)
     kern = _kernel(rates, spec)
     rows = np.atleast_2d(e.coeffs)
@@ -295,20 +301,40 @@ def unfolded_square_function(e, spec, nodes):
     return vals if e.coeffs.ndim == 2 else vals[0]
 
 
+def non_mirrored_order(nodes):
+    # the positive half, then the same angles negated: a set with no mirror
+    # split, so every angle is evaluated
+    pos = nodes[nodes.size // 2 :]
+    return np.concatenate([pos, -pos])
+
+
+def mirrored_order(values):
+    # values on non_mirrored_order(nodes) put back in the order of nodes
+    k = values.shape[-1] // 2
+    return np.concatenate([values[..., k:][..., ::-1], values[..., :k]], axis=-1)
+
+
 # Half sizes at which the fold is bitwise exact here: OpenBLAS rounds a
 # column by its position within the product, and with the x86-64 kernels of
 # the bundled OpenBLAS a product over k and over 2k columns agree column by
 # column when k is a multiple of 8 (test_basis.py says more).
 ALIGNED = [8, 24, 144]
 
+# Largest deviation from the quadratic form allowed, relative to the block
+# maximum. The factor sums other products than the quadratic form does; on
+# the default pairs they differ by at most 6e-15 of the maximum.
+ROUNDOFF = 1e-13
+
 
 class TestMirrorFold:
-    """On a mirrored angle set the contraction runs on the positive half only."""
+    """On a mirrored angle set the products run on the positive half only."""
 
     @pytest.mark.parametrize("variant", ["plain", "modified", "halfline"])
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("members", [None, 3])
     def test_bitwise_the_unfolded_values(self, variant, kind, members):
+        # the fold gives bitwise the values of the same angles in an order
+        # that is not folded, and both are the quadratic form to roundoff
         rng = np.random.default_rng([len(variant), kind == "complex", members or 1])
         shape = (members, 17) if members else (17,)
         for pr, n_half in itertools.product(PAIRS, ALIGNED):
@@ -321,8 +347,11 @@ class TestMirrorFold:
             for f, (gamma, k) in itertools.product(inputs, ((0.5, 1), (1.5, 2))):
                 spec = SquareFunctionSpec(gamma, k, variant)
                 got = square_function(f, spec, nodes)
+                unfolded = square_function(f, spec, non_mirrored_order(nodes))
+                assert got.tobytes() == mirrored_order(unfolded).tobytes()
                 want = unfolded_square_function(f, spec, nodes)
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= ROUNDOFF * np.max(want)
 
     def test_other_nodes_agree_to_roundoff(self):
         e = random_expansion(GENERIC, 15, seed=3)
@@ -346,4 +375,139 @@ class TestMirrorFold:
         block = random_band_limited(pr, degree, 2, seed=degree)
         for spec in (SquareFunctionSpec(0.5, 1), SquareFunctionSpec(1.5, 2, "modified")):
             got = square_function(block, spec, nodes)
-            assert got.tobytes() == unfolded_square_function(block, spec, nodes).tobytes()
+            unfolded = square_function(block, spec, non_mirrored_order(nodes))
+            assert got.tobytes() == mirrored_order(unfolded).tobytes()
+            # away from the default pairs the factor drifts further from the
+            # quadratic form: up to 4.2e-13 of the maximum on these draws and
+            # 1.6e-12 at (35.4, 42.2), degree 124, where mpmath sides with
+            # the quadratic form
+            want = unfolded_square_function(block, spec, nodes)
+            assert np.max(np.abs(got - want)) <= 1e-11 * np.max(want)
+
+
+def bump(theta):
+    # smooth, and zero on theta <= 0.4, so the square function is small on
+    # the negative half
+    theta = np.asarray(theta, dtype=float)
+    out = np.zeros_like(theta)
+    inside = (theta > 0.4) & (theta < 2.6)
+    t = theta[inside]
+    out[inside] = np.exp(-1.0 / ((t - 0.4) * (2.6 - t)))
+    return out
+
+
+class TestSmallValues:
+    @pytest.mark.parametrize("gamma, k", [(0.5, 1), (1.5, 2)])
+    def test_one_sided_bump_against_mpmath(self, gamma, k):
+        # the quadratic form at 40 digits from the same float tables and
+        # rates; the pointwise error is relative to the value itself
+        mp = pytest.importorskip("mpmath")
+        spec = SquareFunctionSpec(gamma, k)
+        e = analyze(bump, GENERIC, 49)
+        nodes = symmetric_rule(112, GENERIC).nodes
+        got = square_function(e, spec, nodes)
+        table, rates = _mode_table(e, spec, nodes)
+        cols = np.arange(0, nodes.size, 8)
+        want = np.empty(cols.size)
+        with mp.workdps(40):
+            p = mp.mpf(spec.tail_power)
+            r = [mp.mpf(float(x)) for x in rates]
+            kern = [
+                [mp.gamma(p) * (a * b) ** k / (a + b) ** p if a and b else mp.mpf(0) for b in r]
+                for a in r
+            ]
+            for out, i in zip(np.nditer(want, op_flags=["writeonly"]), cols):
+                v = [mp.mpf(float(c)) * mp.mpf(float(t)) for c, t in zip(e.coeffs, table[:, i])]
+                form = mp.fsum(x * mp.fsum(kk * y for kk, y in zip(row, v)) for x, row in zip(v, kern))
+                out[...] = float(mp.sqrt(form))
+        # on the negative half, away from the bump, S stays small
+        assert np.max(got[: nodes.size // 2]) < 0.2 * np.max(got)
+        assert np.max(np.abs(got[cols] - want) / want) <= 1e-12
+
+
+class TestFactorPath:
+    def test_every_mode_dead(self):
+        # one coefficient on a zero-bottom pair: the only rate is 0, so the
+        # factor has no columns and every value is 0
+        pr = JacobiParams(-0.5, -0.5)
+        spec = SquareFunctionSpec(0.5, 1)
+        assert _kernel_factor(np.zeros(1).tobytes(), spec).shape == (1, 0)
+        for theta in (symmetric_rule(8, pr).nodes, np.array([-2.0, 0.3, 1.2])):
+            one = square_function(SymmExpansion(pr, [1.0]), spec, theta)
+            block = square_function(SymmExpansion(pr, [[1.0], [2.0]]), spec, theta)
+            assert one.shape == theta.shape and np.array_equal(one, np.zeros(theta.size))
+            assert block.shape == (2, theta.size) and not np.any(block)
+
+    def test_complex_coefficients(self):
+        # |u|^2 = (Re u)^2 + (Im u)^2 for the complex block and its two parts
+        rng = np.random.default_rng(23)
+        coeffs = rng.uniform(-1, 1, (4, 21)) + 1j * rng.uniform(-1, 1, (4, 21))
+        nodes = symmetric_rule(40, GENERIC).nodes
+        spec = SquareFunctionSpec(0.7, 2)
+        whole = square_function(SymmExpansion(GENERIC, coeffs), spec, nodes)
+        re = square_function(SymmExpansion(GENERIC, coeffs.real), spec, nodes)
+        im = square_function(SymmExpansion(GENERIC, coeffs.imag), spec, nodes)
+        np.testing.assert_allclose(whole**2, re**2 + im**2, rtol=1e-13, atol=1e-13 * np.max(whole**2))
+
+    def test_one_dimensional_input_is_a_one_row_block(self):
+        e = random_expansion(GENERIC, 13, seed=24)
+        nodes = symmetric_rule(24, GENERIC).nodes
+        for theta in (nodes, nodes[::3]):
+            for spec in (SquareFunctionSpec(0.5, 1), SquareFunctionSpec(1.5, 2, "modified")):
+                one = square_function(e, spec, theta)
+                block = square_function(SymmExpansion(GENERIC, e.coeffs[None, :]), spec, theta)
+                assert one.shape == theta.shape and block.shape == (1, theta.size)
+                assert one.tobytes() == block[0].tobytes()
+
+    def test_odd_half_line_parts(self):
+        # sign(theta) times a half-line sum: the square function is even in
+        # theta, and it is the quadratic form of the unfolded odd table
+        coeffs = np.random.default_rng(25).uniform(-1, 1, (3, 9))
+        odd = HalfLineExpansion(GENERIC.shift(1), coeffs, "odd")
+        spec = SquareFunctionSpec(0.5, 1, "halfline")
+        nodes = symmetric_rule(24, GENERIC).nodes
+        got = square_function(odd, spec, nodes)
+        assert got.tobytes() == got[:, ::-1].tobytes()
+        want = unfolded_square_function(odd, spec, nodes)
+        assert np.max(np.abs(got - want)) <= ROUNDOFF * np.max(want)
+        # at theta = 0 an odd part is 0, also on a pair whose table is not
+        theta = np.array([-2.5, -0.4, 0.0, 0.7, 1.9])
+        for pr in (GENERIC.shift(1), JacobiParams(-0.5, 0.0)):
+            part = HalfLineExpansion(pr, coeffs, "odd")
+            got = square_function(part, spec, theta)
+            want = unfolded_square_function(part, spec, theta)
+            assert np.max(np.abs(got - want)) <= ROUNDOFF * np.max(want)
+            assert not np.any(got[:, 2])
+
+    def test_factor_cache_is_bounded_and_read_only(self):
+        spec = SquareFunctionSpec(0.5, 1)
+        limit = _kernel_factor.cache_info().maxsize
+        assert limit is not None
+        for n in range(2, limit + 12):
+            rates = np.sqrt(symm_eigenvalues(n, GENERIC))
+            factor = _kernel_factor(rates.tobytes(), spec)
+            assert _kernel_factor.cache_info().currsize <= limit
+            assert not factor.flags.writeable
+            with pytest.raises(ValueError):
+                factor[0, 0] = 1.0
+        kern = _kernel(rates, spec)
+        assert np.max(np.abs(factor @ factor.T - kern)) <= 1e-14 * np.max(kern)
+
+    def test_zero_on_the_negative_half_is_not_negative(self):
+        # two modes of one rate whose parts cancel at the negative node
+        # -t: there even - odd is 0 up to roundoff, which can fall below 0
+        rng = np.random.default_rng(0)
+        spec = SquareFunctionSpec(0.5, 1)
+        for _ in range(100):
+            pr = JacobiParams(*rng.uniform(-0.9, 3.0, 2))
+            nodes = symmetric_rule(8, pr).nodes
+            i, j = rng.integers(8), rng.integers(1, 4)
+            t = nodes[8 + i]
+            even = eigenfunction_table(j, pr, [t])[j, 0]
+            odd = eigenfunction_table(j - 1, pr.shift(1), [t])[j - 1, 0]
+            coeffs = np.zeros(2 * j + 1)
+            coeffs[2 * j] = odd * rng.uniform(0.5, 2.0)
+            coeffs[2 * j - 1] = even * coeffs[2 * j] / odd
+            vals = square_function(SymmExpansion(pr, coeffs), spec, nodes)
+            assert np.all(vals >= 0.0)
+            assert vals[7 - i] <= 1e-7 * np.max(vals)

@@ -393,6 +393,16 @@ class TestCli:
         assert f"{field} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("suite", ["inclusion", "eigen"])
+    def test_exit_two_on_an_infinite_parameter(self, tmp_path, capsys, suite):
+        # these suites build no quadrature rule, so an infinite alpha used
+        # to reach their cases and report NaN values with exit 1
+        out = tmp_path / "out"
+        code = cli.main([suite, "--alpha", "inf", "--beta", "0", "--trunc", "8", "--out", str(out)])
+        assert code == 2
+        assert "must each be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "body, field",
         [
