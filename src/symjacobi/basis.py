@@ -96,10 +96,20 @@ def _fold(th: np.ndarray, k: int | None, parts: dict) -> np.ndarray:
             return even
         odd = np.sign(th) * odd
         return odd if even is None else even + odd
-    neg = pos = even
-    if odd is not None:
-        neg, pos = (-odd, odd) if even is None else (even - odd, even + odd)
-    return np.concatenate([neg[..., ::-1], pos], axis=-1)
+    # each half is written straight into its place, the negative one
+    # through a reversed view, so no half-size copies are concatenated
+    given = [v for v in (even, odd) if v is not None]
+    out = np.empty(given[0].shape[:-1] + th.shape, np.result_type(*given))
+    neg, pos = out[..., k - 1 :: -1], out[..., k:]
+    if odd is None:
+        neg[...] = pos[...] = even
+    elif even is None:
+        np.negative(odd, out=neg)
+        pos[...] = odd
+    else:
+        np.subtract(even, odd, out=neg)
+        np.add(even, odd, out=pos)
+    return out
 
 
 def symm_eigenfunction_table(n_coeffs: int, params: JacobiParams, theta) -> np.ndarray:
@@ -299,12 +309,28 @@ def analyze(f, params: JacobiParams, n_coeffs: int, n_quad: int | None = None) -
     return SymmExpansion(params, out)
 
 
+def _halfline_parts(e) -> tuple[HalfLineExpansion, ...]:
+    # the parity-tagged half-line parts whose folded sum is e
+    if isinstance(e, HalfLineExpansion):
+        return (e,)
+    even, odd = to_halfline(e)
+    return (even, odd) if len(e) > 1 else (even,)
+
+
+def _part_tables(parts, nodes) -> list[np.ndarray]:
+    # each part's cached half-line table on nodes
+    return [eigenfunction_table(len(h) - 1, h.params, nodes) for h in parts]
+
+
+def _fold_parts(th: np.ndarray, k: int | None, parts, tables) -> np.ndarray:
+    # one product per part with its table, then one fold onto th
+    return _fold(th, k, {h.parity: h.coeffs @ t for h, t in zip(parts, tables)})
+
+
 def _eval_parts(parts, theta) -> np.ndarray:
-    # sum at theta of half-line expansions of distinct parity tags: one
-    # product per part with its cached half-line table, then one fold
+    # sum at theta of half-line expansions of distinct parity tags
     th, k, nodes = _fold_nodes(theta)
-    values = {h.parity: h.coeffs @ eigenfunction_table(len(h) - 1, h.params, nodes) for h in parts}
-    return _fold(th, k, values)
+    return _fold_parts(th, k, parts, _part_tables(parts, nodes))
 
 
 def eval_symm_expansion(e: SymmExpansion, theta) -> np.ndarray:
@@ -315,8 +341,7 @@ def eval_symm_expansion(e: SymmExpansion, theta) -> np.ndarray:
     values per member, from one product with each table. On a mirrored
     angle set the products run on the positive half only.
     """
-    even, odd = to_halfline(e)
-    return _eval_parts((even, odd) if len(e) > 1 else (even,), theta)
+    return _eval_parts(_halfline_parts(e), theta)
 
 
 def synthesize(e: SymmExpansion, grid: QuadratureGrid) -> GridFunction:

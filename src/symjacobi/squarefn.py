@@ -19,8 +19,10 @@ from .basis import (
     SymmExpansion,
     _fold,
     _fold_nodes,
+    _fold_parts,
+    _halfline_parts,
+    _part_tables,
     symm_eigenfunction_table,
-    to_halfline,
 )
 from .core import eigenfunction_table
 from .errors import ConfigError, DomainError
@@ -99,42 +101,64 @@ def _mode_table(e, spec: SquareFunctionSpec, theta: np.ndarray):
     return table, rates
 
 
-@functools.lru_cache(maxsize=16)
+# Pivots of the unit-diagonal kernel C below this end the factorisation.
+_PIVOT_FLOOR = 1e-17
+
+
+@functools.lru_cache(maxsize=32)
 def _kernel_factor(rates: bytes, spec: SquareFunctionSpec) -> np.ndarray:
     """L with kernel ~ L L^T for the flow rates held in the bytes rates.
 
-    The kernel is positive semidefinite and Cauchy-like, so it has low
-    numerical rank (Beckermann & Townsend, SIAM Review 61(2), 2019). A
-    pivoted Cholesky factorisation (Harbrecht, Peters & Schneider, Appl.
-    Numer. Math. 62, 2012) stops once every pivot left is at most 1e-17 of
-    the largest. Dead modes get zero rows, and a kernel that is all zero a
-    factor with no columns. The result is shared by every call with equal
-    arguments, so it is read-only.
+    Over the live rates the kernel is D C D, with
+    D_n = sqrt(Gamma(p) / 2^p) r_n^gamma its diagonal's square root and
+    C_nm = (2 sqrt(r_n r_m) / (r_n + r_m))^p of unit diagonal. C is
+    positive semidefinite and Cauchy-like, so it has low numerical rank
+    (Beckermann & Townsend, SIAM Review 61(2), 2019). A pivoted Cholesky
+    factorisation of C (Harbrecht, Peters & Schneider, Appl. Numer. Math.
+    62, 2012) stops once every pivot left is at most _PIVOT_FLOOR, so each
+    mode's own entry is kept to that share whatever its rate. It runs in
+    long double on the columns it pivots on, which are formed directly:
+    where rates lie close, C is near a matrix of ones, and the digits that
+    tell its columns apart are the ones a double factor loses (where long
+    double is double, only double's digits are kept). L is D times that
+    factor, rounded once to double.
+
+    Dead modes get zero rows, and a kernel that is all zero a factor with
+    no columns. The result is shared by every call with equal arguments
+    (32 entries hold the 27 factors of a `verif all` pass), so it is
+    read-only.
     """
-    kern = _kernel(np.frombuffer(rates), spec)
-    pivots = kern.diagonal().copy()
-    floor = 1e-17 * pivots.max()
-    factor = np.zeros_like(kern)
+    rates = np.frombuffer(rates)
+    live = np.flatnonzero(rates)
+    r = rates[live].astype(np.longdouble)
+    root = np.sqrt(r)
+    p = spec.tail_power
+    pivots = np.ones(live.size, dtype=np.longdouble)
+    # row j holds column j of the factor, so only rank rows are written
+    columns = np.zeros((live.size, live.size), dtype=np.longdouble)
     rank = 0
-    while rank < pivots.size:
+    while rank < live.size:
         i = int(np.argmax(pivots))
-        if pivots[i] <= floor:
+        if pivots[i] <= _PIVOT_FLOOR:
             break
-        column = (kern[:, i] - factor[:, :rank] @ factor[i, :rank]) / math.sqrt(pivots[i])
-        factor[:, rank] = column
+        column = (2.0 * root * root[i] / (r + r[i])) ** p - columns[:rank, i] @ columns[:rank]
+        column /= np.sqrt(pivots[i])
+        columns[rank] = column
         pivots -= column**2
         pivots[i] = 0.0
         rank += 1
-    factor = factor[:, :rank].copy()
-    factor.flags.writeable = False
-    return factor
+    scale = np.exp(0.5 * (gammaln(p) - p * math.log(2.0))) * r**spec.gamma
+    out = np.zeros((rates.size, rank))
+    out[live] = scale[:, None] * columns[:rank].T
+    out.flags.writeable = False
+    return out
 
 
 # Most output values of one product in square_function: members go through
 # in chunks of about this size. A 50 x 65 block on 544 angles then allocates
-# at most 0.9 MB of transient arrays (tracemalloc), against 6.7 MB in one
+# at most 1.1 MB of transient arrays (tracemalloc), against 9.0 MB in one
 # piece.
-_CHUNK_ELEMENTS = 2**15
+_CHUNK_ELEMENTS = 2**14
 
 
 def square_function(e, spec: SquareFunctionSpec, theta) -> np.ndarray:
@@ -142,53 +166,36 @@ def square_function(e, spec: SquareFunctionSpec, theta) -> np.ndarray:
 
     A block gives one row of values per member. The quadratic form is
     evaluated as a sum of squares over a cached low-rank factor L of its
-    kernel, S(theta)^2 = sum_j |sum_n c_n L_nj phi_n(theta)|^2. Write the
-    inner sum as P_j(|theta|) + sign(theta) Q_j(|theta|), with P over the
-    even slots and Q over the odd ones. Each member's coefficient rows
-    c * L[:, j] go through one product with each cached half-line table,
-    the real and imaginary parts apart, and the sums over j are folded by
-    basis._fold: the even part sum |P_j|^2 + |Q_j|^2, the odd part
-    2 Re sum conj(P_j) Q_j. On a mirrored angle set the products run on
-    the positive half only. Members go through in chunks, so the transient
+    kernel, S(theta)^2 = sum_j |u_j(theta)|^2 with
+    u_j = sum_n c_n L_nj phi_n. Each u_j is an expansion of e's kind, with
+    coefficients c * L[:, j]; the J of them per member are evaluated as
+    one block, through the same half-line products and fold as
+    eval_symm_expansion, the real and imaginary parts of complex
+    coefficients as rows of their own. The half-line tables are fetched
+    once per call, and members go through in chunks, so the transient
     stays small however large the block.
     """
-    rates = _rates(e, spec)
-    factor = _kernel_factor(rates.tobytes(), spec)
+    factor = _kernel_factor(_rates(e, spec).tobytes(), spec)
     th, k, nodes = _fold_nodes(theta)
-    if isinstance(e, HalfLineExpansion):
-        halves = [(e, slice(None))]
-    else:
-        even, odd = to_halfline(e)
-        halves = [(even, slice(0, None, 2))]
-        if len(e) > 1:
-            halves.append((odd, slice(1, None, 2)))
-    parts = []
-    for h, slots in halves:
-        table = eigenfunction_table(len(h) - 1, h.params, nodes)
-        if h.parity == "odd" and not np.all(nodes):
-            # an odd part is sign(theta) times the table, so 0 at theta = 0
-            table = table * (nodes != 0.0)
-        parts.append((np.atleast_2d(h.coeffs), factor[slots].T, table))
-    is_complex = np.iscomplexobj(e.coeffs)
-    n_rows = factor.shape[1] * (2 if is_complex else 1)
-    members = np.atleast_2d(e.coeffs).shape[0]
+    coeffs = np.atleast_2d(e.coeffs)
+    members, rank = coeffs.shape[0], factor.shape[1]
+    out = np.zeros((members, th.size))
+    if rank == 0:
+        # every mode is dead, so S is 0
+        return out if e.coeffs.ndim == 2 else out[0]
+    parts = _halfline_parts(e)
+    tables = _part_tables(parts, nodes)
+    split = np.iscomplexobj(coeffs)
+    n_rows = rank * (2 if split else 1)
     step = max(1, _CHUNK_ELEMENTS // max(1, n_rows * nodes.size))
-    out = np.empty((members, th.size))
     for start in range(0, members, step):
-        sums = []
-        for coeffs, lt, table in parts:
-            rows = coeffs[start : start + step, None, :] * lt
-            if is_complex:
-                rows = np.concatenate([rows.real, rows.imag], axis=1)
-            m = rows.shape[0]
-            y = rows.reshape(m * n_rows, table.shape[0]) @ table
-            sums.append(y.reshape(m, n_rows, nodes.size))
-        squares = {"even": sum(np.einsum("mji,mji->mi", y, y) for y in sums)}
-        if len(sums) == 2:
-            squares["odd"] = 2.0 * np.einsum("mji,mji->mi", *sums)
-        out[start : start + step] = _fold(th, k, squares)
-    # where S is 0, even - odd and even + odd can round below 0
-    out = np.sqrt(np.maximum(out, 0.0))
+        rows = coeffs[start : start + step, None, :] * factor.T
+        if split:
+            rows = np.concatenate([rows.real, rows.imag], axis=1)
+        m = rows.shape[0]
+        block = dataclasses.replace(e, coeffs=rows.reshape(m * n_rows, -1))
+        u = _fold_parts(th, k, _halfline_parts(block), tables).reshape(m, n_rows, th.size)
+        out[start : start + step] = np.sqrt(np.einsum("mji,mji->mi", u, u))
     return out if e.coeffs.ndim == 2 else out[0]
 
 

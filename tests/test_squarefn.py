@@ -33,6 +33,7 @@ from symjacobi.squarefn import (
     square_function,
     square_function_by_time_quadrature,
 )
+from symjacobi.suites import SuiteConfig, run_suite
 
 PAIRS = [
     JacobiParams(-0.5, -0.5),
@@ -321,8 +322,7 @@ def mirrored_order(values):
 ALIGNED = [8, 24, 144]
 
 # Largest deviation from the quadratic form allowed, relative to the block
-# maximum. The factor sums other products than the quadratic form does; on
-# the default pairs they differ by at most 6e-15 of the maximum.
+# maximum. The factor sums other products than the quadratic form does.
 ROUNDOFF = 1e-13
 
 
@@ -377,12 +377,8 @@ class TestMirrorFold:
             got = square_function(block, spec, nodes)
             unfolded = square_function(block, spec, non_mirrored_order(nodes))
             assert got.tobytes() == mirrored_order(unfolded).tobytes()
-            # away from the default pairs the factor drifts further from the
-            # quadratic form: up to 4.2e-13 of the maximum on these draws and
-            # 1.6e-12 at (35.4, 42.2), degree 124, where mpmath sides with
-            # the quadratic form
             want = unfolded_square_function(block, spec, nodes)
-            assert np.max(np.abs(got - want)) <= 1e-11 * np.max(want)
+            assert np.max(np.abs(got - want)) <= ROUNDOFF * np.max(want)
 
 
 def bump(theta):
@@ -396,33 +392,52 @@ def bump(theta):
     return out
 
 
+def one_sided_bump():
+    return analyze(bump, GENERIC, 49), symmetric_rule(112, GENERIC).nodes
+
+
+def far_pair_member():
+    # a draw at a pair far from the defaults, where the rates 39..101 lie
+    # close together and a kernel factor built in double lost 3 digits
+    pr = JacobiParams(35.36, 42.23)
+    return random_band_limited(pr, 124, 2, seed=124)[1], symmetric_rule(264, pr).nodes
+
+
+def mpmath_square_function(mp, e, spec, theta):
+    # the quadratic form at 40 digits from the same float tables and rates
+    table, rates = _mode_table(e, spec, theta)
+    out = np.empty(theta.size)
+    with mp.workdps(40):
+        p = mp.mpf(spec.tail_power)
+        r = [mp.mpf(float(x)) for x in rates]
+        kern = [[mp.gamma(p) * (a * b) ** spec.k / (a + b) ** p if a and b else 0 for b in r] for a in r]
+        for i in range(theta.size):
+            v = [mp.mpf(float(c)) * mp.mpf(float(t)) for c, t in zip(e.coeffs, table[:, i])]
+            out[i] = float(mp.sqrt(mp.fdot(v, [mp.fdot(row, v) for row in kern])))
+    return out
+
+
 class TestSmallValues:
-    @pytest.mark.parametrize("gamma, k", [(0.5, 1), (1.5, 2)])
-    def test_one_sided_bump_against_mpmath(self, gamma, k):
-        # the quadratic form at 40 digits from the same float tables and
-        # rates; the pointwise error is relative to the value itself
+    @pytest.mark.parametrize(
+        "case, spec, stride",
+        [
+            (one_sided_bump, SquareFunctionSpec(0.5, 1), 8),
+            (one_sided_bump, SquareFunctionSpec(1.5, 2), 8),
+            (far_pair_member, SquareFunctionSpec(0.5, 1), 24),
+            (far_pair_member, SquareFunctionSpec(1.5, 2, "modified"), 24),
+        ],
+    )
+    def test_against_mpmath_where_small(self, case, spec, stride):
+        # pointwise error relative to the value itself, at every stride-th
+        # node; each case reaches nodes where S is at most 2 % of its
+        # maximum. The old quadratic form is up to 2.4e-13 off here.
         mp = pytest.importorskip("mpmath")
-        spec = SquareFunctionSpec(gamma, k)
-        e = analyze(bump, GENERIC, 49)
-        nodes = symmetric_rule(112, GENERIC).nodes
+        e, nodes = case()
         got = square_function(e, spec, nodes)
-        table, rates = _mode_table(e, spec, nodes)
-        cols = np.arange(0, nodes.size, 8)
-        want = np.empty(cols.size)
-        with mp.workdps(40):
-            p = mp.mpf(spec.tail_power)
-            r = [mp.mpf(float(x)) for x in rates]
-            kern = [
-                [mp.gamma(p) * (a * b) ** k / (a + b) ** p if a and b else mp.mpf(0) for b in r]
-                for a in r
-            ]
-            for out, i in zip(np.nditer(want, op_flags=["writeonly"]), cols):
-                v = [mp.mpf(float(c)) * mp.mpf(float(t)) for c, t in zip(e.coeffs, table[:, i])]
-                form = mp.fsum(x * mp.fsum(kk * y for kk, y in zip(row, v)) for x, row in zip(v, kern))
-                out[...] = float(mp.sqrt(form))
-        # on the negative half, away from the bump, S stays small
-        assert np.max(got[: nodes.size // 2]) < 0.2 * np.max(got)
-        assert np.max(np.abs(got[cols] - want) / want) <= 1e-12
+        theta = nodes[::stride]
+        want = mpmath_square_function(mp, e, spec, theta)
+        assert np.min(want) <= 0.02 * np.max(got)
+        assert np.max(np.abs(got[::stride] - want) / want) <= 1e-14
 
 
 class TestFactorPath:
@@ -493,9 +508,19 @@ class TestFactorPath:
         kern = _kernel(rates, spec)
         assert np.max(np.abs(factor @ factor.T - kern)) <= 1e-14 * np.max(kern)
 
-    def test_zero_on_the_negative_half_is_not_negative(self):
-        # two modes of one rate whose parts cancel at the negative node
-        # -t: there even - odd is 0 up to roundoff, which can fall below 0
+    def test_factor_cache_holds_a_squarefn_run(self):
+        # a second run of the suite in the same process builds no factor
+        _kernel_factor.cache_clear()
+        config = SuiteConfig(suite="squarefn", trunc=32, ensemble=4)
+        run_suite(config, write=False)
+        first = _kernel_factor.cache_info()
+        run_suite(config, write=False)
+        second = _kernel_factor.cache_info()
+        assert first.misses > 16 and second.misses == first.misses
+
+    def test_cancelling_parts_give_a_small_value(self):
+        # two modes of one rate whose parts cancel at the negative node -t:
+        # there S is 0 up to roundoff, and a sum of squares is not negative
         rng = np.random.default_rng(0)
         spec = SquareFunctionSpec(0.5, 1)
         for _ in range(100):
