@@ -6,6 +6,11 @@ read each other's results, and a fixed config gives the same report on every
 run. What suites of one run_suite call do share are read-only inputs: one
 quadrature grid per (pair, quad order) and one ensemble draw per (degree,
 count, seed, decay), built on first use and dropped when the call ends.
+
+Every case is judged in one of two places. _case compares a value with its
+bound: every bound is inclusive, and a NaN or infinite value fails it. The
+equivalence windows go through _degree_doubling, the one window protocol.
+Only compound and detector cases hand _case a verdict of their own.
 """
 
 import dataclasses
@@ -194,12 +199,9 @@ def validate_config(config: SuiteConfig) -> None:
     given = _pairs_given(config)
     suites = list(SUITES) if config.suite == "all" else [config.suite]
     for suite in suites:
-        # embed and counterexample run one pair: the given one or their own
         pairs = config.pairs
-        if suite == "embed":
-            pairs = [_single_pair(config, EMBED_PAIR)]
-        elif suite == "counterexample":
-            pairs = [_single_pair(config, COUNTEREXAMPLE_PAIR)]
+        if suite in _PINNED_PAIRS:
+            pairs = [_single_pair(dataclasses.replace(config, suite=suite))]
         if suite in _ADMISSIBILITY_SUITES:
             for pr in pairs:
                 if not pr.contains_p(config.p):
@@ -224,9 +226,14 @@ def validate_config(config: SuiteConfig) -> None:
                         "the decay witness needs alpha, beta < 1/p - 1/2 = "
                         f"{bound:.6g}; got alpha={pr.alpha}, beta={pr.beta}"
                     )
-        if suite == "noninclusion" and given:
+            if config.p < 2:
+                raise ConfigError(
+                    "the growth witness needs p >= 2: its mixed second derivative "
+                    f"blows up at rate p/2, which diverges only when p/2 >= 1; got p={config.p}"
+                )
+        if suite == "noninclusion":
             other = JacobiParams(*NONINCLUSION_OTHER)
-            for pr in config.pairs:
+            for pr in pairs:
                 if pr.alpha == other.alpha and pr.beta == other.beta:
                     raise ConfigError(
                         "the two parameter pairs must differ; "
@@ -240,29 +247,31 @@ def validate_config(config: SuiteConfig) -> None:
                 )
 
 
-def _case(name: str, passed, value, tolerance=None, detail: str = "") -> dict:
+def _case(name: str, value, upper=None, detail: str = "", *, lower=None, passed=None) -> dict:
+    """One case record, judged against its bound.
+
+    The case passes when value is finite and value <= upper, value >= lower,
+    or lower <= value <= upper when both are given; so every bound is
+    inclusive, and a NaN or infinite value fails. The record's tolerance is
+    the upper bound, else the lower. A compound or detector case gives its
+    own verdict as passed, which then replaces the comparison.
+    """
+    if passed is None:
+        passed = (
+            math.isfinite(value)
+            and (lower is None or value >= lower)
+            and (upper is None or value <= upper)
+        )
     rec = {
         "name": name,
         "passed": bool(passed),
         "value": float(value),
         "detail": detail,
     }
+    tolerance = upper if upper is not None else lower
     if tolerance is not None:
         rec["tolerance"] = float(tolerance)
     return rec
-
-
-def _finish(config: SuiteConfig, suite: str, cases, series, started) -> ExperimentReport:
-    return ExperimentReport(
-        suite=suite,
-        config=config.echo(),
-        cases=cases,
-        series=series,
-        passed=all(c["passed"] for c in cases),
-        version=__version__,
-        seed=config.seed,
-        wall_clock_s=time.perf_counter() - started,
-    )
 
 
 def _pair_label(pr: JacobiParams) -> str:
@@ -275,10 +284,20 @@ def _unit(pr: JacobiParams, n: int, length: int) -> SymmExpansion:
     return SymmExpansion(pr, coeffs)
 
 
-def _single_pair(config: SuiteConfig, fallback: tuple) -> JacobiParams:
+# The suites that run one pair, and the pair each runs when none is given.
+_PINNED_PAIRS = {
+    "counterexample": (-0.3, -0.3),
+    "embed": (0.0, 0.0),
+    "noninclusion": (-0.6, -0.4),
+    "schrodinger": (0.0, 0.0),
+}
+
+
+def _single_pair(config: SuiteConfig) -> JacobiParams:
+    """The one pair config.suite runs: the first pair given, else its own."""
     if _pairs_given(config):
         return config.pairs[0]
-    return JacobiParams(*fallback)
+    return JacobiParams(*_PINNED_PAIRS[config.suite])
 
 
 # The grids and draws of the current run_suite call, keyed as in _grid and
@@ -327,31 +346,81 @@ def _draw(
     return SymmExpansion(pr, _shared(("draw", degree, count, seed, decay), build))
 
 
-def _degree_doubling(config: SuiteConfig, pr: JacobiParams, norm_a, norm_b) -> list:
-    """Ratio statistics of norm_a / norm_b as the ensemble degree doubles.
+def _degree_doubling(
+    config: SuiteConfig, pr: JacobiParams, name: str, norm_a, norm_b, tracked, detail: str
+) -> tuple:
+    """The equivalence-window case of norm_a / norm_b as the ensemble degree doubles.
 
-    The equivalence-window protocol the suites share: the seeded ensemble is
-    taken at degree max(trunc // 2, 8), then at degree trunc, and a suite
-    asks that the window (at most 50) or the largest ratio grows by at most
-    10 % between the two. The norms map a block to one norm per member. The
-    block is drawn once at the top degree; the lower degree is its column
-    prefix, which is exactly the lower-degree draw. Returns (degree,
-    RatioStats) for each degree.
+    The one equivalence-window protocol of the suites. The seeded ensemble is
+    taken at degree max(trunc // 2, 8), then at degree trunc. tracked names
+    the RatioStats statistics to watch: "window" (max / min), "maximum" or
+    both. The case passes when every tracked statistic is finite at both
+    degrees and grows by at most 10 %, and, when the window is tracked, the
+    lower-degree window is at most 50. A window case records its
+    upper-degree window against 50; a maximum-only case records its
+    upper-degree maximum against 1.1 times the lower-degree maximum. detail
+    is a format string over lo and hi (the RatioStats) and lo_degree and
+    hi_degree.
+
+    The norms map a block to one norm per member. The block is drawn once at
+    the top degree; the lower degree is its column prefix, which is exactly
+    the lower-degree draw. Returns the case and the RatioStats at the lower
+    and at the upper degree.
     """
     degrees = (max(config.trunc // 2, 8), config.trunc)
     block = _draw(pr, max(degrees), config.ensemble, config.seed)
-    out = []
+    stats = []
     for degree in degrees:
         members = SymmExpansion(pr, block.coeffs[:, : degree + 1])
-        out.append((degree, equivalence_ratio(norm_a(members), norm_b(members))))
-    return out
+        stats.append(equivalence_ratio(norm_a(members), norm_b(members)))
+    lo, hi = stats
+    steady = [(getattr(lo, stat), getattr(hi, stat)) for stat in tracked]
+    passed = all(math.isfinite(a) and math.isfinite(b) and b <= 1.1 * a for a, b in steady)
+    if "window" in tracked:
+        passed = passed and lo.window <= 50.0
+        value, bound = hi.window, 50.0
+    else:
+        value, bound = hi.maximum, 1.1 * lo.maximum
+    text = detail.format(lo=lo, hi=hi, lo_degree=degrees[0], hi_degree=degrees[1])
+    return _case(name, value, bound, text, passed=passed), lo, hi
+
+
+# The suites by name, in run order; _suite fills it.
+SUITES = {}
+
+
+def _suite(run):
+    """Register run, which maps a SuiteConfig to (cases, series), as a suite.
+
+    The suite takes its name from run's, less the run_ prefix, and returns
+    the ExperimentReport of its cases, timed from start to end.
+    """
+    name = run.__name__.removeprefix("run_")
+
+    def suite(config: SuiteConfig) -> ExperimentReport:
+        started = time.perf_counter()
+        cases, series = run(config)
+        return ExperimentReport(
+            suite=name,
+            config=config.echo(),
+            cases=cases,
+            series=series,
+            passed=all(c["passed"] for c in cases),
+            version=__version__,
+            seed=config.seed,
+            wall_clock_s=time.perf_counter() - started,
+        )
+
+    suite.__name__ = suite.__qualname__ = run.__name__
+    SUITES[name] = suite
+    return suite
 
 
 # ---------------------------------------------------------------- basis
 
 
-def run_basis(config: SuiteConfig) -> ExperimentReport:
-    started = time.perf_counter()
+@_suite
+def run_basis(config: SuiteConfig):
     cases, series_rows = [], []
     n_top = min(config.trunc, 40)
     for pr in config.pairs:
@@ -366,12 +435,8 @@ def run_basis(config: SuiteConfig) -> ExperimentReport:
         symm_dev = float(np.max(np.abs(sgram - np.eye(n_top + 1))))
 
         label = _pair_label(pr)
-        cases.append(
-            _case(f"halfline-gram-{label}", half_dev < 1e-10, half_dev, 1e-10)
-        )
-        cases.append(
-            _case(f"symmetric-gram-{label}", symm_dev < 1e-10, symm_dev, 1e-10)
-        )
+        cases.append(_case(f"halfline-gram-{label}", half_dev, 1e-10))
+        cases.append(_case(f"symmetric-gram-{label}", symm_dev, 1e-10))
         series_rows.append([label, half_dev, symm_dev])
 
     flat = [pr for pr in config.pairs if pr.alpha == -0.5 and pr.beta == -0.5]
@@ -379,15 +444,13 @@ def run_basis(config: SuiteConfig) -> ExperimentReport:
         pr = flat[0]
         theta = np.linspace(-math.pi + 1e-6, math.pi - 1e-6, 1000)
         table = symm_eigenfunction_table(17, pr, theta)
-        dev = 0.0
-        for n in range(1, 9):
-            half_vals = table[2 * n] * math.sqrt(2.0)
-            dev = max(dev, float(np.max(np.abs(half_vals - math.sqrt(2 / math.pi) * np.cos(n * np.abs(theta))))))
-        for n in range(0, 8):
-            odd_vals = table[2 * n + 1]
-            target = np.sin((n + 1) * theta) / math.sqrt(math.pi)
-            dev = max(dev, float(np.max(np.abs(odd_vals - target))))
-        cases.append(_case("flat-weight-degeneration", dev < 1e-12, dev, 1e-12))
+        even = [
+            table[2 * n] * math.sqrt(2.0) - math.sqrt(2 / math.pi) * np.cos(n * np.abs(theta))
+            for n in range(1, 9)
+        ]
+        odd = [table[2 * n + 1] - np.sin((n + 1) * theta) / math.sqrt(math.pi) for n in range(0, 8)]
+        dev = float(np.max(np.abs(even + odd)))
+        cases.append(_case("flat-weight-degeneration", dev, 1e-12))
 
     series = {
         "gram-deviation": {
@@ -395,14 +458,14 @@ def run_basis(config: SuiteConfig) -> ExperimentReport:
             "rows": series_rows,
         }
     }
-    return _finish(config, "basis", cases, series, started)
+    return cases, series
 
 
 # ---------------------------------------------------------------- eigen
 
 
-def run_eigen(config: SuiteConfig) -> ExperimentReport:
-    started = time.perf_counter()
+@_suite
+def run_eigen(config: SuiteConfig):
     cases = []
     n_top = min(config.trunc, 40)
     residual_rows = []
@@ -424,10 +487,10 @@ def run_eigen(config: SuiteConfig) -> ExperimentReport:
         cases.append(
             _case(
                 f"eigen-relation-{label}",
-                worst <= 1e-13 and pattern_ok,
                 worst,
                 1e-13,
                 "off-diagonal pattern exact" if pattern_ok else "stray coefficients",
+                passed=pattern_ok and worst <= 1e-13,
             )
         )
 
@@ -444,23 +507,21 @@ def run_eigen(config: SuiteConfig) -> ExperimentReport:
 
             fd_vals = apply_ladder_down_fd(pr, f, nodes)
             target = -ladder[n] * eigenfunction_table(top - 1, pr.shift(1), nodes)[n - 1]
-            scale = float(np.max(np.abs(target)))
-            fd_worst = max(fd_worst, float(np.max(np.abs(fd_vals - target))) / scale)
-        cases.append(
-            _case(f"ladder-vs-fd-{label}", fd_worst <= 1e-5, fd_worst, 1e-5)
-        )
+            scale = np.max(np.abs(target))
+            fd_worst = np.maximum(fd_worst, np.max(np.abs(fd_vals - target)) / scale)
+        cases.append(_case(f"ladder-vs-fd-{label}", fd_worst, 1e-5))
     residual_rows = [[n, float(per_n[n])] for n in range(n_top + 1)]
     series = {
         "eigen-residual": {"columns": ["n", "max_rel_residual"], "rows": residual_rows}
     }
-    return _finish(config, "eigen", cases, series, started)
+    return cases, series
 
 
 # ---------------------------------------------------------------- potentials
 
 
-def run_potentials(config: SuiteConfig) -> ExperimentReport:
-    started = time.perf_counter()
+@_suite
+def run_potentials(config: SuiteConfig):
     cases = []
     ratio_rows = []
     q = config.q if config.q is not None else 4.0
@@ -478,7 +539,7 @@ def run_potentials(config: SuiteConfig) -> ExperimentReport:
                 np.max(np.abs(twice.coeffs - once.coeffs))
                 / np.max(np.abs(once.coeffs))
             )
-            cases.append(_case(f"composition-{label}", dev <= 1e-14, dev, 1e-14))
+            cases.append(_case(f"composition-{label}", dev, 1e-14))
         else:
             e0 = _unit(pr, 0, 3)
             out = bessel_potential(e0, 0.9)
@@ -486,7 +547,6 @@ def run_potentials(config: SuiteConfig) -> ExperimentReport:
             cases.append(
                 _case(
                     f"shifted-flow-bottom-{label}",
-                    dev <= 1e-15,
                     dev,
                     1e-15,
                     "zero bottom eigenvalue: shifted potential fixes the lowest mode",
@@ -498,20 +558,20 @@ def run_potentials(config: SuiteConfig) -> ExperimentReport:
         modified = (1.0 + np.sqrt(lam)) ** -s_exp
         bessel_half = (1.0 + lam) ** (-s_exp / 2)
         # two-sided bound from (1+l) <= (1+sqrt(l))^2 <= 2(1+l)
-        violation = max(
-            float(np.max(modified - bessel_half)),
-            float(np.max(bessel_half - 2 ** (s_exp / 2) * modified)),
-            float(np.max(modified - 1.0)),
+        violation = np.max(
+            [
+                np.max(modified - bessel_half),
+                np.max(bessel_half - 2 ** (s_exp / 2) * modified),
+                np.max(modified - 1.0),
+            ]
         )
-        cases.append(
-            _case(f"bessel-sandwich-{label}", violation <= 1e-15, violation, 1e-15)
-        )
+        cases.append(_case(f"bessel-sandwich-{label}", violation, 1e-15))
 
         t1, t2 = 0.3, 0.45
         a = poisson_semigroup(poisson_semigroup(e, t1), t2)
         b = poisson_semigroup(e, t1 + t2)
         dev = float(np.max(np.abs(a.coeffs - b.coeffs)) / np.max(np.abs(b.coeffs)))
-        cases.append(_case(f"semigroup-law-{label}", dev <= 1e-14, dev, 1e-14))
+        cases.append(_case(f"semigroup-law-{label}", dev, 1e-14))
 
     smoothing_pairs = [
         pr
@@ -532,7 +592,6 @@ def run_potentials(config: SuiteConfig) -> ExperimentReport:
         cases.append(
             _case(
                 f"smoothing-window-{label}",
-                math.isfinite(window) and window <= 50.0,
                 window,
                 50.0,
                 f"ratio of the q-norm after order-{2 * sigma:g} smoothing to the p-norm",
@@ -544,7 +603,7 @@ def run_potentials(config: SuiteConfig) -> ExperimentReport:
     series = {}
     if ratio_rows:
         series["smoothing-ratio"] = {"columns": ["member", "ratio"], "rows": ratio_rows}
-    return _finish(config, "potentials", cases, series, started)
+    return cases, series
 
 
 # ---------------------------------------------------------------- decomposition
@@ -562,8 +621,8 @@ def _parity_split_norm(e: SymmExpansion, p: float, s: float, grid) -> np.ndarray
     return a + b
 
 
-def run_decomposition(config: SuiteConfig) -> ExperimentReport:
-    started = time.perf_counter()
+@_suite
+def run_decomposition(config: SuiteConfig):
     cases = []
     s = config.s if config.s is not None else 0.7
     ratio_rows = []
@@ -576,29 +635,23 @@ def run_decomposition(config: SuiteConfig) -> ExperimentReport:
         members = _draw(pr, degree_lo, config.ensemble, config.seed)
         ratios = potential_norm(members, 2, s, grid) / _parity_split_norm(members, 2, s, grid)
         dev = float(np.max(np.abs(ratios - 1.0)))
-        cases.append(_case(f"parity-ratio-p2-{label}", dev <= 1e-9, dev, 1e-9))
+        cases.append(_case(f"parity-ratio-p2-{label}", dev, 1e-9))
         if not ratio_rows:
             ratio_rows = [[i, float(r)] for i, r in enumerate(ratios)]
 
         if pr.contains_p(3.0):
-            (lo, at_lo), (hi, at_hi) = _degree_doubling(
+            case, lo, hi = _degree_doubling(
                 config,
                 pr,
+                f"parity-window-p3-{label}",
                 lambda e: potential_norm(e, 3.0, s, grid),
                 lambda e: _parity_split_norm(e, 3.0, s, grid),
+                ("window",),
+                "window {lo.window:.6g} at degree {lo_degree}, "
+                "{hi.window:.6g} at degree {hi_degree}",
             )
-            ok = at_lo.window <= 50.0 and at_hi.window <= 1.1 * at_lo.window
-            cases.append(
-                _case(
-                    f"parity-window-p3-{label}",
-                    ok,
-                    at_hi.window,
-                    50.0,
-                    f"window {at_lo.window:.6g} at degree {lo}, "
-                    f"{at_hi.window:.6g} at degree {hi}",
-                )
-            )
-            window_rows.append([label, at_lo.window, at_hi.window])
+            cases.append(case)
+            window_rows.append([label, lo.window, hi.window])
 
     series = {
         "ratio-p2": {"columns": ["member", "ratio"], "rows": ratio_rows},
@@ -607,14 +660,14 @@ def run_decomposition(config: SuiteConfig) -> ExperimentReport:
             "rows": window_rows,
         },
     }
-    return _finish(config, "decomposition", cases, series, started)
+    return cases, series
 
 
 # ---------------------------------------------------------------- sobolev
 
 
-def run_sobolev(config: SuiteConfig) -> ExperimentReport:
-    started = time.perf_counter()
+@_suite
+def run_sobolev(config: SuiteConfig):
     cases = []
     window_rows = []
     orders = (config.m,) if config.m is not None else (1, 2)
@@ -623,28 +676,18 @@ def run_sobolev(config: SuiteConfig) -> ExperimentReport:
         label = _pair_label(pr)
         grid = _grid(config, pr)
         for m in orders:
-            (_, at_lo), (_, at_hi) = _degree_doubling(
+            case, lo, hi = _degree_doubling(
                 config,
                 pr,
+                f"sobolev-window-m{m}-{label}",
                 lambda e: sobolev_norm(e, config.p, m, grid),
                 lambda e: potential_norm(e, config.p, float(m), grid),
+                ("window", "maximum"),
+                "window {lo.window:.6g} -> {hi.window:.6g}, "
+                "max ratio {lo.maximum:.6g} -> {hi.maximum:.6g} as the degree doubles",
             )
-            ok = (
-                at_lo.window <= 50.0
-                and at_hi.window <= 1.1 * at_lo.window
-                and at_hi.maximum <= 1.1 * at_lo.maximum
-            )
-            cases.append(
-                _case(
-                    f"sobolev-window-m{m}-{label}",
-                    ok,
-                    at_hi.window,
-                    50.0,
-                    f"window {at_lo.window:.6g} -> {at_hi.window:.6g}, "
-                    f"max ratio {at_lo.maximum:.6g} -> {at_hi.maximum:.6g} as the degree doubles",
-                )
-            )
-            window_rows.append([label, m, at_lo.window, at_hi.window])
+            cases.append(case)
+            window_rows.append([label, m, lo.window, hi.window])
 
     series = {
         "sobolev-window": {
@@ -652,20 +695,19 @@ def run_sobolev(config: SuiteConfig) -> ExperimentReport:
             "rows": window_rows,
         }
     }
-    return _finish(config, "sobolev", cases, series, started)
+    return cases, series
 
 
 # ---------------------------------------------------------------- counterexample
 
-COUNTEREXAMPLE_PAIR = (-0.3, -0.3)
 WITNESS2_PAIR = (0.0, 0.0)
 
 
-def run_counterexample(config: SuiteConfig) -> ExperimentReport:
-    started = time.perf_counter()
+@_suite
+def run_counterexample(config: SuiteConfig):
     cases = []
     p = config.p
-    w1 = _single_pair(config, COUNTEREXAMPLE_PAIR)
+    w1 = _single_pair(config)
 
     nodes = np.linspace(0.3, math.pi - 0.3, 9)
     f1 = decay_witness(w1)
@@ -673,7 +715,6 @@ def run_counterexample(config: SuiteConfig) -> ExperimentReport:
     cases.append(
         _case(
             "witness1-reflection-term-vanishes",
-            residual <= 1e-8,
             residual,
             1e-8,
             "raising part annihilates the decay witness, so the first fixed-index "
@@ -686,7 +727,6 @@ def run_counterexample(config: SuiteConfig) -> ExperimentReport:
     cases.append(
         _case(
             "witness1-own-lp-integral-converges",
-            not base_verdict.divergent,
             base_verdict.mean_exponent,
             0.95,
             "the witness itself stays p-integrable",
@@ -700,10 +740,10 @@ def run_counterexample(config: SuiteConfig) -> ExperimentReport:
     cases.append(
         _case(
             "witness1-derivative-diverges-growth",
-            w1_growth,
-            float(np.min(w1_vals[1:] / w1_vals[:-1])),
+            np.min(w1_vals[1:] / w1_vals[:-1]),
             1.5,
             f"exponent route agrees: mean rate {w1_exponent.mean_exponent:.4g}",
+            passed=w1_growth,
         )
     )
 
@@ -714,14 +754,9 @@ def run_counterexample(config: SuiteConfig) -> ExperimentReport:
     coeffs = np.zeros(4)
     coeffs[1] = c2
     e2 = SymmExpansion(w2, coeffs)
-    spectral_dev = 0.0
-    for k in (1, 2):
-        dev_pair = symm_higher_derivative(e2, k)
-        spectral_dev = max(
-            spectral_dev,
-            float(np.max(np.abs(dev_pair[0].coeffs))),
-            float(np.max(np.abs(dev_pair[1].coeffs))),
-        )
+    spectral_dev = np.max(
+        [np.max(np.abs(part.coeffs)) for k in (1, 2) for part in symm_higher_derivative(e2, k)]
+    )
     g2plus = lambda t: trig_power(w2.alpha + 1, w2.beta + 1, t)
     fd_dev = float(
         np.max(np.abs(apply_ladder_down_fd(w2.shift(1), g2plus, nodes)))
@@ -729,11 +764,11 @@ def run_counterexample(config: SuiteConfig) -> ExperimentReport:
     cases.append(
         _case(
             "witness2-variable-derivatives-vanish",
-            spectral_dev == 0.0 and fd_dev <= 1e-8,
-            max(spectral_dev, fd_dev),
+            np.max([spectral_dev, fd_dev]),
             1e-8,
             "orders 1 and 2 are exactly zero in coefficient space; the pointwise "
             "first-order residual confirms it",
+            passed=spectral_dev == 0.0 and fd_dev <= 1e-8,
         )
     )
 
@@ -744,10 +779,9 @@ def run_counterexample(config: SuiteConfig) -> ExperimentReport:
     cases.append(
         _case(
             "witness2-mixed-second-derivative-diverges",
-            w2_exponent.divergent,
             w2_exponent.mean_exponent,
-            0.95,
-            "logarithmic blowup: the growth-factor detector reads "
+            lower=0.95,
+            detail="logarithmic blowup: the growth-factor detector reads "
             f"{w2_growth} because refinement ratios tend to 1, so the verdict "
             "gates on the exponent detector",
         )
@@ -763,14 +797,14 @@ def run_counterexample(config: SuiteConfig) -> ExperimentReport:
             "rows": [[j, float(v)] for j, v in enumerate(w2_vals)],
         },
     }
-    return _finish(config, "counterexample", cases, series, started)
+    return cases, series
 
 
 # ---------------------------------------------------------------- inclusion
 
 
-def run_inclusion(config: SuiteConfig) -> ExperimentReport:
-    started = time.perf_counter()
+@_suite
+def run_inclusion(config: SuiteConfig):
     cases = []
     orders = (config.k,) if config.k is not None else (1, 2, 3)
     n_top = min(config.trunc, 32)
@@ -785,10 +819,10 @@ def run_inclusion(config: SuiteConfig) -> ExperimentReport:
             cases.append(
                 _case(
                     f"transform-columns-k{k}-{label}",
-                    top <= 1.0 + 1e-12,
                     top,
                     1.0,
                     "column norms of the order-k transform stay inside the unit ball",
+                    passed=top <= 1.0 + 1e-12,
                 )
             )
             if k == 2 and not column_rows:
@@ -800,22 +834,22 @@ def run_inclusion(config: SuiteConfig) -> ExperimentReport:
             cases.append(
                 _case(
                     f"shifted-transform-columns-k{k}-{label}",
-                    stop <= 1.0 + 1e-12,
                     stop,
                     1.0,
+                    passed=stop <= 1.0 + 1e-12,
                 )
             )
     series = {
         "column-norm": {"columns": ["n", "column_norm"], "rows": column_rows}
     }
-    return _finish(config, "inclusion", cases, series, started)
+    return cases, series
 
 
 # ---------------------------------------------------------------- squarefn
 
 
-def run_squarefn(config: SuiteConfig) -> ExperimentReport:
-    started = time.perf_counter()
+@_suite
+def run_squarefn(config: SuiteConfig):
     cases = []
     index_set = (
         ((config.gamma, config.k),) if config.gamma is not None else SQUAREFN_INDEX_SET
@@ -843,7 +877,6 @@ def run_squarefn(config: SuiteConfig) -> ExperimentReport:
             cases.append(
                 _case(
                     f"eigenmode-constant-g{gamma:g}-k{k:g}-{label}",
-                    worst <= 1e-9,
                     worst,
                     1e-9,
                     f"target constant {expected:.12g}; zero modes carry no flow and are skipped",
@@ -861,21 +894,12 @@ def run_squarefn(config: SuiteConfig) -> ExperimentReport:
         ratios = lp_norm(sq, 2) / smooth
         expected = l2_equivalence_constant(gamma, int(k))
         dev = float(np.max(np.abs(ratios - expected)))
-        cases.append(
-            _case(f"p2-ratio-constant-{label}", dev <= 1e-9, dev, 1e-9)
-        )
+        cases.append(_case(f"p2-ratio-constant-{label}", dev, 1e-9))
 
         if pr.contains_p(q_alt):
             alt = lp_norm(sq, q_alt) / potential_norm(members, q_alt, gamma, grid)
             window = float(np.max(alt) / np.min(alt))
-            cases.append(
-                _case(
-                    f"char-window-p{q_alt:g}-{label}",
-                    math.isfinite(window) and window <= 50.0,
-                    window,
-                    50.0,
-                )
-            )
+            cases.append(_case(f"char-window-p{q_alt:g}-{label}", window, 50.0))
             window_rows.append([label, window])
 
     pr = config.pairs[0]
@@ -891,7 +915,6 @@ def run_squarefn(config: SuiteConfig) -> ExperimentReport:
         cases.append(
             _case(
                 f"time-quadrature-crosscheck-{variant}",
-                dev <= 1e-6,
                 dev,
                 1e-6,
                 "closed kernel against direct time integration",
@@ -908,11 +931,10 @@ def run_squarefn(config: SuiteConfig) -> ExperimentReport:
         lam = symm_eigenvalues(5, flat)[n]
         vals = square_function(e, mod_spec, theta_line)
         target = eigenmode_constant(mod_spec, lam) * np.abs(flat_table[n])
-        worst = max(worst, float(np.max(np.abs(vals - target))))
+        worst = np.maximum(worst, np.max(np.abs(vals - target)))
     cases.append(
         _case(
             "modified-keeps-zero-mode",
-            worst <= 1e-9,
             worst,
             1e-9,
             "the shifted flow never kills a mode, including the flat one",
@@ -923,14 +945,14 @@ def run_squarefn(config: SuiteConfig) -> ExperimentReport:
         "eigen-constant": {"columns": ["n", "measured_ratio"], "rows": constant_rows},
         "char-window": {"columns": ["pair", "window"], "rows": window_rows},
     }
-    return _finish(config, "squarefn", cases, series, started)
+    return cases, series
 
 
 # ---------------------------------------------------------------- structure
 
 
-def run_structure(config: SuiteConfig) -> ExperimentReport:
-    started = time.perf_counter()
+@_suite
+def run_structure(config: SuiteConfig):
     cases = []
     q = config.q if config.q is not None else 4.0
     if q <= config.p:
@@ -947,7 +969,6 @@ def run_structure(config: SuiteConfig) -> ExperimentReport:
         cases.append(
             _case(
                 f"holder-containment-{label}",
-                worst <= 1e-9,
                 worst,
                 1e-9,
                 f"p={config.p} norm bounded by the q={q} norm times mass^(1/p-1/q)",
@@ -958,11 +979,10 @@ def run_structure(config: SuiteConfig) -> ExperimentReport:
             s_values = (0.5, 1.0, 1.5, 2.0)
             # row j holds the norms of the first six members at s_values[j]
             norms = np.array([potential_norm(members[:6], 2, s, grid) for s in s_values])
-            drops = max(0.0, float(np.max(norms[:-1] - norms[1:])))
+            drops = np.maximum(0.0, np.max(norms[:-1] - norms[1:]))
             cases.append(
                 _case(
                     f"smoothness-monotone-{label}",
-                    drops <= 1e-12,
                     drops,
                     1e-12,
                     "spectrum at or above 1: raising the smoothness index never "
@@ -980,9 +1000,7 @@ def run_structure(config: SuiteConfig) -> ExperimentReport:
         comp_dev = float(
             np.max(np.abs(twice.coeffs - once.coeffs)) / np.max(np.abs(once.coeffs))
         )
-        cases.append(
-            _case(f"composition-law-{label}", comp_dev <= 1e-14, comp_dev, 1e-14)
-        )
+        cases.append(_case(f"composition-law-{label}", comp_dev, 1e-14))
 
         if pr.eigen_shift != 0.0:
             s_iso, t_iso = 0.8, 0.6
@@ -990,9 +1008,7 @@ def run_structure(config: SuiteConfig) -> ExperimentReport:
             iso_a = potential_norm(lifted, 2, s_iso + t_iso, grid)
             iso_b = potential_norm(e, 2, s_iso, grid)
             iso_dev = abs(iso_a - iso_b) / iso_b
-            cases.append(
-                _case(f"smoothing-isometry-{label}", iso_dev <= 1e-12, iso_dev, 1e-12)
-            )
+            cases.append(_case(f"smoothing-isometry-{label}", iso_dev, 1e-12))
 
         sigma = 0.6
         forward = potential(e, sigma)
@@ -1001,7 +1017,6 @@ def run_structure(config: SuiteConfig) -> ExperimentReport:
         cases.append(
             _case(
                 f"injectivity-roundtrip-{label}",
-                inj_dev <= 1e-13,
                 inj_dev,
                 1e-13,
                 "the smoothing flow has an exact coefficient-space inverse on "
@@ -1012,81 +1027,59 @@ def run_structure(config: SuiteConfig) -> ExperimentReport:
     series = {
         "monotone-norms": {"columns": ["s", "norm"], "rows": monotone_rows}
     }
-    return _finish(config, "structure", cases, series, started)
+    return cases, series
 
 
 # ---------------------------------------------------------------- embed
 
-EMBED_PAIR = (0.0, 0.0)
 
-
-def run_embed(config: SuiteConfig) -> ExperimentReport:
-    started = time.perf_counter()
-    cases = []
-    pr = _single_pair(config, EMBED_PAIR)
+@_suite
+def run_embed(config: SuiteConfig):
+    pr = _single_pair(config)
     p = config.p
     s, q = _embed_exponents(config)
     grid = _grid(config, pr)
-    (lo, at_lo), (hi, at_hi) = _degree_doubling(
+    case, lo, _ = _degree_doubling(
         config,
         pr,
+        "embedding-ratio-stable",
         lambda e: lp_norm(synthesize(e, grid), q),
         lambda e: potential_norm(e, p, s, grid),
+        ("maximum",),
+        "max ratio {lo.maximum:.6g} at degree {lo_degree}, "
+        "{hi.maximum:.6g} at degree {hi_degree}",
     )
-    ratio_rows = [[i, r] for i, r in enumerate(at_lo.ratios)]
-    ok = math.isfinite(at_lo.maximum) and at_hi.maximum <= 1.1 * at_lo.maximum
-    cases.append(
-        _case(
-            "embedding-ratio-stable",
-            ok,
-            at_hi.maximum,
-            1.1 * at_lo.maximum,
-            f"max ratio {at_lo.maximum:.6g} at degree {lo}, "
-            f"{at_hi.maximum:.6g} at degree {hi}",
-        )
-    )
+    cases = [case]
+    series = {
+        "embed-ratio": {"columns": ["member", "ratio"], "rows": [[i, r] for i, r in enumerate(lo.ratios)]},
+    }
 
     s_sup = s if s > 0.5 else 0.6
-    sup_record = admissibility(pr, p, s=s_sup)
-    sup_rows = []
-    if sup_record.continuity is True:
-        (_, sup_lo), (_, sup_hi) = _degree_doubling(
+    if admissibility(pr, p, s=s_sup).continuity is True:
+        case, lo, _ = _degree_doubling(
             config,
             pr,
+            "supnorm-ratio-stable",
             lambda e: lp_norm(synthesize(e, grid), math.inf),
             lambda e: potential_norm(e, p, s_sup, grid),
+            ("maximum",),
+            f"smoothness {s_sup} above the continuity threshold 1/p",
         )
-        sup_rows = [[i, r] for i, r in enumerate(sup_lo.ratios)]
-        sup_ok = math.isfinite(sup_lo.maximum) and sup_hi.maximum <= 1.1 * sup_lo.maximum
-        cases.append(
-            _case(
-                "supnorm-ratio-stable",
-                sup_ok,
-                sup_hi.maximum,
-                1.1 * sup_lo.maximum,
-                f"smoothness {s_sup} above the continuity threshold 1/p",
-            )
-        )
-
-    series = {
-        "embed-ratio": {"columns": ["member", "ratio"], "rows": ratio_rows},
-    }
-    if sup_rows:
-        series["embed-sup"] = {"columns": ["member", "ratio"], "rows": sup_rows}
-    return _finish(config, "embed", cases, series, started)
+        cases.append(case)
+        series["embed-sup"] = {"columns": ["member", "ratio"], "rows": [[i, r] for i, r in enumerate(lo.ratios)]}
+    return cases, series
 
 
 # ---------------------------------------------------------------- noninclusion
 
-NONINCLUSION_OWN = (-0.6, -0.4)
 NONINCLUSION_OTHER = (-0.45, -0.35)
 
 
-def run_noninclusion(config: SuiteConfig) -> ExperimentReport:
-    started = time.perf_counter()
+@_suite
+def run_noninclusion(config: SuiteConfig):
     cases = []
     p = config.p
-    own = _single_pair(config, NONINCLUSION_OWN)
+    own = _single_pair(config)
     other = JacobiParams(*NONINCLUSION_OTHER)
 
     nodes = np.linspace(0.3, math.pi - 0.3, 9)
@@ -1099,7 +1092,6 @@ def run_noninclusion(config: SuiteConfig) -> ExperimentReport:
         cases.append(
             _case(
                 f"weight-annihilated-{tag}",
-                own_residual <= 1e-8,
                 own_residual,
                 1e-8,
                 "each weight is killed by its own lowering operator, so its own "
@@ -1113,10 +1105,10 @@ def run_noninclusion(config: SuiteConfig) -> ExperimentReport:
         cases.append(
             _case(
                 f"cross-derivative-diverges-{tag}",
-                growth and verdict.divergent,
                 verdict.mean_exponent,
                 1.5,
                 f"minimum refinement ratio {float(np.min(vals[1:] / vals[:-1])):.4g}",
+                passed=growth and verdict.divergent,
             )
         )
         if not series_rows:
@@ -1131,19 +1123,18 @@ def run_noninclusion(config: SuiteConfig) -> ExperimentReport:
             "rows": series_rows,
         }
     }
-    return _finish(config, "noninclusion", cases, series, started)
+    return cases, series
 
 
 # ---------------------------------------------------------------- schrodinger
 
-SCHRODINGER_PAIR = (0.0, 0.0)
 SCHRODINGER_DECAY = 3.0
 
 
-def run_schrodinger(config: SuiteConfig) -> ExperimentReport:
-    started = time.perf_counter()
+@_suite
+def run_schrodinger(config: SuiteConfig):
     cases = []
-    pr = _single_pair(config, SCHRODINGER_PAIR)
+    pr = _single_pair(config)
     grid = _grid(config, pr)
     degree = max(config.trunc // 2, 8)
     members = _draw(pr, degree, min(config.ensemble, 8), config.seed, decay=SCHRODINGER_DECAY)
@@ -1161,15 +1152,15 @@ def run_schrodinger(config: SuiteConfig) -> ExperimentReport:
 
     results = [max_error(t) for t in times]
     errors = [r[0] for r in results]
-    worst_bound_ratio = max(r[1] for r in results)
+    worst_bound_ratio = np.max([r[1] for r in results])
     cases.append(
         _case(
             "linear-error-bound",
-            worst_bound_ratio <= 1.0 + 1e-9,
             worst_bound_ratio,
             1.0,
             "max-node error never exceeds t times the top eigenvalue times the "
             "coefficient l1 mass",
+            passed=worst_bound_ratio <= 1.0 + 1e-9,
         )
     )
 
@@ -1179,10 +1170,10 @@ def run_schrodinger(config: SuiteConfig) -> ExperimentReport:
     cases.append(
         _case(
             "convergence-slope",
-            0.9 <= slope <= 1.1,
             slope,
             1.1,
             "log-log slope of the max-node error as t shrinks dyadically",
+            lower=0.9,
         )
     )
 
@@ -1196,11 +1187,10 @@ def run_schrodinger(config: SuiteConfig) -> ExperimentReport:
     cases.append(
         _case(
             "mixed-norm-recorded",
-            True,
             mix / ref,
-            None,
-            f"mixed (2,2) norm over one period against the smoothness-{s_hyp:g} "
+            detail=f"mixed (2,2) norm over one period against the smoothness-{s_hyp:g} "
             "norm; recorded only, no sharpness claim",
+            passed=True,
         )
     )
 
@@ -1210,25 +1200,10 @@ def run_schrodinger(config: SuiteConfig) -> ExperimentReport:
             "rows": [[float(t), float(e)] for t, e in zip(times, errors)],
         }
     }
-    return _finish(config, "schrodinger", cases, series, started)
+    return cases, series
 
 
-# ---------------------------------------------------------------- registry
-
-SUITES = {
-    "basis": run_basis,
-    "eigen": run_eigen,
-    "potentials": run_potentials,
-    "decomposition": run_decomposition,
-    "sobolev": run_sobolev,
-    "counterexample": run_counterexample,
-    "inclusion": run_inclusion,
-    "squarefn": run_squarefn,
-    "structure": run_structure,
-    "embed": run_embed,
-    "noninclusion": run_noninclusion,
-    "schrodinger": run_schrodinger,
-}
+# ---------------------------------------------------------------- runner
 
 
 def run_suite(config: SuiteConfig, write: bool = True) -> list:

@@ -1,7 +1,10 @@
 import csv
 import json
+import math
 import os
+import re
 
+import numpy as np
 import pytest
 
 import symjacobi
@@ -17,7 +20,8 @@ from symjacobi.suites import (
     validate_config,
 )
 
-EXPECTED_SUITES = {
+# in run order
+EXPECTED_SUITES = (
     "basis",
     "eigen",
     "potentials",
@@ -30,7 +34,7 @@ EXPECTED_SUITES = {
     "embed",
     "noninclusion",
     "schrodinger",
-}
+)
 
 # small enough to keep this module fast, large enough that every
 # refinement-stability check is already in its settled regime
@@ -45,7 +49,11 @@ def fast_config(suite, **kw):
 
 class TestConfigValidation:
     def test_registry_names(self):
-        assert set(SUITES) == EXPECTED_SUITES
+        # bench/tracer.py swaps these bindings by object identity; a binding
+        # it cannot match would read as zero calls instead of failing
+        assert list(SUITES) == list(EXPECTED_SUITES)
+        for name in EXPECTED_SUITES:
+            assert SUITES[name] is getattr(suites, f"run_{name}")
 
     def test_default_pairs(self):
         pairs = default_pairs()
@@ -341,6 +349,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert "1/p - 1/2" in err and "alpha=-0.3, beta=-0.3" in err
 
+    @pytest.mark.parametrize("p", ["1.2", "1.5"])
+    def test_counterexample_needs_p_of_at_least_two(self, tmp_path, capsys, p):
+        # witness 2's mixed second derivative blows up at rate p/2, so below
+        # p = 2 its divergence case failed on input the CLI had accepted
+        out = tmp_path / "out"
+        code = cli.main(["counterexample", "--p", p, "--out", str(out)])
+        assert code == 2
+        assert "p >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_all_checks_p_against_the_default_sweep(self, tmp_path, capsys):
         code = cli.main(["all", "--p", "6", "--out", str(tmp_path)])
         assert code == 2
@@ -550,3 +568,166 @@ class TestCli:
         a = (outs[0] / "noninclusion-cross-divergence.csv").read_bytes()
         b = (outs[1] / "noninclusion-cross-divergence.csv").read_bytes()
         assert a == b
+
+
+# Every case family of `verif all` at the FAST config with its tolerance, so
+# a loosened bound shows up as an edit here. A family is a case name without
+# its trailing pair label, and None stands for no tolerance. The two embed
+# bounds are 1.1 times a measured lower-degree maximum, so only their
+# presence is pinned.
+CASE_FAMILIES = {
+    "halfline-gram": 1e-10,
+    "symmetric-gram": 1e-10,
+    "flat-weight-degeneration": 1e-12,
+    "eigen-relation": 1e-13,
+    "ladder-vs-fd": 1e-5,
+    "shifted-flow-bottom": 1e-15,
+    "bessel-sandwich": 1e-15,
+    "semigroup-law": 1e-14,
+    "composition": 1e-14,
+    "smoothing-window": 50.0,
+    "parity-ratio-p2": 1e-9,
+    "parity-window-p3": 50.0,
+    "sobolev-window-m1": 50.0,
+    "sobolev-window-m2": 50.0,
+    "witness1-reflection-term-vanishes": 1e-8,
+    "witness1-own-lp-integral-converges": 0.95,
+    "witness1-derivative-diverges-growth": 1.5,
+    "witness2-variable-derivatives-vanish": 1e-8,
+    "witness2-mixed-second-derivative-diverges": 0.95,
+    "transform-columns-k1": 1.0,
+    "shifted-transform-columns-k1": 1.0,
+    "transform-columns-k2": 1.0,
+    "shifted-transform-columns-k2": 1.0,
+    "transform-columns-k3": 1.0,
+    "shifted-transform-columns-k3": 1.0,
+    "eigenmode-constant-g0.5-k1": 1e-9,
+    "eigenmode-constant-g0.7-k2": 1e-9,
+    "eigenmode-constant-g1.5-k2": 1e-9,
+    "p2-ratio-constant": 1e-9,
+    "char-window-p4": 50.0,
+    "time-quadrature-crosscheck-plain": 1e-6,
+    "time-quadrature-crosscheck-modified": 1e-6,
+    "modified-keeps-zero-mode": 1e-9,
+    "holder-containment": 1e-9,
+    "composition-law": 1e-14,
+    "injectivity-roundtrip": 1e-13,
+    "smoothing-isometry": 1e-12,
+    "smoothness-monotone": 1e-12,
+    "embedding-ratio-stable": "computed",
+    "supnorm-ratio-stable": "computed",
+    "weight-annihilated-own-under-other": 1e-8,
+    "cross-derivative-diverges-own-under-other": 1.5,
+    "weight-annihilated-other-under-own": 1e-8,
+    "cross-derivative-diverges-other-under-own": 1.5,
+    "linear-error-bound": 1.0,
+    "convergence-slope": 1.1,
+    "mixed-norm-recorded": None,
+}
+
+
+def test_case_table_is_pinned():
+    reports = run_suite(fast_config("all"), write=False)
+    cases = [c for r in reports for c in r.cases]
+    assert len(cases) == 181
+    assert all(c["passed"] for c in cases)
+    seen = {}
+    for c in cases:
+        family = re.sub(r"-\([^()]*\)$", "", c["name"])
+        seen.setdefault(family, set()).add(c.get("tolerance"))
+    assert sorted(seen) == sorted(CASE_FAMILIES)
+    for family, tolerance in CASE_FAMILIES.items():
+        if tolerance != "computed":
+            assert seen[family] == {tolerance}, family
+
+
+class TestVerdicts:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "bounds", [{"upper": 1.0}, {"lower": 0.0}, {"lower": 0.0, "upper": 1.0}],
+        ids=["upper", "lower", "interval"],
+    )
+    def test_a_nonfinite_value_fails_every_bound(self, value, bounds):
+        assert not suites._case("c", value, **bounds)["passed"]
+
+    @pytest.mark.parametrize(
+        "value, bounds, passed",
+        [
+            (1.0, {"upper": 1.0}, True),
+            (1.0 + 1e-15, {"upper": 1.0}, False),
+            (0.5, {"lower": 0.5}, True),
+            (0.5 - 1e-15, {"lower": 0.5}, False),
+            (0.9, {"lower": 0.9, "upper": 1.1}, True),
+            (1.1, {"lower": 0.9, "upper": 1.1}, True),
+            (0.89, {"lower": 0.9, "upper": 1.1}, False),
+        ],
+    )
+    def test_every_bound_is_inclusive(self, value, bounds, passed):
+        case = suites._case("c", value, **bounds)
+        assert case["passed"] is passed
+        # an interval records its upper end
+        assert case["tolerance"] == bounds.get("upper", bounds.get("lower"))
+
+    @pytest.mark.parametrize(
+        "lo, hi, window, maximum",
+        [
+            ((1.0, 2.0), (1.0, 2.2), True, True),
+            ((1.0, 2.0), (1.0, 2.3), False, False),
+            ((1.0, 2.0), (1.0, math.inf), False, False),
+            ((1.0, math.inf), (1.0, math.inf), False, False),
+            ((1.0, 2.0), (0.5, 2.0), False, True),
+            ((1.0, 60.0), (1.0, 60.0), False, True),
+        ],
+    )
+    def test_window_protocol(self, lo, hi, window, maximum):
+        # ratios lo at degree 8 and hi at degree 16: a tracked statistic may
+        # grow by 10 %, and a tracked window must start at 50 or below
+        config = fast_config("probe", trunc=16, ensemble=2)
+
+        def norm_a(members):
+            return np.array(lo if members.coeffs.shape[1] == 9 else hi)
+
+        for tracked, expected in (
+            (("window",), window),
+            (("window", "maximum"), window and maximum),
+            (("maximum",), maximum),
+        ):
+            case, at_lo, _ = suites._degree_doubling(
+                config, JacobiParams(0.0, 0.0), "w", norm_a, lambda m: np.ones(2), tracked,
+                "{lo_degree}",
+            )
+            assert case["passed"] is expected, tracked
+            assert case["detail"] == "8"
+            assert case["tolerance"] == (50.0 if "window" in tracked else 1.1 * at_lo.maximum)
+
+    def test_a_nan_is_not_lost_in_a_running_maximum(self, monkeypatch):
+        # max(0.0, nan) is 0.0, so a NaN deviation at degree 1 used to leave
+        # the case passing on the deviations of the other degrees
+        original = suites.apply_ladder_down_fd
+        calls = []
+
+        def nan_first(*args):
+            calls.append(args)
+            out = original(*args)
+            return out * np.nan if len(calls) == 1 else out
+
+        monkeypatch.setattr(suites, "apply_ladder_down_fd", nan_first)
+        report = suites.run_eigen(fast_config("eigen", pairs=((0.3, 0.7),)))
+        case = next(c for c in report.cases if c["name"] == "ladder-vs-fd-(0.3,0.7)")
+        assert math.isnan(case["value"])
+        assert not case["passed"]
+
+    def test_a_nan_rate_fails_the_convergence_case(self, monkeypatch):
+        # a NaN mean rate is not divergent, so the old verdict passed it
+        original = suites.truncated_lp_powers
+
+        def nan_level(*args, **kwargs):
+            levels = original(*args, **kwargs)
+            levels[2] = np.nan
+            return levels
+
+        monkeypatch.setattr(suites, "truncated_lp_powers", nan_level)
+        report = suites.run_counterexample(fast_config("counterexample"))
+        case = next(c for c in report.cases if c["name"] == "witness1-own-lp-integral-converges")
+        assert math.isnan(case["value"])
+        assert not case["passed"]
