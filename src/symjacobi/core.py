@@ -13,7 +13,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, GridError, SingularPointError
 
@@ -86,66 +85,6 @@ def eigenvalue(n: int, params: JacobiParams) -> float:
     return (n + params.eigen_shift) ** 2
 
 
-def _recurrence_coeffs(n_top: int, alpha: float, beta: float):
-    # c1, c2, c3, c4 giving P_{n+1} = ((c2 + c3 x) P_n - c4 P_{n-1}) / c1 for
-    # n = 1..n_top-1; each product is taken in the same order as for one
-    # scalar n, so the coefficients are bit-identical to scalar ones
-    n = np.arange(1, n_top)
-    s = alpha + beta
-    c1 = 2.0 * (n + 1) * (n + s + 1) * (2 * n + s)
-    c2 = (2 * n + s + 1) * (alpha * alpha - beta * beta)
-    c3 = (2 * n + s) * (2 * n + s + 1) * (2 * n + s + 2)
-    c4 = 2.0 * (n + alpha) * (n + beta) * (2 * n + s + 2)
-    return c1, c2, c3, c4
-
-
-# Rows per block of a recurrence sweep. The factors that do not depend on
-# the previous rows are formed a block at a time, which saves a third of
-# the array operations per row, and the rule's weight sweep holds one block
-# of rows instead of the N x N table of all rows at all nodes.
-_ROW_BLOCK = 64
-
-
-def _jacobi_rows(ring: np.ndarray, n_top: int, params: JacobiParams, x: np.ndarray):
-    """Write P_n(x), n = 0..n_top, by the three-term recurrence into ring.
-
-    Row n goes to ring[n % len(ring)], so a ring of at least three rows keeps
-    the two rows the next one needs. Yields (n0, rows), rows holding P_n0 on,
-    each time the ring fills and once at the end; the caller reads rows
-    before resuming.
-    """
-    a, b = params.alpha, params.beta
-    size = len(ring)
-    ring[0] = 1.0
-    if n_top >= 1:
-        ring[1 % size] = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
-    c1, c2, c3, c4 = _recurrence_coeffs(n_top, a, b)
-    # P_{n+1} = ((c2 + c3 x) P_n - c4 P_{n-1}) / c1, one operation at a time
-    # into preallocated rows; c2 + c3 x is formed for a block of rows at
-    # once, with the same roundings as one row at a time
-    linear = np.empty((min(_ROW_BLOCK, c1.size), x.size))
-    prev, cur = ring[0], ring[1 % size]
-    for lo in range(0, c1.size, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, c1.size)
-        block = linear[: hi - lo]
-        np.multiply(c3[lo:hi, None], x, out=block)
-        block += c2[lo:hi, None]
-        rows = zip(range(lo + 1, hi + 1), block, c1[lo:hi].tolist(), c4[lo:hi].tolist())
-        for n, row, d1, d4 in rows:
-            row *= cur
-            j = (n + 1) % size
-            nxt = ring[j]
-            np.multiply(d4, prev, out=nxt)
-            np.subtract(row, nxt, out=nxt)
-            nxt /= d1
-            prev, cur = cur, nxt
-            if j == size - 1:
-                yield n + 2 - size, ring
-    last = n_top % size
-    if n_top < 2 or last != size - 1:  # rows the loop has not yielded
-        yield n_top - last, ring[: last + 1]
-
-
 def jacobi_poly_table(n_top: int, params: JacobiParams, x: np.ndarray) -> np.ndarray:
     """Values P_n(x) for n = 0..n_top, by the three-term recurrence.
 
@@ -154,10 +93,26 @@ def jacobi_poly_table(n_top: int, params: JacobiParams, x: np.ndarray) -> np.nda
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(np.abs(x) > 1.0):
         raise DomainError("polynomial argument must lie in [-1, 1]")
+    a, b = params.alpha, params.beta
+    s = a + b
     out = np.empty((n_top + 1, x.shape[0]))
-    for _ in _jacobi_rows(out, n_top, params, x):
-        pass
+    out[0] = 1.0
+    if n_top >= 1:
+        out[1] = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
+    for n in range(1, n_top):
+        c1 = 2.0 * (n + 1) * (n + s + 1) * (2 * n + s)
+        c2 = (2 * n + s + 1) * (a * a - b * b)
+        c3 = (2 * n + s) * (2 * n + s + 1) * (2 * n + s + 2)
+        c4 = 2.0 * (n + a) * (n + b) * (2 * n + s + 2)
+        out[n + 1] = ((c3 * x + c2) * out[n] - c4 * out[n - 1]) / c1
     return out
+
+
+def _check_angles(params: JacobiParams, th: np.ndarray) -> None:
+    if np.any(np.abs(th) >= np.pi):
+        raise DomainError("weight is only defined for |theta| < pi")
+    if params.alpha < -0.5 and np.any(th == 0.0):
+        raise SingularPointError(f"weight is singular at theta=0 for alpha={params.alpha} < -1/2")
 
 
 def trig_weight(params: JacobiParams, theta: float | np.ndarray):
@@ -168,12 +123,7 @@ def trig_weight(params: JacobiParams, theta: float | np.ndarray):
     """
     scalar = np.isscalar(theta)
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    if np.any(np.abs(th) >= np.pi):
-        raise DomainError("weight is only defined for |theta| < pi")
-    if params.alpha < -0.5 and np.any(th == 0.0):
-        raise SingularPointError(
-            f"weight is singular at theta=0 for alpha={params.alpha} < -1/2"
-        )
+    _check_angles(params, th)
     half = 0.5 * np.abs(th)
     vals = np.abs(np.sin(half)) ** (params.alpha + 0.5) * np.cos(half) ** (params.beta + 0.5)
     return float(vals[0]) if scalar else vals
@@ -182,24 +132,38 @@ def trig_weight(params: JacobiParams, theta: float | np.ndarray):
 def norm_constant_table(n_top: int, params: JacobiParams) -> np.ndarray:
     """Positive constants making eigenfunctions n = 0..n_top unit-norm on (0, pi).
 
-    Computed through log-gamma so large degrees stay finite.
+    Computed in logarithms so large degrees stay finite.
     """
     a, b = params.alpha, params.beta
-    n = np.arange(n_top + 1)
-    ln2 = math.log(2.0)
-    ln_h = (
-        (a + b + 1) * ln2
-        + gammaln(n + a + 1)
-        + gammaln(n + b + 1)
-        - np.log(2 * n + a + b + 1, where=(n > 0), out=np.zeros_like(n, dtype=float))
-        - gammaln(np.where(n > 0, n + a + b + 1, 1.0))
-        - gammaln(n + 1)
+    n = np.arange(1, n_top + 1)
+    # h_n / h_{n-1} for the squared norms h_n of trig_weight * P_n on (0, pi),
+    # h_0 = B(a + 1, b + 1); at n = 1 the factors n + a + b and 2n + a + b - 1
+    # cancel, also when both are 0
+    step = (n + a) * (n + b) * np.where(n > 1, 2 * n + a + b - 1, 1.0)
+    step /= n * np.where(n > 1, n + a + b, 1.0) * (2 * n + a + b + 1)
+    ln_h = _log_beta(a + 1.0, b + 1.0) + np.cumsum(np.log(np.concatenate([[1.0], step])))
+    return np.exp(-0.5 * ln_h[: n_top + 1])
+
+
+# Bernoulli terms B_2k / (2k (2k - 1)) of Stirling's series for ln Gamma;
+# from x = 10 on, the first term left out is below 2e-18
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
+
+
+def _log_beta(p: float, q: float) -> float:
+    # ln B(p, q) by Stirling's formula, whose large terms cancel in closed
+    # form: lgamma(p) + lgamma(q) - lgamma(p + q) loses 1e-10 at p = 1e5
+    def tail(x):  # ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi) / 2
+        if x < 10.0:
+            return math.lgamma(x) - (x - 0.5) * math.log(x) + x - 0.5 * math.log(2 * math.pi)
+        return sum(c * x ** -(2 * k + 1) for k, c in enumerate(_STIRLING))
+
+    s = p + q
+    lo, hi = sorted((p, q))
+    return (
+        0.5 * math.log(2 * math.pi / s) + (lo - 0.5) * math.log(lo / s)
+        + (hi - 0.5) * math.log1p(-lo / s) + tail(p) + tail(q) - tail(s)
     )
-    # at n = 0 the log and gamma terms above reduce to -gammaln(a + b + 2),
-    # which stays finite when a + b + 1 <= 0
-    if n_top >= 0:
-        ln_h[0] = (a + b + 1) * ln2 + gammaln(a + 1) + gammaln(b + 1) - gammaln(a + b + 2)
-    return np.exp(0.5 * (a + b + 1) * ln2 - 0.5 * ln_h)
 
 
 # Byte budget of the table cache. Every suite treats an ensemble as one
@@ -255,9 +219,11 @@ _TABLE_CACHE = _TableCache(_TABLE_CACHE_BYTES)
 def eigenfunction_table(n_top: int, params: JacobiParams, theta: np.ndarray) -> np.ndarray:
     """Rows n = 0..n_top of eigenfunction values at the angles |theta|.
 
-    The rows depend on |theta| only, so -theta gives the same table. The
-    result is read-only, and equal arguments share one cached array while it
-    stays in the cache.
+    The rows come from the orthonormal recurrence in theta that also gives
+    the rule weights, so they stay normalized at large alpha and beta. They
+    depend on |theta| only, so -theta gives the same table. The result is
+    read-only, and equal arguments share one cached array while it stays in
+    the cache.
     """
     th = np.abs(np.atleast_1d(np.asarray(theta, dtype=float)))
     # exact bytes, so -0.0 and 0.0 parameters or nearby nodes never share a table
@@ -272,11 +238,60 @@ def eigenfunction_table(n_top: int, params: JacobiParams, theta: np.ndarray) -> 
 
 
 def _eigenfunction_rows(n_top: int, params: JacobiParams, th: np.ndarray) -> np.ndarray:
-    # uncached build of the rows n = 0..n_top at the angles th
-    w = trig_weight(params, th)
-    polys = jacobi_poly_table(n_top, params, np.cos(th))
-    consts = norm_constant_table(n_top, params)
-    return consts[:, None] * w[None, :] * polys
+    # uncached build of the rows n = 0..n_top at the angles th: a ring that
+    # holds every row fills once
+    return next(_orthonormal_rows(n_top, params, th, n_top + 1))
+
+
+# Rows per block of a recurrence sweep. The factors that do not depend on
+# the previous rows are formed a block at a time, which leaves three array
+# operations per row, and the rule's weight sweep holds one block of rows
+# instead of the N x N table of all rows at all nodes.
+_ROW_BLOCK = 64
+
+
+def _orthonormal_rows(n_top: int, params: JacobiParams, th: np.ndarray, size: int):
+    """Rows phi_n(th), n = 0..n_top, written to row n % size of a ring.
+
+    The recurrence s_{n+1} phi_{n+1} = (x - a_n) phi_n - s_n phi_{n-1} of the
+    orthonormal polynomials runs on the entries of `_jacobi_matrix` from
+    phi_0 = trig_weight / sqrt(B(a + 1, b + 1)), formed in logarithms. Yields
+    the ring each time it fills and the rows after the last fill at the end;
+    the caller reads them before resuming.
+    """
+    _check_angles(params, th)
+    a, b = params.alpha, params.beta
+    _, off, ends = _jacobi_matrix(n_top + 1, params)
+    half = 0.5 * th
+    log_w = (b + 0.5) * np.log(np.cos(half)) - 0.5 * _log_beta(a + 1.0, b + 1.0)
+    if a != -0.5:  # else sin^0 = 1, also in the limit at th = 0
+        with np.errstate(divide="ignore"):  # log 0 at th = 0 gives phi_0 = 0
+            log_w += (a + 0.5) * np.log(np.sin(half))
+    size = min(size, n_top + 1)
+    ring = np.empty((size, th.size))
+    ring[0] = np.exp(log_w)
+    # x - a_n is ends[n, 0] - 2 sin^2(th/2) below pi/2 and ends[n, 1] +
+    # 2 cos^2(th/2) from pi/2 on, so rows next to 0 and pi keep their digits
+    side = (th >= 0.5 * np.pi).astype(np.intp)
+    shift = np.where(side, 2.0 * np.cos(half) ** 2, -2.0 * np.sin(half) ** 2)
+    ratio = np.concatenate([[0.0], off[:-1] / off[1:]])  # s_n / s_{n+1}
+    linear = np.empty((min(_ROW_BLOCK, n_top), th.size))
+    prev, cur = np.zeros(th.size), ring[0]
+    for lo in range(0, n_top, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n_top)
+        block = linear[: hi - lo]
+        np.take(ends[lo:hi], side, axis=1, out=block)
+        block += shift
+        block /= off[lo:hi, None]
+        for n, row, r in zip(range(lo, hi), block, ratio[lo:hi].tolist()):
+            if n % size == size - 1:  # rows up to n fill the ring
+                yield ring
+            row *= cur
+            nxt = ring[(n + 1) % size]
+            np.multiply(r, prev, out=nxt)
+            np.subtract(row, nxt, out=nxt)
+            prev, cur = cur, nxt
+    yield ring[: n_top % size + 1]
 
 
 @dataclass(frozen=True)
@@ -305,8 +320,8 @@ class QuadratureGrid:
         # negated comparisons, so a NaN node or weight fails them too
         if not np.all(np.diff(nodes) > 0):
             raise GridError("nodes must be strictly increasing")
-        if not np.all(weights > 0):
-            raise GridError("weights must be positive")
+        if not np.all((weights > 0) & (weights < np.inf)):
+            raise GridError("weights must be positive and finite")
         lo = 0.0 if self.interval == "halfline" else -np.pi
         if nodes.size and not (nodes[0] > lo and nodes[-1] < np.pi):
             raise GridError("nodes must lie strictly inside the open interval")
@@ -350,30 +365,38 @@ _NEWTON_LIMIT = 1e-4
 def gauss_jacobi_rule(n_nodes: int, params: JacobiParams) -> QuadratureGrid:
     """Gauss-Jacobi rule of the given size, mapped to the angle variable.
 
-    The nodes start as theta_i = arccos(x_i) of the eigenvalues x_i of the
-    symmetric Jacobi matrix (LAPACK dsterf) and take one Newton step in
-    theta, on a recurrence in 2 sin^2(theta/2) below pi/2 and in
-    2 cos^2(theta/2) above it, so nodes near 0 and pi keep their relative
-    accuracy. A rule whose step is too large to have converged takes a
-    second one, and raises GridError if that is still too large. Each
-    weight is the inverse Christoffel function 1 / sum_{n < n_nodes}
-    phi_n(t)^2 of the half-line eigenfunctions at the polished node, summed
-    over blocks of rows of the same recurrence the tables use, so the rule
-    shares their normalization. The weights integrate trig_weight(params,
-    t)^2 times any polynomial in cos(t) of degree at most 2*n_nodes - 1
-    exactly over (0, pi).
+    The nodes are arccos of the eigenvalues of the Jacobi matrix, polished
+    by a Newton step in theta; a rule whose step is too large to have
+    converged takes a second one, and raises GridError if that is still too
+    large. Each weight is 1 / sum_{n < n_nodes} phi_n(t)^2 at its node, from
+    the rows `eigenfunction_table` builds, so the rule shares the tables'
+    normalization; a weight that is not finite raises GridError. The rule
+    integrates trig_weight(params, t)^2 times any polynomial in cos(t) of
+    degree at most 2*n_nodes - 1 exactly over (0, pi).
     """
     if n_nodes < 1:
         raise GridError(f"rule size must be positive, got {n_nodes}")
     try:
-        theta = np.arccos(_jacobi_eigenvalues(n_nodes, params))
+        # the zeros of P_n as eigenvalues of the Jacobi matrix; scipy.linalg
+        # loads here, not on import
+        from scipy.linalg.lapack import dsterf
+
+        diag, off, _ = _jacobi_matrix(n_nodes, params)
+        x = dsterf(diag, off)[0][::-1] if n_nodes > 1 else diag
+        if not np.all(np.abs(x) < 1.0):  # negated, so a NaN root fails it too
+            raise GridError("a root is not finite or lies outside (-1, 1)")
+        theta = np.arccos(x)
         for _ in range(2):
             start, theta = theta, _newton_step(n_nodes, params, theta)
             if np.all(np.abs(theta - start) <= _NEWTON_LIMIT * np.minimum(start, np.pi - start)):
                 break
         else:  # also when a step is NaN
             raise GridError("a node moved too far in two Newton steps to have converged")
-        weights = _christoffel_weights(params, theta)
+        total = np.zeros(n_nodes)
+        for rows in _orthonormal_rows(n_nodes - 1, params, theta, _ROW_BLOCK):
+            total += np.einsum("ij,ij->j", rows, rows)
+        with np.errstate(divide="ignore"):  # inf where every row underflows
+            weights = 1.0 / total
         return QuadratureGrid(nodes=theta, weights=weights, interval="halfline")
     except GridError as exc:
         raise GridError(
@@ -382,27 +405,27 @@ def gauss_jacobi_rule(n_nodes: int, params: JacobiParams) -> QuadratureGrid:
         ) from exc
 
 
-def _jacobi_eigenvalues(n: int, params: JacobiParams) -> np.ndarray:
-    # zeros of P_n in descending order, as eigenvalues of the Jacobi matrix
-    # of the orthonormal polynomials; scipy.linalg loads here, not on import
-    from scipy.linalg.lapack import dsterf
-
+def _jacobi_matrix(n: int, params: JacobiParams):
+    # Jacobi matrix of the orthonormal polynomials p_0..p_{n-1}: diagonal a_k,
+    # off-diagonal s_k (k >= 1) and rows ends[k] = (1 - a_k, -1 - a_k), each
+    # one quotient, since near -1 or at large alpha or beta one is small
     a, b = params.alpha, params.beta
     s = a + b
     k = np.arange(1, n)
-    diag = np.empty(n)
-    # an infinite or huge pair overflows here; the root check below refuses it
+    diag, ends = np.empty(n), np.empty((n, 2))
+    near = np.array([a + 1.0, -(b + 1.0)])
+    # a huge pair overflows here; the root check of the rule refuses it
     with np.errstate(over="ignore", invalid="ignore"):
-        diag[0] = (b - a) / (s + 2.0)
-        diag[1:] = (b * b - a * a) / ((2 * k + s) * (2 * k + s + 2))
+        diag[:1] = (b - a) / (s + 2.0)
+        ends[:1] = 2.0 * near / (s + 2.0)
+        den = (2 * k + s) * (2 * k + s + 2)
+        diag[1:] = (b * b - a * a) / den
+        ends[1:] = (np.outer(4.0 * k * (k + s + 1), [1.0, -1.0]) + 2.0 * s * near) / den[:, None]
         # at k = 1 the factors k + s and 2k + s - 1 cancel, also when both are 0
         num = 4.0 * k * (k + a) * (k + b) * np.where(k > 1, k + s, 1.0)
         den = (2 * k + s) ** 2 * (2 * k + s + 1) * np.where(k > 1, 2 * k + s - 1, 1.0)
         off = np.sqrt(num / den)
-    x = dsterf(diag, off)[0][::-1] if n > 1 else diag
-    if not np.all(np.abs(x) < 1.0):  # negated, so a NaN root fails it too
-        raise GridError("a root is not finite or lies outside (-1, 1)")
-    return x
+    return diag, off, ends
 
 
 def _newton_step(n: int, params: JacobiParams, theta: np.ndarray) -> np.ndarray:
@@ -455,20 +478,6 @@ def _newton_step(n: int, params: JacobiParams, theta: np.ndarray) -> np.ndarray:
     # n ((a-b) - (2n+s) x) minus (2n+s) sin(t) trig_weight'(t) / trig_weight(t)
     lin = n * (a - b) - (2 * n + s) * ((n + a + 0.5) * cos2 - (n + b + 0.5) * sin2)
     return theta + (2 * n + s) * np.sin(theta) * r / (lin * r + q)
-
-
-def _christoffel_weights(params: JacobiParams, theta: np.ndarray) -> np.ndarray:
-    # 1 / sum_n phi_n(theta)^2 over n < len(theta), from the rows the tables
-    # use, one block of squared rows and one matrix-vector product at a time
-    n = theta.size
-    consts = norm_constant_table(n - 1, params) ** 2
-    ring = np.empty((min(_ROW_BLOCK, n), n))
-    squares = np.empty_like(ring)
-    total = np.zeros(n)
-    for start, rows in _jacobi_rows(ring, n - 1, params, np.cos(theta)):
-        sq = np.square(rows, out=squares[: len(rows)])
-        total += consts[start : start + len(rows)] @ sq
-    return 1.0 / (trig_weight(params, theta) ** 2 * total)
 
 
 def symmetric_rule(n_nodes_half: int, params: JacobiParams) -> QuadratureGrid:

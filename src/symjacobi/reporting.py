@@ -30,16 +30,7 @@ class ExperimentReport:
 
 
 def payload(report: ExperimentReport) -> dict:
-    return {
-        "suite": report.suite,
-        "config": report.config,
-        "cases": report.cases,
-        "series": report.series,
-        "passed": report.passed,
-        "version": report.version,
-        "seed": report.seed,
-        "wall_clock_s": report.wall_clock_s,
-    }
+    return dataclasses.asdict(report)
 
 
 def report_to_json(report: ExperimentReport) -> str:

@@ -12,7 +12,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .basis import (
     HalfLineExpansion,
@@ -69,7 +68,7 @@ def _kernel(rates: np.ndarray, spec: SquareFunctionSpec) -> np.ndarray:
     p = spec.tail_power
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = (
-            gammaln(p)
+            math.lgamma(p)
             + spec.k * (np.log(rates)[:, None] + np.log(rates)[None, :])
             - p * np.log(rates[:, None] + rates[None, :])
         )
@@ -147,7 +146,7 @@ def _kernel_factor(rates: bytes, spec: SquareFunctionSpec) -> np.ndarray:
         pivots -= column**2
         pivots[i] = 0.0
         rank += 1
-    scale = np.exp(0.5 * (gammaln(p) - p * math.log(2.0))) * r**spec.gamma
+    scale = np.exp(0.5 * (math.lgamma(p) - p * math.log(2.0))) * r**spec.gamma
     out = np.zeros((rates.size, rank))
     out[live] = scale[:, None] * columns[:rank].T
     out.flags.writeable = False
@@ -241,9 +240,9 @@ def eigenmode_constant(spec: SquareFunctionSpec, eigenvalue: float) -> float:
     if rate == 0.0:
         return 0.0
     p = spec.tail_power
-    return rate**spec.k * math.exp(0.5 * gammaln(p)) / (2.0 * rate) ** (p / 2.0)
+    return rate**spec.k * math.exp(0.5 * math.lgamma(p)) / (2.0 * rate) ** (p / 2.0)
 
 
 def l2_equivalence_constant(gamma: float, k: int) -> float:
     """Exact ratio of the square function L2 norm to the smoothness norm."""
-    return 2.0 ** (gamma - k) * math.exp(0.5 * gammaln(2.0 * (k - gamma)))
+    return 2.0 ** (gamma - k) * math.exp(0.5 * math.lgamma(2.0 * (k - gamma)))

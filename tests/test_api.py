@@ -38,12 +38,9 @@ def loaded_by_import(module):
     return out.stdout.strip() == "True"
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # only the slow time-quadrature route needs it, and it imports it itself
-    assert not loaded_by_import("scipy.integrate")
-
-
-def test_import_leaves_scipy_linalg_unloaded():
-    # only the rule builder needs it, and it imports it itself; loading it
-    # on import adds about 0.1 s to every start
-    assert not loaded_by_import("scipy.linalg")
+@pytest.mark.parametrize("module", ["scipy.special", "scipy.linalg", "scipy.integrate"])
+def test_import_leaves_scipy_unloaded(module):
+    # scipy.special took 0.3 s of a 0.55 s import for its log-gamma alone;
+    # only the rule builder needs scipy.linalg and only the slow
+    # time-quadrature route scipy.integrate, and each imports it itself
+    assert not loaded_by_import(module)

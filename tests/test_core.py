@@ -258,6 +258,36 @@ class TestEigenfunction:
                 table[n], math.sqrt(2 / math.pi) * np.sin((n + 1) * th), atol=1e-12
             )
 
+    @pytest.mark.parametrize(
+        "alpha, beta", [(-0.5, -0.5), (-0.5, 0.7), (0.0, 0.0), (0.3, 0.7), (2.5, 1.5)]
+    )
+    def test_rows_at_zero_take_the_limit(self, alpha, beta):
+        # the start row is formed from log sin(theta/2), which is -inf at 0;
+        # a warning there would fail under the RuntimeWarning error filter
+        pr = JacobiParams(alpha, beta)
+        table = _eigenfunction_rows(20, pr, np.array([0.0, 0.5]))
+        limit = norm_constant_table(20, pr) * jacobi_poly_table(20, pr, 1.0)[:, 0]
+        limit *= trig_weight(pr, 0.0)
+        np.testing.assert_allclose(table[:, 0], limit, rtol=1e-13, atol=0)
+
+    def test_rows_match_an_mpmath_oracle_next_to_alpha_minus_one(self):
+        # at the first node of the default rule for degree 256 the x-form
+        # product was 4.1e-6 off: P_n(cos t) cancels to a small value there
+        mp = pytest.importorskip("mpmath")
+        alpha, beta, degree = -0.999999, 0.0, 256
+        pr = JacobiParams(alpha, beta)
+        t = gauss_jacobi_rule(2 * degree + 16, pr).nodes[:1]
+        row = eigenfunction_table(degree, pr, t)[:, 0]
+        with mp.workdps(40):
+            a, b, th = mp.mpf(alpha), mp.mpf(beta), mp.mpf(t[0])
+            w = mp.sin(th / 2) ** (a + 0.5) * mp.cos(th / 2) ** (b + 0.5)
+            for n in range(degree + 1):
+                norm = mp.gamma(n + a + 1) * mp.gamma(n + b + 1) / (
+                    (2 * n + a + b + 1) * mp.gamma(n + a + b + 1) * mp.factorial(n)
+                )
+                ref = w * mp.jacobi(n, a, b, mp.cos(th)) / mp.sqrt(norm)
+                assert abs(row[n] - ref) <= 1e-10 * abs(ref)
+
     def test_scalar_angle_is_a_one_element_array(self):
         pr = JacobiParams(0.3, 0.7)
         _TABLE_CACHE.clear()
@@ -288,12 +318,16 @@ class TestTableCache:
         first = eigenfunction_table(12, pr, th)
         hit = eigenfunction_table(12, pr, th.copy())
         assert hit is first
-        fresh = (
+        assert_bitwise(hit, _eigenfunction_rows(12, pr, th))
+        # the x-form product is an independent oracle for the rows; 1e-13 of
+        # each row's largest value is about 450 ulps
+        product = (
             norm_constant_table(12, pr)[:, None]
             * trig_weight(pr, th)[None, :]
             * jacobi_poly_table(12, pr, np.cos(th))
         )
-        np.testing.assert_array_equal(hit, fresh)
+        scale = np.max(np.abs(product), axis=1, keepdims=True)
+        assert np.max(np.abs(hit - product) / scale) <= 1e-13
         assert not hit.flags.writeable
         with pytest.raises(ValueError):
             hit[0, 0] = 1.0
@@ -490,6 +524,20 @@ class TestGaussJacobiRule:
                     t -= mp.jacobi(n, a, b, x) / slope
                 assert abs(rule.nodes[i] - t) <= 1e-12 * t
 
+    @pytest.mark.parametrize("alpha, beta, n", [(300.0, 0.0, 528), (1e5, 0.0, 144)])
+    def test_rows_are_orthonormal_at_large_alpha(self, alpha, beta, n):
+        # the x-form rows overflowed here, P_n(1) being binom(n + alpha, n):
+        # the rule raised at (300, 0), and at (1e5, 0) the shifted pair's
+        # norm missed by 1.3e-10 through lgamma; the shifted rows are exact
+        # on this rule too
+        pr = JacobiParams(alpha, beta)
+        rule = gauss_jacobi_rule(n, pr)
+        degree = (n - 16) // 2
+        for rows in (pr, pr.shift(1)):
+            table = eigenfunction_table(degree, rows, rule.nodes)
+            gram = (table * rule.weights) @ table.T
+            assert np.max(np.abs(gram - np.eye(degree + 1))) <= 1e-10
+
     @pytest.mark.parametrize("alpha, beta", [(-0.999999, 0.0), (-0.9, 2.0), (30.0, 0.5)])
     def test_swapping_the_pair_mirrors_the_nodes(self, alpha, beta):
         # the nodes of (b, a) are pi minus those of (a, b); nodes next to pi
@@ -582,6 +630,11 @@ class TestGridTypes:
         # carrying them
         with pytest.raises(GridError):
             QuadratureGrid(np.array(nodes), np.array(weights), "halfline")
+
+    def test_grid_rejects_infinite_weights(self):
+        # 1 / sum phi_n^2 is inf at a node where every row underflows
+        with pytest.raises(GridError, match="finite"):
+            QuadratureGrid(np.array([0.5, 1.0]), np.array([np.inf, 1.0]), "halfline")
 
     def test_grid_function_shape(self):
         rule = gauss_jacobi_rule(4, JacobiParams(0.0, 0.0))

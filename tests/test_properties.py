@@ -2,8 +2,8 @@
 
 alpha and beta range over [-0.99, 50] and the degree over 1..512. Each
 @example is a point where an earlier rule construction missed the Gram
-tolerance or failed to build; the Gram identity also has one just outside
-the drawn range, at alpha = -0.999999. Hypothesis draws its cases from a
+tolerance or failed to build; the Gram identity also has three just outside
+the drawn range, at alpha or beta = -0.999999. Hypothesis draws its cases from a
 fixed seed (derandomize), so every run checks the same points.
 """
 
@@ -54,6 +54,8 @@ def seeded_coeffs(degree):
 @given(alpha=PARAM, beta=PARAM, degree=DEGREE)
 @known_failures
 @example(alpha=-0.999999, beta=0.0, degree=64)
+@example(alpha=-0.999999, beta=0.0, degree=256)
+@example(alpha=0.0, beta=-0.999999, degree=256)
 def test_gram_identity_on_the_smallest_and_the_default_rule(alpha, beta, degree):
     pr = JacobiParams(alpha, beta)
     for n_nodes in (degree + 1, 2 * degree + 16):

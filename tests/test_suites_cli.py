@@ -392,6 +392,16 @@ class TestCli:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("alpha, trunc", [("300", "256"), ("1e5", "64")])
+    def test_basis_passes_at_large_alpha(self, tmp_path, alpha, trunc):
+        # the x-form rows overflowed through P_n(1) = binom(n + alpha, n):
+        # the rule raised at 300, and at 1e5 the odd rows missed the Gram
+        # tolerance
+        code = cli.main(
+            ["basis", "--alpha", alpha, "--beta", "0", "--trunc", trunc, "--out", str(tmp_path)]
+        )
+        assert code == 0
+
     @pytest.mark.parametrize(
         "argv, field",
         [
