@@ -21,7 +21,7 @@ from .core import (
     JacobiParams,
     QuadratureGrid,
     eigenfunction_table,
-    gauss_jacobi_rule,
+    symmetric_rule,
 )
 from .errors import ConfigError, DomainError, GridError
 
@@ -258,28 +258,20 @@ def min_quadrature_order(n_coeffs: int) -> int:
 def analyze(f, params: JacobiParams, n_coeffs: int, n_quad: int | None = None) -> SymmExpansion:
     """Coefficients of f against the first n_coeffs symmetrized basis functions.
 
-    f is either a GridFunction on a symmetric grid (its own half-line rule is
-    used) or a callable on (-pi, pi) (matching-parameter rules are built, one
-    per parity). Exact to roundoff when f lies in the span of the requested
-    basis functions and the quadrature order suffices.
+    f is a GridFunction on a symmetric grid, or a callable on (-pi, pi) that
+    is sampled on symmetric_rule(n_quad, params). Either way the grid's
+    half-line rule serves both parities: the odd rows, of the shifted pair,
+    are exact on it too. Exact to roundoff when f lies in the span of the
+    requested basis functions and the quadrature order suffices.
     """
     if n_coeffs < 1:
         raise ConfigError(f"coefficient count must be positive, got {n_coeffs}")
     n_even, n_odd = _coeff_counts(n_coeffs)
     needed = min_quadrature_order(n_coeffs)
 
-    if isinstance(f, GridFunction):
-        _require_symmetric(f.grid)
-        half = _positive_half(f.grid)
-        if len(half) < needed:
-            raise ConfigError(
-                f"grid holds {len(half)} positive nodes, need at least {needed} "
-                f"for {n_coeffs} coefficients"
-            )
-        f_even, f_odd = split_even_odd(f)
-        even_rule = odd_rule = half
-        even_vals, odd_vals = f_even.values, f_odd.values
-    elif callable(f):
+    if not isinstance(f, GridFunction):
+        if not callable(f):
+            raise ConfigError("analyze expects a GridFunction or a callable")
         if n_quad is None:
             n_quad = n_coeffs + 8
         if n_quad < needed:
@@ -287,25 +279,24 @@ def analyze(f, params: JacobiParams, n_coeffs: int, n_quad: int | None = None) -
                 f"quadrature order {n_quad} too small, need at least {needed} "
                 f"for {n_coeffs} coefficients"
             )
-        even_rule = gauss_jacobi_rule(n_quad, params)
-        odd_rule = gauss_jacobi_rule(n_quad, params.shift(1))
-        ev_pos = np.asarray(f(even_rule.nodes))
-        ev_neg = np.asarray(f(-even_rule.nodes))
-        od_pos = np.asarray(f(odd_rule.nodes))
-        od_neg = np.asarray(f(-odd_rule.nodes))
-        even_vals = (ev_pos + ev_neg) / 2
-        odd_vals = (od_pos - od_neg) / 2
-    else:
-        raise ConfigError("analyze expects a GridFunction or a callable")
-
-    is_complex = np.iscomplexobj(even_vals) or np.iscomplexobj(odd_vals)
-    out = np.zeros(even_vals.shape[:-1] + (n_coeffs,), dtype=complex if is_complex else float)
+        grid = symmetric_rule(n_quad, params)
+        f = GridFunction(grid, f(grid.nodes))
+    _require_symmetric(f.grid)
+    half = _positive_half(f.grid)
+    if len(half) < needed:
+        raise ConfigError(
+            f"grid holds {len(half)} positive nodes, need at least {needed} "
+            f"for {n_coeffs} coefficients"
+        )
+    f_even, f_odd = split_even_odd(f)
+    dtype = complex if np.iscomplexobj(f.values) else float
+    out = np.zeros(f.values.shape[:-1] + (n_coeffs,), dtype=dtype)
     if n_even:
-        table = eigenfunction_table(n_even - 1, params, even_rule.nodes)
-        out[..., 0::2] = SQRT2 * even_vals @ (table * even_rule.weights).T
+        table = eigenfunction_table(n_even - 1, params, half.nodes)
+        out[..., 0::2] = SQRT2 * f_even.values @ (table * half.weights).T
     if n_odd:
-        table = eigenfunction_table(n_odd - 1, params.shift(1), odd_rule.nodes)
-        out[..., 1::2] = SQRT2 * odd_vals @ (table * odd_rule.weights).T
+        table = eigenfunction_table(n_odd - 1, params.shift(1), half.nodes)
+        out[..., 1::2] = SQRT2 * f_odd.values @ (table * half.weights).T
     return SymmExpansion(params, out)
 
 

@@ -124,9 +124,14 @@ def trig_weight(params: JacobiParams, theta: float | np.ndarray):
     scalar = np.isscalar(theta)
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     _check_angles(params, th)
-    half = 0.5 * np.abs(th)
-    vals = np.abs(np.sin(half)) ** (params.alpha + 0.5) * np.cos(half) ** (params.beta + 0.5)
+    vals = _trig_power(params.alpha, params.beta, th)
     return float(vals[0]) if scalar else vals
+
+
+def _trig_power(a: float, b: float, th: np.ndarray) -> np.ndarray:
+    # any exponents; the sine of |t|/2 < pi/2 is nonnegative, so needs no abs
+    half = 0.5 * np.abs(th)
+    return np.sin(half) ** (a + 0.5) * np.cos(half) ** (b + 0.5)
 
 
 def norm_constant_table(n_top: int, params: JacobiParams) -> np.ndarray:
@@ -387,10 +392,14 @@ def gauss_jacobi_rule(n_nodes: int, params: JacobiParams) -> QuadratureGrid:
             raise GridError("a root is not finite or lies outside (-1, 1)")
         theta = np.arccos(x)
         for _ in range(2):
-            start, theta = theta, _newton_step(n_nodes, params, theta)
+            # the step's R_k, D_k recurrence overflows at large alpha or beta
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                start, theta = theta, _newton_step(n_nodes, params, theta)
+            if not np.all(np.isfinite(theta)):
+                raise GridError("the Newton step overflowed: a node is not finite")
             if np.all(np.abs(theta - start) <= _NEWTON_LIMIT * np.minimum(start, np.pi - start)):
                 break
-        else:  # also when a step is NaN
+        else:
             raise GridError("a node moved too far in two Newton steps to have converged")
         total = np.zeros(n_nodes)
         for rows in _orthonormal_rows(n_nodes - 1, params, theta, _ROW_BLOCK):

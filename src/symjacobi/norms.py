@@ -109,16 +109,12 @@ def alt_sobolev_norms(
     variable_total = lp_norm(synthesize(e, grid), p)
     first = dunkl_derivative(e)
     for k in range(1, m + 1):
-        if k == 1:
-            values = eval_symm_expansion(first, grid.nodes)
-        else:
-            evaluator = (lambda exp: (lambda t: eval_symm_expansion(exp, t)))(first)
-            for j in range(1, k):
-                evaluator = (
-                    lambda f, pr: (lambda t: apply_dunkl_fd(pr, f, t))
-                )(evaluator, e.params.shift(j))
-            values = evaluator(grid.nodes)
-        variable_total += lp_norm(GridFunction(grid, values), p)
+        evaluator = (lambda exp: (lambda t: eval_symm_expansion(exp, t)))(first)
+        for j in range(1, k):
+            evaluator = (
+                lambda f, pr: (lambda t: apply_dunkl_fd(pr, f, t))
+            )(evaluator, e.params.shift(j))
+        variable_total += lp_norm(GridFunction(grid, evaluator(grid.nodes)), p)
     return fixed_total, variable_total
 
 
@@ -198,10 +194,11 @@ class TimeGrid:
             raise GridError("time nodes and weights must be matching 1-d arrays")
 
 
-def uniform_time_grid(n: int, span: float = 2.0 * math.pi) -> TimeGrid:
+def uniform_time_grid(n: int) -> TimeGrid:
+    """Midpoint rule with n nodes over one period (0, 2 pi)."""
     if n < 1:
         raise GridError(f"need at least one time node, got {n}")
-    step = span / n
+    step = 2.0 * math.pi / n
     nodes = (np.arange(n) + 0.5) * step
     return TimeGrid(nodes, np.full(n, step))
 
@@ -290,28 +287,22 @@ def random_band_limited(
     return SymmExpansion(params, np.stack(rows) * envelope)
 
 
-def truncated_lp_powers(
-    f,
-    p: float,
-    eps0: float,
-    levels: int = 5,
-    upper_margin: float = 0.25,
-    panel_order: int = 32,
-) -> np.ndarray:
-    """Integrals of |f|^p over (eps, pi - upper_margin) at dyadic cutoffs.
+def truncated_lp_powers(f, p: float, eps0: float, levels: int = 5) -> np.ndarray:
+    """Integrals of |f|^p over (eps, pi - 1/4) at dyadic cutoffs.
 
     Refinement is one-sided: the cutoff near 0 halves at each level while the
     far endpoint stays fixed. Each level reuses the previous one and only adds
     the newly uncovered strip, so the sequence is nondecreasing by
     construction. Panels grow geometrically away from the cutoff, which keeps
-    a fixed-order rule accurate against power-type blowup.
+    a fixed-order rule (32-point Gauss-Legendre) accurate against power-type
+    blowup.
     """
     if eps0 <= 0 or levels < 1:
         raise DomainError(f"need eps0 > 0 and levels >= 1, got {eps0}, {levels}")
-    upper = math.pi - upper_margin
+    upper = math.pi - 0.25
     if eps0 >= upper:
         raise DomainError(f"first cutoff {eps0} must sit below {upper}")
-    gl_x, gl_w = np.polynomial.legendre.leggauss(panel_order)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(32)
 
     def panel(a, b):
         mid, rad = 0.5 * (a + b), 0.5 * (b - a)
@@ -332,8 +323,8 @@ def truncated_lp_powers(
     return np.asarray(out)
 
 
-def flag_divergent_by_growth(values, factor: float = 1.5) -> bool:
-    """Growth-factor detector: three successive refinement ratios >= factor.
+def flag_divergent_by_growth(values) -> bool:
+    """Growth-factor detector: three successive refinement ratios >= 1.5.
 
     This is the right test for power-type blowup, where truncated integrals
     grow geometrically. It provably cannot fire on logarithmic divergence,
@@ -343,7 +334,7 @@ def flag_divergent_by_growth(values, factor: float = 1.5) -> bool:
     if values.size < 4:
         raise DomainError("need at least four refinement levels")
     ratios = values[1:] / values[:-1]
-    hits = ratios >= factor
+    hits = ratios >= 1.5
     return bool(np.any(hits[:-2] & hits[1:-1] & hits[2:]))
 
 
@@ -354,14 +345,14 @@ class DivergenceVerdict:
     exponents: tuple
 
 
-def flag_divergent_by_exponent(values, threshold: float = 0.95) -> DivergenceVerdict:
+def flag_divergent_by_exponent(values) -> DivergenceVerdict:
     """Exponent detector: estimates the local blowup rate from increments.
 
     For integrands behaving like theta^-r near the cutoff, successive
     increments satisfy delta_{j+1}/delta_j -> 2^(r-1), so
-    1 + log2 of that ratio recovers r. Divergence means r >= 1; the threshold
-    sits just under 1 so the borderline logarithmic case is caught while
-    convergent rates like 0.5 stay well clear.
+    1 + log2 of that ratio recovers r. Divergence means r >= 1; a mean rate
+    of 0.95 or more counts, just under 1, so the borderline logarithmic case
+    is caught while convergent rates like 0.5 stay well clear.
     """
     values = np.asarray(values, dtype=float)
     if values.size < 4:
@@ -371,4 +362,4 @@ def flag_divergent_by_exponent(values, threshold: float = 0.95) -> DivergenceVer
         return DivergenceVerdict(False, -math.inf, ())
     exponents = 1.0 + np.log2(diffs[1:] / diffs[:-1])
     mean = float(np.mean(exponents))
-    return DivergenceVerdict(mean >= threshold, mean, tuple(float(x) for x in exponents))
+    return DivergenceVerdict(mean >= 0.95, mean, tuple(float(x) for x in exponents))

@@ -271,13 +271,13 @@ def riesz_transform(e: SymmExpansion, k: int) -> SymmExpansion:
 
 
 def riesz_transform_shifted(
-    e: SymmExpansion, k: int, twisted: bool = False
+    e: SymmExpansion, k: int
 ) -> tuple[HalfLineExpansion, HalfLineExpansion]:
     """Variable-index derivative of order k against the matching potential."""
     if k < 1:
         raise DomainError(f"transform order must be at least 1, got {k}")
     out = apply_multiplier(_inverse_root_symbol(e.params, k), e)
-    return symm_higher_derivative(out, k, twisted=twisted)
+    return symm_higher_derivative(out, k)
 
 
 # --- finite-difference validation path ---

@@ -16,14 +16,13 @@ import numpy as np
 from .basis import (
     HalfLineExpansion,
     SymmExpansion,
-    _fold,
     _fold_nodes,
     _fold_parts,
     _halfline_parts,
     _part_tables,
+    eval_halfline_expansion,
     symm_eigenfunction_table,
 )
-from .core import eigenfunction_table
 from .errors import ConfigError, DomainError
 
 _VARIANTS = ("plain", "modified", "halfline")
@@ -92,9 +91,11 @@ def _rates(e, spec: SquareFunctionSpec) -> np.ndarray:
 
 
 def _mode_table(e, spec: SquareFunctionSpec, theta: np.ndarray):
+    """e's basis functions at theta, one per row, and their flow rates; a
+    half-line expansion's rows synthesize an identity block, which is exact."""
     rates = _rates(e, spec)
     if spec.variant == "halfline":
-        table = _fold(theta, None, {e.parity: eigenfunction_table(len(e) - 1, e.params, theta)})
+        table = eval_halfline_expansion(dataclasses.replace(e, coeffs=np.eye(len(e))), theta)
     else:
         table = symm_eigenfunction_table(len(e), e.params, theta)
     return table, rates
@@ -198,14 +199,9 @@ def square_function(e, spec: SquareFunctionSpec, theta) -> np.ndarray:
     return out if e.coeffs.ndim == 2 else out[0]
 
 
-def square_function_by_time_quadrature(
-    e,
-    spec: SquareFunctionSpec,
-    theta,
-    log_lower: float = -30.0,
-    log_upper: float = 10.0,
-) -> np.ndarray:
-    """Slow route: numerical time integration after t = exp(u) substitution.
+def square_function_by_time_quadrature(e, spec: SquareFunctionSpec, theta) -> np.ndarray:
+    """Slow route: numerical time integration after t = exp(u) substitution,
+    over u in (-30, 10).
 
     Kept deliberately independent of the kernel closed form so the two can
     cross-check each other.
@@ -227,16 +223,14 @@ def square_function_by_time_quadrature(
             s = np.dot(column, np.exp(-t * rates))
             return math.exp(p * u) * abs(s) ** 2
 
-        val, _ = quad(integrand, log_lower, log_upper, limit=400)
+        val, _ = quad(integrand, -30.0, 10.0, limit=400)
         out[i] = math.sqrt(val)
     return out
 
 
 def eigenmode_constant(spec: SquareFunctionSpec, eigenvalue: float) -> float:
     """Factor multiplying |basis value| when the input is a single mode."""
-    rate = math.sqrt(eigenvalue)
-    if spec.variant == "modified":
-        rate += 1.0
+    rate = float(_flow_rates(np.float64(eigenvalue), spec.variant == "modified"))
     if rate == 0.0:
         return 0.0
     p = spec.tail_power

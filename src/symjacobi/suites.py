@@ -22,6 +22,7 @@ import numpy as np
 from ._version import __version__
 from .basis import (
     SymmExpansion,
+    eval_symm_expansion,
     symm_eigenfunction_table,
     symm_eigenvalues,
     synthesize,
@@ -124,20 +125,11 @@ class SuiteConfig:
         return self.quad if self.quad is not None else 2 * self.trunc + 16
 
     def echo(self) -> dict:
-        return {
-            "suite": self.suite,
-            "pairs": [[pr.alpha, pr.beta] for pr in self.pairs],
-            "p": self.p,
-            "q": self.q,
-            "s": self.s,
-            "gamma": self.gamma,
-            "k": self.k,
-            "m": self.m,
-            "trunc": self.trunc,
-            "quad": self.quad_order(),
-            "ensemble": self.ensemble,
-            "seed": self.seed,
-        }
+        """Every field but out, with pairs as lists and quad as quad_order()."""
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name != "out"}
+        out["pairs"] = [[pr.alpha, pr.beta] for pr in self.pairs]
+        out["quad"] = self.quad_order()
+        return out
 
 
 _ADMISSIBILITY_SUITES = {
@@ -584,21 +576,20 @@ def run_potentials(config: SuiteConfig):
         grid = _grid(config, pr)
         members = _draw(pr, config.trunc // 2, config.ensemble, config.seed)
         smoothed = riesz_potential(members, sigma)
-        ratios = lp_norm(synthesize(smoothed, grid), q) / lp_norm(
-            synthesize(members, grid), config.p
+        stats = equivalence_ratio(
+            lp_norm(synthesize(smoothed, grid), q), lp_norm(synthesize(members, grid), config.p)
         )
-        window = np.max(ratios) / np.min(ratios)
         label = _pair_label(pr)
         cases.append(
             _case(
                 f"smoothing-window-{label}",
-                window,
+                stats.window,
                 50.0,
                 f"ratio of the q-norm after order-{2 * sigma:g} smoothing to the p-norm",
             )
         )
         if not ratio_rows:
-            ratio_rows = [[i, float(r)] for i, r in enumerate(ratios)]
+            ratio_rows = [[i, r] for i, r in enumerate(stats.ratios)]
 
     series = {}
     if ratio_rows:
@@ -743,7 +734,9 @@ def run_counterexample(config: SuiteConfig):
             np.min(w1_vals[1:] / w1_vals[:-1]),
             1.5,
             f"exponent route agrees: mean rate {w1_exponent.mean_exponent:.4g}",
-            passed=w1_growth,
+            # growth ratios only reach 1.5 at rates from about 1.585 on, so the
+            # exponent detector catches the rates between 1 and that
+            passed=w1_growth or w1_exponent.divergent,
         )
     )
 
@@ -897,8 +890,9 @@ def run_squarefn(config: SuiteConfig):
         cases.append(_case(f"p2-ratio-constant-{label}", dev, 1e-9))
 
         if pr.contains_p(q_alt):
-            alt = lp_norm(sq, q_alt) / potential_norm(members, q_alt, gamma, grid)
-            window = float(np.max(alt) / np.min(alt))
+            window = equivalence_ratio(
+                lp_norm(sq, q_alt), potential_norm(members, q_alt, gamma, grid)
+            ).window
             cases.append(_case(f"char-window-p{q_alt:g}-{label}", window, 50.0))
             window_rows.append([label, window])
 
@@ -1142,17 +1136,13 @@ def run_schrodinger(config: SuiteConfig):
     lam_max = float(lam[-1])
     times = [2.0**-j for j in range(4, 15)]
 
-    tables = symm_eigenfunction_table(degree + 1, pr, grid.nodes)
     mass = np.sum(np.abs(members.coeffs), axis=-1)
-
-    def max_error(t):
-        diff = schrodinger_propagator(members, t).coeffs - members.coeffs
-        err = np.max(np.abs(diff @ tables), axis=-1)
-        return float(np.max(err)), float(np.max(err / (t * lam_max * mass)))
-
-    results = [max_error(t) for t in times]
-    errors = [r[0] for r in results]
-    worst_bound_ratio = np.max([r[1] for r in results])
+    # the propagated blocks at every time, less the start, synthesized as one block
+    diffs = [schrodinger_propagator(members, t).coeffs - members.coeffs for t in times]
+    values = eval_symm_expansion(SymmExpansion(pr, np.concatenate(diffs)), grid.nodes)
+    err = np.max(np.abs(values), axis=-1).reshape(len(times), -1)
+    errors = np.max(err, axis=-1).tolist()
+    worst_bound_ratio = np.max(err / (np.array(times)[:, None] * lam_max * mass))
     cases.append(
         _case(
             "linear-error-bound",
@@ -1180,7 +1170,7 @@ def run_schrodinger(config: SuiteConfig):
     tg = uniform_time_grid(16)
     member = members[0]
     phases = np.exp(1j * np.outer(tg.nodes, lam))
-    flow = (phases * member.coeffs) @ tables
+    flow = eval_symm_expansion(SymmExpansion(pr, phases * member.coeffs), grid.nodes)
     mix = mixed_norm(flow.T, grid, tg, 2, 2)
     s_hyp = 1.5 + max(pr.alpha, pr.beta)
     ref = potential_norm(member, 2, s_hyp, grid)

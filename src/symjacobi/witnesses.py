@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import JacobiParams, norm_constant_table
+from .core import JacobiParams, _trig_power, norm_constant_table
 
 __all__ = [
     "trig_power",
@@ -27,9 +27,7 @@ __all__ = [
 
 def trig_power(a: float, b: float, theta) -> np.ndarray:
     """|sin(t/2)|^(a+1/2) * cos(t/2)^(b+1/2) with unvalidated exponents."""
-    th = np.abs(np.atleast_1d(np.asarray(theta, dtype=float)))
-    half = th / 2
-    return np.sin(half) ** (a + 0.5) * np.cos(half) ** (b + 0.5)
+    return _trig_power(a, b, np.atleast_1d(np.asarray(theta, dtype=float)))
 
 
 def decay_witness(params: JacobiParams):

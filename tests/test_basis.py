@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symjacobi import basis, core
 from symjacobi.basis import (
     HalfLineExpansion,
     SymmExpansion,
@@ -230,14 +231,45 @@ class TestAnalyze:
         np.testing.assert_allclose(e.coeffs[3::2], 0.0, atol=1e-12)
 
     def test_grid_function_path_matches_callable(self):
-        pr = JacobiParams(1.0, 2.0)
-        coeffs = np.array([0.3, -1.2, 0.0, 2.0, 0.7])
-        e = SymmExpansion(pr, coeffs)
-        grid = symmetric_rule(16, pr)
-        from_grid = analyze(synthesize(e, grid), pr, 5)
-        from_callable = analyze(lambda t: eval_symm_expansion(e, t), pr, 5)
-        np.testing.assert_allclose(from_grid.coeffs, coeffs, atol=1e-12)
-        np.testing.assert_allclose(from_callable.coeffs, coeffs, atol=1e-12)
+        # after (1, 2) the corners: an end next to -1 on either side, and a
+        # large alpha; the callable's odd rows run on the unshifted pair's
+        # rule there too
+        for alpha, beta, n in [
+            (1.0, 2.0, 5), (-0.999999, 0.0, 129), (0.0, -0.999999, 129), (300.0, 0.0, 129)
+        ]:
+            pr = JacobiParams(alpha, beta)
+            coeffs = np.random.default_rng(n).uniform(-1, 1, n)
+            e = SymmExpansion(pr, coeffs)
+            grid = symmetric_rule(n + 11, pr)
+            from_grid = analyze(synthesize(e, grid), pr, n)
+            from_callable = analyze(lambda t: eval_symm_expansion(e, t), pr, n)
+            np.testing.assert_allclose(from_grid.coeffs, coeffs, atol=1e-12)
+            np.testing.assert_allclose(from_callable.coeffs, coeffs, atol=1e-12)
+
+    def test_callable_is_the_grid_function_on_one_symmetric_rule(self, monkeypatch):
+        # both parities come from one rule, and the callable's coefficients
+        # are bitwise those of its samples on symmetric_rule(n_quad, params)
+        pr = JacobiParams(-0.7, 0.4)
+        e = SymmExpansion(pr, np.random.default_rng(3).uniform(-1, 1, 9))
+
+        def f(t):
+            return eval_symm_expansion(e, t)
+
+        original = core.gauss_jacobi_rule
+        rules = []
+
+        def counting(*args, **kwargs):
+            rules.append(args)
+            return original(*args, **kwargs)
+
+        for module in (core, basis):
+            if getattr(module, "gauss_jacobi_rule", None) is original:
+                monkeypatch.setattr(module, "gauss_jacobi_rule", counting)
+        got = analyze(f, pr, 9)
+        assert len(rules) == 1
+        monkeypatch.undo()
+        g = symmetric_rule(9 + 8, pr)
+        assert_bitwise(got.coeffs, analyze(GridFunction(g, f(g.nodes)), pr, 9).coeffs)
 
     def test_insufficient_quadrature(self):
         pr = JacobiParams(0.0, 0.0)

@@ -538,6 +538,12 @@ class TestGaussJacobiRule:
             gram = (table * rule.weights) @ table.T
             assert np.max(np.abs(gram - np.eye(degree + 1))) <= 1e-10
 
+    def test_overflowing_newton_step_names_the_overflow(self):
+        # the step's ratio-difference recurrence overflows here although the
+        # rows are fine; a warning used to precede a convergence error
+        with pytest.raises(GridError, match=r"size 528 .*alpha=10000\.0, beta=0\.0.*overflow"):
+            gauss_jacobi_rule(528, JacobiParams(1e4, 0.0))
+
     @pytest.mark.parametrize("alpha, beta", [(-0.999999, 0.0), (-0.9, 2.0), (30.0, 0.5)])
     def test_swapping_the_pair_mirrors_the_nodes(self, alpha, beta):
         # the nodes of (b, a) are pi minus those of (a, b); nodes next to pi

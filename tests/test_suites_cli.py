@@ -359,6 +359,36 @@ class TestCli:
         assert "p >= 2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_witness1_divergence_is_seen_below_the_growth_detectors_reach(self, tmp_path):
+        # the derivative blows up at rate 1.2 here; three growth ratios of
+        # 1.5 need a rate of about 1.585, so the exponent detector decides
+        code = cli.main(
+            ["counterexample", "--alpha", "-0.9", "--beta", "-0.9", "--out", str(tmp_path)]
+        )
+        assert code == 0
+
+    def test_witness1_divergence_fails_on_a_convergent_sequence(self, monkeypatch):
+        original = suites.truncated_lp_powers
+
+        def convergent(f, p, eps0, levels=5):
+            # |t|^(-1/2) has integrable blowup rate 0.5
+            return original(lambda t: t**-0.5, 1.0, eps0, levels)
+
+        monkeypatch.setattr(suites, "truncated_lp_powers", convergent)
+        report = suites.run_counterexample(fast_config("counterexample"))
+        case = next(c for c in report.cases if c["name"] == "witness1-derivative-diverges-growth")
+        assert not case["passed"]
+
+    @pytest.mark.parametrize("alpha", ["1e4", "1e5"])
+    def test_exit_two_names_an_overflowing_newton_step(self, tmp_path, capsys, alpha):
+        # an overflow warning used to precede a convergence error here
+        code = cli.main(
+            ["basis", "--alpha", alpha, "--beta", "0", "--trunc", "256", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "overflow" in err and "RuntimeWarning" not in err
+
     def test_all_checks_p_against_the_default_sweep(self, tmp_path, capsys):
         code = cli.main(["all", "--p", "6", "--out", str(tmp_path)])
         assert code == 2
