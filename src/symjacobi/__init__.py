@@ -57,7 +57,6 @@ from .norms import (
 )
 from .operators import (
     LadderCoefficients,
-    SpectralMultiplier,
     bessel_potential,
     dunkl_derivative,
     ladder_down,

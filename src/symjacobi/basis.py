@@ -132,16 +132,28 @@ def symm_eigenfunction_table(n_coeffs: int, params: JacobiParams, theta) -> np.n
     return out
 
 
-def _coeff_block(coeffs) -> np.ndarray:
-    # one row of coefficients, or a block of rows with a leading member axis
-    coeffs = np.atleast_1d(np.asarray(coeffs))
-    if coeffs.ndim not in (1, 2) or coeffs.size == 0:
-        raise DomainError("coefficients must form a nonempty 1-d array or 2-d block")
-    return coeffs
+@dataclass(frozen=True)
+class _Expansion:
+    # coefficients against a basis of params: one row, or a block of rows
+    params: JacobiParams
+    coeffs: np.ndarray
+
+    def __post_init__(self) -> None:
+        coeffs = np.atleast_1d(np.asarray(self.coeffs))
+        if coeffs.ndim not in (1, 2) or coeffs.size == 0:
+            raise DomainError("coefficients must form a nonempty 1-d array or 2-d block")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __len__(self) -> int:
+        return self.coeffs.shape[-1]
+
+    def coeff_norm(self):
+        norms = np.linalg.norm(self.coeffs, axis=-1)
+        return float(norms) if norms.ndim == 0 else norms
 
 
 @dataclass(frozen=True)
-class HalfLineExpansion:
+class HalfLineExpansion(_Expansion):
     """Finite expansion against the half-line eigenfunctions of params.
 
     parity records how the function extends to the symmetric interval: a
@@ -149,28 +161,19 @@ class HalfLineExpansion:
     coeffs array holds a block of expansions, one per row.
     """
 
-    params: JacobiParams
-    coeffs: np.ndarray
     parity: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _coeff_block(self.coeffs))
+        super().__post_init__()
         if self.parity not in ("even", "odd"):
             raise DomainError(f"parity must be 'even' or 'odd', got {self.parity!r}")
 
-    def __len__(self) -> int:
-        return self.coeffs.shape[-1]
-
     def eigenvalues(self) -> np.ndarray:
-        a = self.params.eigen_shift
-        return (np.arange(len(self)) + a) ** 2
-
-    def coeff_norm(self):
-        return _row_norms(self.coeffs)
+        return (np.arange(len(self)) + self.params.eigen_shift) ** 2
 
 
 @dataclass(frozen=True)
-class SymmExpansion:
+class SymmExpansion(_Expansion):
     """Finite expansion against the symmetrized basis of params.
 
     A 2-d coeffs array of shape (members, coefficients) is a block of
@@ -179,15 +182,6 @@ class SymmExpansion:
     coefficients, and block[i] is member i.
     """
 
-    params: JacobiParams
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _coeff_block(self.coeffs))
-
-    def __len__(self) -> int:
-        return self.coeffs.shape[-1]
-
     def __getitem__(self, i) -> "SymmExpansion":
         if self.coeffs.ndim != 2:
             raise DomainError("only a block of expansions has members")
@@ -195,14 +189,6 @@ class SymmExpansion:
 
     def eigenvalues(self) -> np.ndarray:
         return symm_eigenvalues(len(self), self.params)
-
-    def coeff_norm(self):
-        return _row_norms(self.coeffs)
-
-
-def _row_norms(coeffs: np.ndarray):
-    norms = np.linalg.norm(coeffs, axis=-1)
-    return float(norms) if norms.ndim == 0 else norms
 
 
 def _require_symmetric(grid: QuadratureGrid) -> None:
@@ -281,14 +267,13 @@ def analyze(f, params: JacobiParams, n_coeffs: int, n_quad: int | None = None) -
             )
         grid = symmetric_rule(n_quad, params)
         f = GridFunction(grid, f(grid.nodes))
-    _require_symmetric(f.grid)
-    half = _positive_half(f.grid)
+    f_even, f_odd = split_even_odd(f)
+    half = f_even.grid
     if len(half) < needed:
         raise ConfigError(
             f"grid holds {len(half)} positive nodes, need at least {needed} "
             f"for {n_coeffs} coefficients"
         )
-    f_even, f_odd = split_even_odd(f)
     dtype = complex if np.iscomplexobj(f.values) else float
     out = np.zeros(f.values.shape[:-1] + (n_coeffs,), dtype=dtype)
     if n_even:
@@ -308,20 +293,25 @@ def _halfline_parts(e) -> tuple[HalfLineExpansion, ...]:
     return (even, odd) if len(e) > 1 else (even,)
 
 
-def _part_tables(parts, nodes) -> list[np.ndarray]:
-    # each part's cached half-line table on nodes
-    return [eigenfunction_table(len(h) - 1, h.params, nodes) for h in parts]
+def _evaluator(parts, theta):
+    """Folded sum at theta of parts shaped like parts, and its angle count.
 
+    parts are half-line expansions of distinct parity tags. Each one's
+    cached table is fetched once, here, on the angles counted: the positive
+    half of a mirrored theta, else every angle.
+    """
+    th, k, nodes = _fold_nodes(theta)
+    tables = [eigenfunction_table(len(h) - 1, h.params, nodes) for h in parts]
 
-def _fold_parts(th: np.ndarray, k: int | None, parts, tables) -> np.ndarray:
-    # one product per part with its table, then one fold onto th
-    return _fold(th, k, {h.parity: h.coeffs @ t for h, t in zip(parts, tables)})
+    def evaluate(same_parts) -> np.ndarray:
+        return _fold(th, k, {h.parity: h.coeffs @ t for h, t in zip(same_parts, tables)})
+
+    return evaluate, nodes.size
 
 
 def _eval_parts(parts, theta) -> np.ndarray:
     # sum at theta of half-line expansions of distinct parity tags
-    th, k, nodes = _fold_nodes(theta)
-    return _fold_parts(th, k, parts, _part_tables(parts, nodes))
+    return _evaluator(parts, theta)[0](parts)
 
 
 def eval_symm_expansion(e: SymmExpansion, theta) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Norms, admissibility predicates, ensembles, and divergence detectors."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -107,13 +108,11 @@ def alt_sobolev_norms(
         )
 
     variable_total = lp_norm(synthesize(e, grid), p)
-    first = dunkl_derivative(e)
+    # order k wraps order k - 1 in the pointwise derivative of the k-1 shift
+    evaluator = functools.partial(eval_symm_expansion, dunkl_derivative(e))
     for k in range(1, m + 1):
-        evaluator = (lambda exp: (lambda t: eval_symm_expansion(exp, t)))(first)
-        for j in range(1, k):
-            evaluator = (
-                lambda f, pr: (lambda t: apply_dunkl_fd(pr, f, t))
-            )(evaluator, e.params.shift(j))
+        if k > 1:
+            evaluator = functools.partial(apply_dunkl_fd, e.params.shift(k - 1), evaluator)
         variable_total += lp_norm(GridFunction(grid, evaluator(grid.nodes)), p)
     return fixed_total, variable_total
 

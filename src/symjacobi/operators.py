@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -20,9 +19,7 @@ from .core import JacobiParams
 from .errors import DomainError, UnsupportedParametersError
 
 __all__ = [
-    "SpectralMultiplier",
     "LadderCoefficients",
-    "apply_multiplier",
     "spectral_base",
     "riesz_potential",
     "bessel_potential",
@@ -46,30 +43,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpectralMultiplier:
-    """Symbol acting coefficient-wise through the eigenvalue of each index."""
-
-    description: str
-    symbol: Callable[[np.ndarray], np.ndarray]
-
-    def symbol_table(self, eigenvalues: np.ndarray) -> np.ndarray:
-        table = np.asarray(self.symbol(np.asarray(eigenvalues, dtype=float)))
-        if not np.all(np.isfinite(table)):
-            raise UnsupportedParametersError(
-                f"multiplier {self.description!r} is not finite on the given spectrum"
-            )
-        return table
-
-
-def apply_multiplier(m: SpectralMultiplier, e):
-    """Multiply coefficients by the symbol at each index's eigenvalue."""
-    table = m.symbol_table(e.eigenvalues())
-    if isinstance(e, SymmExpansion):
-        return SymmExpansion(e.params, e.coeffs * table)
-    if isinstance(e, HalfLineExpansion):
-        return HalfLineExpansion(e.params, e.coeffs * table, e.parity)
-    raise DomainError("multipliers act on symmetrized or half-line expansions")
+def _multiply(e, symbol, description: str):
+    # coefficients times symbol at each eigenvalue; kind and parity are kept
+    if not isinstance(e, (SymmExpansion, HalfLineExpansion)):
+        raise DomainError("multipliers act on symmetrized or half-line expansions")
+    # a value that is not finite is reported below, so numpy need not warn
+    with np.errstate(all="ignore"):
+        table = np.asarray(symbol(np.asarray(e.eigenvalues(), dtype=float)))
+    if not np.all(np.isfinite(table)):
+        raise UnsupportedParametersError(
+            f"multiplier {description!r} is not finite on the given spectrum"
+        )
+    return replace(e, coeffs=e.coeffs * table)
 
 
 def _require_positive(value: float, name: str) -> None:
@@ -99,32 +84,28 @@ def riesz_potential(e: SymmExpansion, sigma: float) -> SymmExpansion:
             "negative powers are undefined when the bottom eigenvalue is 0 "
             f"(alpha + beta = -1 at {e.params.label()}); use the shifted form"
         )
-    m = SpectralMultiplier(f"eigenvalue^(-{sigma:g})", lambda lam: lam ** (-sigma))
-    return apply_multiplier(m, e)
+    return _multiply(e, lambda lam: lam ** (-sigma), f"eigenvalue^(-{sigma:g})")
 
 
 def bessel_potential(e: SymmExpansion, sigma: float) -> SymmExpansion:
     """Negative power of (1 + operator); defined for every parameter pair."""
     _require_positive(sigma, "sigma")
-    m = SpectralMultiplier(f"(1+eigenvalue)^(-{sigma:g})", lambda lam: (1.0 + lam) ** (-sigma))
-    return apply_multiplier(m, e)
+    return _multiply(e, lambda lam: (1.0 + lam) ** (-sigma), f"(1+eigenvalue)^(-{sigma:g})")
 
 
 def modified_riesz_potential(e: SymmExpansion, s: float) -> SymmExpansion:
     """Negative power of (1 + sqrt(operator)); defined for every pair."""
     _require_positive(s, "s")
-    m = SpectralMultiplier(
-        f"(1+sqrt(eigenvalue))^(-{s:g})", lambda lam: (1.0 + np.sqrt(lam)) ** (-s)
+    return _multiply(
+        e, lambda lam: (1.0 + np.sqrt(lam)) ** (-s), f"(1+sqrt(eigenvalue))^(-{s:g})"
     )
-    return apply_multiplier(m, e)
 
 
 def poisson_semigroup(e: SymmExpansion, t: float) -> SymmExpansion:
     """Subordinated heat flow exp(-t sqrt(operator))."""
     if t < 0:
         raise DomainError(f"time must be nonnegative, got {t}")
-    m = SpectralMultiplier(f"exp(-{t:g} sqrt(eigenvalue))", lambda lam: np.exp(-t * np.sqrt(lam)))
-    return apply_multiplier(m, e)
+    return _multiply(e, lambda lam: np.exp(-t * np.sqrt(lam)), f"exp(-{t:g} sqrt(eigenvalue))")
 
 
 def poisson_time_derivative(e: SymmExpansion, t: float, k: int) -> SymmExpansion:
@@ -134,17 +115,16 @@ def poisson_time_derivative(e: SymmExpansion, t: float, k: int) -> SymmExpansion
     if k == 0:
         return poisson_semigroup(e, t)
     _require_positive(t, "time")
-    m = SpectralMultiplier(
-        f"(-sqrt(eigenvalue))^{k} exp(-{t:g} sqrt(eigenvalue))",
+    return _multiply(
+        e,
         lambda lam: (-np.sqrt(lam)) ** k * np.exp(-t * np.sqrt(lam)),
+        f"(-sqrt(eigenvalue))^{k} exp(-{t:g} sqrt(eigenvalue))",
     )
-    return apply_multiplier(m, e)
 
 
 def schrodinger_propagator(e: SymmExpansion, t: float) -> SymmExpansion:
     """Unitary propagator exp(i t operator); coefficients become complex."""
-    m = SpectralMultiplier(f"exp(i {t:g} eigenvalue)", lambda lam: np.exp(1j * t * lam))
-    return apply_multiplier(m, e)
+    return _multiply(e, lambda lam: np.exp(1j * t * lam), f"exp(i {t:g} eigenvalue)")
 
 
 @dataclass(frozen=True)
@@ -224,8 +204,7 @@ def var_index_derivative(h: HalfLineExpansion, k: int) -> HalfLineExpansion:
             m = n - j
             factor *= np.sqrt(m * (m + s + 2 * j))
         out[...] = (-1.0) ** k * factor * h.coeffs[..., k:]
-    flips = k % 2
-    parity = h.parity if flips == 0 else ("odd" if h.parity == "even" else "even")
+    parity = h.parity if k % 2 == 0 else ("odd" if h.parity == "even" else "even")
     return HalfLineExpansion(h.params.shift(k), out, parity)
 
 
@@ -249,10 +228,12 @@ def symm_higher_derivative(
     return dev, dod
 
 
-def _inverse_root_symbol(params: JacobiParams, k: int) -> SpectralMultiplier:
+def _inverse_root(e: SymmExpansion, k: int) -> SymmExpansion:
     # negative half-power of the operator, shifted when the bottom eigenvalue is 0
-    return SpectralMultiplier(
-        f"spectral_base^(-{k}/2)", lambda lam: spectral_base(params, lam) ** (-k / 2)
+    if k < 1:
+        raise DomainError(f"transform order must be at least 1, got {k}")
+    return _multiply(
+        e, lambda lam: spectral_base(e.params, lam) ** (-k / 2), f"spectral_base^(-{k}/2)"
     )
 
 
@@ -262,9 +243,7 @@ def riesz_transform(e: SymmExpansion, k: int) -> SymmExpansion:
     When the bottom eigenvalue is 0 the potential silently takes the shifted
     form, mirroring the case split of the underlying operator family.
     """
-    if k < 1:
-        raise DomainError(f"transform order must be at least 1, got {k}")
-    out = apply_multiplier(_inverse_root_symbol(e.params, k), e)
+    out = _inverse_root(e, k)
     for _ in range(k):
         out = dunkl_derivative(out)
     return out
@@ -274,10 +253,7 @@ def riesz_transform_shifted(
     e: SymmExpansion, k: int
 ) -> tuple[HalfLineExpansion, HalfLineExpansion]:
     """Variable-index derivative of order k against the matching potential."""
-    if k < 1:
-        raise DomainError(f"transform order must be at least 1, got {k}")
-    out = apply_multiplier(_inverse_root_symbol(e.params, k), e)
-    return symm_higher_derivative(out, k)
+    return symm_higher_derivative(_inverse_root(e, k), k)
 
 
 # --- finite-difference validation path ---

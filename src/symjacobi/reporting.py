@@ -29,12 +29,9 @@ class ExperimentReport:
         return [c for c in self.cases if not c.get("passed", False)]
 
 
-def payload(report: ExperimentReport) -> dict:
-    return dataclasses.asdict(report)
-
-
 def report_to_json(report: ExperimentReport) -> str:
-    return json.dumps(payload(report), sort_keys=True, indent=2) + "\n"
+    # vars, not dataclasses.asdict: the fields hold plain values, so no deep copy
+    return json.dumps(vars(report), sort_keys=True, indent=2) + "\n"
 
 
 def write_report(report: ExperimentReport, out_dir: str) -> str:

@@ -16,10 +16,8 @@ import numpy as np
 from .basis import (
     HalfLineExpansion,
     SymmExpansion,
-    _fold_nodes,
-    _fold_parts,
+    _evaluator,
     _halfline_parts,
-    _part_tables,
     eval_halfline_expansion,
     symm_eigenfunction_table,
 )
@@ -176,32 +174,34 @@ def square_function(e, spec: SquareFunctionSpec, theta) -> np.ndarray:
     stays small however large the block.
     """
     factor = _kernel_factor(_rates(e, spec).tobytes(), spec)
-    th, k, nodes = _fold_nodes(theta)
     coeffs = np.atleast_2d(e.coeffs)
     members, rank = coeffs.shape[0], factor.shape[1]
-    out = np.zeros((members, th.size))
+    out = np.zeros((members, np.size(theta)))
     if rank == 0:
         # every mode is dead, so S is 0
         return out if e.coeffs.ndim == 2 else out[0]
-    parts = _halfline_parts(e)
-    tables = _part_tables(parts, nodes)
+    evaluate, n_nodes = _evaluator(_halfline_parts(e), theta)
     split = np.iscomplexobj(coeffs)
     n_rows = rank * (2 if split else 1)
-    step = max(1, _CHUNK_ELEMENTS // max(1, n_rows * nodes.size))
+    step = max(1, _CHUNK_ELEMENTS // max(1, n_rows * n_nodes))
     for start in range(0, members, step):
         rows = coeffs[start : start + step, None, :] * factor.T
         if split:
             rows = np.concatenate([rows.real, rows.imag], axis=1)
         m = rows.shape[0]
         block = dataclasses.replace(e, coeffs=rows.reshape(m * n_rows, -1))
-        u = _fold_parts(th, k, _halfline_parts(block), tables).reshape(m, n_rows, th.size)
+        u = evaluate(_halfline_parts(block)).reshape(m, n_rows, -1)
         out[start : start + step] = np.sqrt(np.einsum("mji,mji->mi", u, u))
     return out if e.coeffs.ndim == 2 else out[0]
 
 
 def square_function_by_time_quadrature(e, spec: SquareFunctionSpec, theta) -> np.ndarray:
-    """Slow route: numerical time integration after t = exp(u) substitution,
-    over u in (-30, 10).
+    """Slow route: numerical time integration after t = exp(u) substitution.
+
+    The integrand exp(p u) |s(e^u)|^2, p = 2(k - gamma), is integrated over
+    u in (min(-30, ln(1e-13 p) / p), max(10, ln(20 / r_min))), r_min the
+    slowest live flow rate: the tail left below is at most 1e-13 sup |s|^2,
+    and s has decayed by e^-20 above; (-30, 10) unless p or r_min is small.
 
     Kept deliberately independent of the kernel closed form so the two can
     cross-check each other.
@@ -214,6 +214,9 @@ def square_function_by_time_quadrature(e, spec: SquareFunctionSpec, theta) -> np
     table, rates = _mode_table(e, spec, theta)
     amplitudes = e.coeffs * (-rates) ** spec.k
     p = spec.tail_power
+    live = rates[rates > 0.0]
+    lower = min(-30.0, math.log(1e-13 * p) / p)
+    upper = max(10.0, math.log(20.0 / live.min())) if live.size else 10.0
     out = np.empty(theta.size)
     for i in range(theta.size):
         column = amplitudes * table[:, i]
@@ -223,7 +226,7 @@ def square_function_by_time_quadrature(e, spec: SquareFunctionSpec, theta) -> np
             s = np.dot(column, np.exp(-t * rates))
             return math.exp(p * u) * abs(s) ** 2
 
-        val, _ = quad(integrand, -30.0, 10.0, limit=400)
+        val, _ = quad(integrand, lower, upper, limit=400)
         out[i] = math.sqrt(val)
     return out
 

@@ -1,14 +1,22 @@
-"""The exported names of the package and its modules all resolve."""
+"""The exported names of the package and its modules all resolve, and the
+modules keep the structure the design relies on."""
 
+import ast
 import importlib
+import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import symjacobi
+from symjacobi.basis import HalfLineExpansion, SymmExpansion
+from symjacobi.core import JacobiParams
+from symjacobi.errors import UnsupportedParametersError
 
 MODULES = [symjacobi] + [
     importlib.import_module(f"symjacobi.{info.name}")
@@ -44,3 +52,54 @@ def test_import_leaves_scipy_unloaded(module):
     # only the rule builder needs scipy.linalg and only the slow
     # time-quadrature route scipy.integrate, and each imports it itself
     assert not loaded_by_import(module)
+
+
+def parsed(module):
+    with open(module.__file__, encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_no_import_goes_unused(module):
+    # the project configures no linter, so this stands in for an unused-import
+    # rule; a name the module exports, or a dunder such as __version__, is used
+    tree = parsed(module)
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = imported - used - set(getattr(module, "__all__", ()))
+    assert sorted(name for name in unused if not name.startswith("__")) == []
+
+
+@pytest.mark.parametrize("module", ["squarefn", "norms"])
+def test_the_fold_stays_inside_basis(module):
+    tree = parsed(importlib.import_module(f"symjacobi.{module}"))
+    from_basis = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "basis"
+        for alias in node.names
+    }
+    assert from_basis & {"_fold", "_fold_nodes", "_mirror_split"} == set()
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_a_multiplier_keeps_a_half_line_expansion_and_its_parity(parity):
+    h = HalfLineExpansion(JacobiParams(0.3, 0.7), np.arange(1.0, 6.0), parity)
+    out = symjacobi.poisson_semigroup(h, 0.5)
+    assert type(out) is HalfLineExpansion and out.parity == parity
+    expected = h.coeffs * np.exp(-0.5 * np.sqrt(h.eigenvalues()))
+    np.testing.assert_array_equal(out.coeffs, expected)
+
+
+def test_a_multiplier_that_is_not_finite_is_named():
+    e = SymmExpansion(JacobiParams(0.3, 0.7), np.ones(5))
+    with pytest.raises(
+        UnsupportedParametersError, match=re.escape("multiplier 'exp(i inf eigenvalue)'")
+    ):
+        symjacobi.schrodinger_propagator(e, math.inf)

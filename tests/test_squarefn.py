@@ -163,6 +163,27 @@ class TestDualRoute:
         slow = square_function_by_time_quadrature(e, spec, theta)
         np.testing.assert_allclose(closed, slow, rtol=1e-6, atol=1e-10)
 
+    @pytest.mark.parametrize("variant", ["plain", "modified"])
+    @pytest.mark.parametrize(
+        "params, gamma, k",
+        [
+            (JacobiParams(-0.5, -0.5), 0.8, 1),
+            (JacobiParams(-0.5, -0.5), 2.99, 3),
+            (JacobiParams(-0.5, -0.4999), 0.5, 1),
+        ],
+        ids=["small-tail-power", "tiny-tail-power", "slow-bottom-rate"],
+    )
+    def test_time_range_follows_the_inputs(self, params, gamma, k, variant):
+        # a small 2(k - gamma) leaves a small-t tail beyond u = -30, a slow
+        # bottom rate a large-t tail beyond u = 10; that fixed range missed
+        # the closed form by up to 33 here
+        e = random_expansion(params, 6, 14)
+        theta = np.array([-1.9, -0.7, 0.8, 2.1])
+        spec = SquareFunctionSpec(gamma, k, variant)
+        closed = square_function(e, spec, theta)
+        slow = square_function_by_time_quadrature(e, spec, theta)
+        assert np.max(np.abs(closed - slow)) <= 1e-9
+
 
 class TestPointwiseStructure:
     def test_sublinear(self):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import symjacobi
 from symjacobi import cli, core, norms, suites
 from symjacobi.core import _TABLE_CACHE, JacobiParams
 from symjacobi.errors import ConfigError
-from symjacobi.reporting import ExperimentReport, emit_plots, write_report
+from symjacobi.reporting import ExperimentReport, emit_plots, report_to_json, write_report
 from symjacobi.suites import (
     SUITES,
     SuiteConfig,
@@ -155,6 +156,15 @@ class TestRunSuite:
         assert len(reports) == 1
         assert reports[0].passed
         assert list(tmp_path.iterdir()) == []
+
+    def test_json_is_that_of_the_deep_copy(self):
+        # report_to_json dumps the report's own fields, without the deep copy
+        # dataclasses.asdict makes, and writes the same text
+        reports = run_suite(fast_config("all"), write=False)
+        assert len(reports) == len(SUITES)
+        for r in reports:
+            expected = json.dumps(dataclasses.asdict(r), sort_keys=True, indent=2) + "\n"
+            assert report_to_json(r) == expected
 
     def test_outputs_on_disk(self, tmp_path):
         cfg = fast_config("eigen", out=str(tmp_path))
@@ -411,6 +421,20 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "config error" in err and "alpha=-0.999999999999999, beta=50.0" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--gamma", "0.8", "--k", "1"],
+            ["--gamma", "2.99", "--k", "3"],
+            ["--alpha", "-0.5", "--beta", "-0.4999", "--trunc", "16"],
+        ],
+        ids=["small-tail-power", "tiny-tail-power", "slow-bottom-rate"],
+    )
+    def test_squarefn_time_quadrature_range_follows_the_inputs(self, tmp_path, argv):
+        # the cross-check integrated over a fixed u in (-30, 10) and read
+        # up to 33 against its bound of 1e-6 on these inputs
+        assert cli.main(["squarefn", *argv, "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("trunc", ["64", "256"])
     def test_basis_passes_next_to_alpha_minus_one(self, tmp_path, trunc):
