@@ -43,7 +43,6 @@ from .norms import (
     RatioStats,
     TimeGrid,
     admissibility,
-    alt_sobolev_norms,
     equivalence_ratio,
     flag_divergent_by_exponent,
     flag_divergent_by_growth,

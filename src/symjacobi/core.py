@@ -27,6 +27,7 @@ __all__ = [
     "eigenfunction_table",
     "gauss_jacobi_rule",
     "symmetric_rule",
+    "GAUSS_LEGENDRE_32",
 ]
 
 
@@ -355,6 +356,14 @@ class GridFunction:
         object.__setattr__(self, "values", values)
         if values.ndim not in (1, 2) or values.shape[-1:] != self.grid.nodes.shape:
             raise GridError("values must match the grid node count")
+
+
+# Nodes and weights of the 32-point Gauss-Legendre rule on (-1, 1), read-only:
+# the one fixed-order rule of the composite integrals in norms and squarefn.
+GAUSS_LEGENDRE_32 = np.polynomial.legendre.leggauss(32)
+for _part in GAUSS_LEGENDRE_32:
+    _part.flags.writeable = False
+del _part
 
 
 # Largest Newton step, relative to the distance of the node from 0 or pi,

@@ -1,26 +1,19 @@
 """Norms, admissibility predicates, ensembles, and divergence detectors."""
 
 import dataclasses
-import functools
 import math
 
 import numpy as np
 
-from .basis import SymmExpansion, _eval_parts, eval_symm_expansion, synthesize
-from .core import GridFunction, JacobiParams, QuadratureGrid
+from .basis import SymmExpansion, _eval_parts, synthesize
+from .core import GAUSS_LEGENDRE_32, GridFunction, JacobiParams, QuadratureGrid
 from .errors import (
     AdmissibilityError,
     DomainError,
     EnsembleError,
     GridError,
 )
-from .operators import (
-    FD_MARGIN,
-    apply_dunkl_fd,
-    dunkl_derivative,
-    spectral_base,
-    symm_higher_derivative,
-)
+from .operators import spectral_base, symm_higher_derivative
 
 
 def lp_norm(f: GridFunction, p: float):
@@ -72,49 +65,6 @@ def sobolev_norm(e: SymmExpansion, p: float, m: int, grid: QuadratureGrid):
         values = _eval_parts(symm_higher_derivative(e, k), grid.nodes)
         total += lp_norm(GridFunction(grid, values), p)
     return total
-
-
-def _fd_node_margin(grid: QuadratureGrid) -> float:
-    return float(np.min(np.minimum(np.abs(grid.nodes), math.pi - np.abs(grid.nodes))))
-
-
-def alt_sobolev_norms(
-    e: SymmExpansion, p: float, m: int, grid: QuadratureGrid
-) -> tuple[float, float]:
-    """The two alternative Sobolev norms: fixed-index and variable-index.
-
-    The fixed-index version iterates the coefficient-space reflection
-    derivative, which keeps every order band-limited. The variable-index
-    version shifts the parameters up at each step; from the second order on,
-    that composition leaves the band-limited span, so the outer layers are
-    applied pointwise by finite differences on the synthesized function.
-    """
-    if m < 1:
-        raise DomainError(f"order must be a positive integer, got {m}")
-    _require_admissible(e.params, p)
-
-    fixed_total = 0.0
-    current = e
-    for k in range(m + 1):
-        if k > 0:
-            current = dunkl_derivative(current)
-        fixed_total += lp_norm(synthesize(current, grid), p)
-
-    if m >= 2 and _fd_node_margin(grid) <= FD_MARGIN:
-        raise GridError(
-            "variable-index orders beyond 1 are evaluated by finite "
-            f"differences and need every node farther than {FD_MARGIN:.4g} "
-            "from 0 and the endpoints"
-        )
-
-    variable_total = lp_norm(synthesize(e, grid), p)
-    # order k wraps order k - 1 in the pointwise derivative of the k-1 shift
-    evaluator = functools.partial(eval_symm_expansion, dunkl_derivative(e))
-    for k in range(1, m + 1):
-        if k > 1:
-            evaluator = functools.partial(apply_dunkl_fd, e.params.shift(k - 1), evaluator)
-        variable_total += lp_norm(GridFunction(grid, evaluator(grid.nodes)), p)
-    return fixed_total, variable_total
 
 
 @dataclasses.dataclass(frozen=True)
@@ -301,7 +251,7 @@ def truncated_lp_powers(f, p: float, eps0: float, levels: int = 5) -> np.ndarray
     upper = math.pi - 0.25
     if eps0 >= upper:
         raise DomainError(f"first cutoff {eps0} must sit below {upper}")
-    gl_x, gl_w = np.polynomial.legendre.leggauss(32)
+    gl_x, gl_w = GAUSS_LEGENDRE_32
 
     def panel(a, b):
         mid, rad = 0.5 * (a + b), 0.5 * (b - a)

@@ -3,7 +3,7 @@
 The pointwise value is a weighted time integral of a k-th time derivative
 of the flow. For band-limited inputs that integral collapses to a finite
 quadratic form whose kernel has a closed gamma-function expression; it is
-evaluated as a sum of squares over a low-rank factor of that kernel. A slow
+evaluated as a sum of squares over a low-rank factor of that kernel. A
 numerical time integration is kept alongside as an independent route.
 """
 
@@ -21,6 +21,7 @@ from .basis import (
     eval_halfline_expansion,
     symm_eigenfunction_table,
 )
+from .core import GAUSS_LEGENDRE_32
 from .errors import ConfigError, DomainError
 
 _VARIANTS = ("plain", "modified", "halfline")
@@ -195,40 +196,49 @@ def square_function(e, spec: SquareFunctionSpec, theta) -> np.ndarray:
     return out if e.coeffs.ndim == 2 else out[0]
 
 
-def square_function_by_time_quadrature(e, spec: SquareFunctionSpec, theta) -> np.ndarray:
-    """Slow route: numerical time integration after t = exp(u) substitution.
+def _log_time_rule(p: float, rates: np.ndarray):
+    """Nodes u = ln t and weights of the time route's composite rule.
 
-    The integrand exp(p u) |s(e^u)|^2, p = 2(k - gamma), is integrated over
-    u in (min(-30, ln(1e-13 p) / p), max(10, ln(20 / r_min))), r_min the
-    slowest live flow rate: the tail left below is at most 1e-13 sup |s|^2,
-    and s has decayed by e^-20 above; (-30, 10) unless p or r_min is small.
-
-    Kept deliberately independent of the kernel closed form so the two can
-    cross-check each other.
+    u runs from min(-30, ln(1e-13 p) / p) to max(10, ln(20 / r_min)), r_min
+    the slowest live flow rate: the tail left below is at most
+    1e-13 sup |s|^2, and s has decayed by e^-20 above; (-30, 10) unless p or
+    r_min is small. Each panel carries the 32-point Gauss-Legendre rule.
+    Panels have unit width from the top down to -30. Below -30, t < 1e-13,
+    so s(e^u) is constant to about 1e-11 and the integrand is e^(p u) times
+    a constant; there the panel widths double, down to the bottom.
     """
-    # scipy.integrate is imported here, not at module level: it is the
-    # slowest part of importing the package and only this route needs it
-    from scipy.integrate import quad
-
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    table, rates = _mode_table(e, spec, theta)
-    amplitudes = e.coeffs * (-rates) ** spec.k
-    p = spec.tail_power
     live = rates[rates > 0.0]
     lower = min(-30.0, math.log(1e-13 * p) / p)
     upper = max(10.0, math.log(20.0 / live.min())) if live.size else 10.0
-    out = np.empty(theta.size)
-    for i in range(theta.size):
-        column = amplitudes * table[:, i]
+    # below -30 the edges are -29 - 2^j: -30, -31, -33, -37, ...
+    doublings = math.ceil(math.log2(-29.0 - lower))
+    edges = np.concatenate(
+        [
+            np.arange(upper, -30.0, -1.0),
+            np.maximum(-29.0 - 2.0 ** np.arange(doublings + 1), lower),
+        ]
+    )
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    rad = 0.5 * (edges[:-1] - edges[1:])
+    x, w = GAUSS_LEGENDRE_32
+    return (mid[:, None] + rad[:, None] * x).ravel(), (rad[:, None] * w).ravel()
 
-        def integrand(u):
-            t = math.exp(u)
-            s = np.dot(column, np.exp(-t * rates))
-            return math.exp(p * u) * abs(s) ** 2
 
-        val, _ = quad(integrand, lower, upper, limit=400)
-        out[i] = math.sqrt(val)
-    return out
+def square_function_by_time_quadrature(e, spec: SquareFunctionSpec, theta) -> np.ndarray:
+    """Numerical time integration after the t = exp(u) substitution.
+
+    The integrand exp(p u) |s(e^u)|^2, p = 2(k - gamma), is integrated over
+    u by the composite rule of _log_time_rule, at every angle in one
+    product; a block gives one row of values per member. Kept deliberately
+    independent of the kernel closed form so the two can cross-check each
+    other.
+    """
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    table, rates = _mode_table(e, spec, theta)
+    u, w = _log_time_rule(spec.tail_power, rates)
+    amplitudes = e.coeffs * (-rates) ** spec.k
+    s = np.exp(-np.outer(np.exp(u), rates)) @ (amplitudes[..., None] * table)
+    return np.sqrt((w * np.exp(spec.tail_power * u)) @ np.abs(s) ** 2)
 
 
 def eigenmode_constant(spec: SquareFunctionSpec, eigenvalue: float) -> float:

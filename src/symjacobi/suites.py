@@ -348,11 +348,13 @@ def _degree_doubling(
     the RatioStats statistics to watch: "window" (max / min), "maximum" or
     both. The case passes when every tracked statistic is finite at both
     degrees and grows by at most 10 %, and, when the window is tracked, the
-    lower-degree window is at most 50. A window case records its
-    upper-degree window against 50; a maximum-only case records its
-    upper-degree maximum against 1.1 times the lower-degree maximum. detail
-    is a format string over lo and hi (the RatioStats) and lo_degree and
-    hi_degree.
+    lower-degree window is at most 50. A case whose tracked statistic grew
+    too much records that statistic at the upper degree against 1.1 times
+    its value at the lower degree, and its detail names the statistic.
+    Otherwise a window case records its upper-degree window against 50, and
+    a maximum-only case its upper-degree maximum against 1.1 times the
+    lower-degree maximum. detail is a format string over lo and hi (the
+    RatioStats) and lo_degree and hi_degree.
 
     The norms map a block to one norm per member. The block is drawn once at
     the top degree; the lower degree is its column prefix, which is exactly
@@ -366,15 +368,15 @@ def _degree_doubling(
         members = SymmExpansion(pr, block.coeffs[:, : degree + 1])
         stats.append(equivalence_ratio(norm_a(members), norm_b(members)))
     lo, hi = stats
-    steady = [(getattr(lo, stat), getattr(hi, stat)) for stat in tracked]
-    passed = all(math.isfinite(a) and math.isfinite(b) and b <= 1.1 * a for a, b in steady)
-    if "window" in tracked:
-        passed = passed and lo.window <= 50.0
-        value, bound = hi.window, 50.0
-    else:
-        value, bound = hi.maximum, 1.1 * lo.maximum
     text = detail.format(lo=lo, hi=hi, lo_degree=degrees[0], hi_degree=degrees[1])
-    return _case(name, value, bound, text, passed=passed), lo, hi
+    for stat in tracked:
+        a, b = getattr(lo, stat), getattr(hi, stat)
+        if not (math.isfinite(a) and b <= 1.1 * a):
+            text += f"; the {stat} grew by more than 10 %"
+            return _case(name, b, 1.1 * a, text, passed=False), lo, hi
+    if "window" in tracked:
+        return _case(name, hi.window, 50.0, text, passed=lo.window <= 50.0), lo, hi
+    return _case(name, hi.maximum, 1.1 * lo.maximum, text, passed=True), lo, hi
 
 
 # The suites by name, in run order; _suite fills it.

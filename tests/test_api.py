@@ -36,27 +36,47 @@ def test_normalization_is_exported():
     assert "norm_constant_table" in symjacobi.core.__all__
 
 
-def loaded_by_import(module):
+def loaded_after(module, statement="import symjacobi"):
     # a fresh interpreter, so no earlier test has imported the module
     src = os.path.dirname(os.path.dirname(symjacobi.__file__))
-    code = f"import sys, symjacobi; print({module!r} in sys.modules)"
+    code = f"import sys; {statement}; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    return out.stdout.strip() == "True"
+    return out.stdout.split()[-1] == "True"
 
 
 @pytest.mark.parametrize("module", ["scipy.special", "scipy.linalg", "scipy.integrate"])
 def test_import_leaves_scipy_unloaded(module):
     # scipy.special took 0.3 s of a 0.55 s import for its log-gamma alone;
-    # only the rule builder needs scipy.linalg and only the slow
-    # time-quadrature route scipy.integrate, and each imports it itself
-    assert not loaded_by_import(module)
+    # only the rule builder needs scipy.linalg, and imports it itself, and
+    # no module needs scipy.integrate
+    assert not loaded_after(module)
+
+
+def test_the_square_function_suite_leaves_scipy_integrate_unloaded(tmp_path):
+    # its time-quadrature cross-check once loaded it, at 0.25 s or more
+    run = (
+        "from symjacobi.cli import main; "
+        f"assert main(['squarefn', '--trunc', '16', '--out', {str(tmp_path)!r}]) == 0"
+    )
+    assert not loaded_after("scipy.integrate", run)
 
 
 def parsed(module):
     with open(module.__file__, encoding="utf-8") as fh:
         return ast.parse(fh.read())
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_no_module_imports_scipy_integrate(module):
+    imported = set()
+    for node in ast.walk(parsed(module)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert [name for name in imported if f"{name}.".startswith("scipy.integrate.")] == []
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

@@ -14,12 +14,9 @@ from symjacobi.basis import (
 from symjacobi.core import (
     GridFunction,
     JacobiParams,
-    QuadratureGrid,
     eigenvalue,
     gauss_jacobi_rule,
-    norm_constant_table,
     symmetric_rule,
-    trig_weight,
 )
 from symjacobi.errors import (
     AdmissibilityError,
@@ -30,7 +27,6 @@ from symjacobi.errors import (
 from symjacobi.norms import (
     AdmissibilityRecord,
     admissibility,
-    alt_sobolev_norms,
     equivalence_ratio,
     flag_divergent_by_exponent,
     flag_divergent_by_growth,
@@ -42,7 +38,7 @@ from symjacobi.norms import (
     truncated_lp_powers,
     uniform_time_grid,
 )
-from symjacobi.operators import LadderCoefficients, symm_higher_derivative
+from symjacobi.operators import symm_higher_derivative
 from symjacobi.witnesses import growth_witness_coefficient
 
 GENERIC = JacobiParams(0.3, 0.7)
@@ -193,65 +189,6 @@ class TestSobolevNorm:
                 want = want + lp_norm(GridFunction(grid, values), 3.0)
             got = sobolev_norm(block, 3.0, m, grid)
             assert got.shape == (3,) and got.tobytes() == want.tobytes()
-
-
-class TestAltSobolevNorms:
-    def test_zero_input(self):
-        grid = symmetric_rule(16, GENERIC)
-        fixed, variable = alt_sobolev_norms(SymmExpansion(GENERIC, np.zeros(4)), 2, 2, grid)
-        assert fixed == 0.0 and variable == 0.0
-
-    def test_first_order_routes_coincide(self):
-        rng = np.random.default_rng(33)
-        e = SymmExpansion(GENERIC, rng.uniform(-1, 1, 9))
-        grid = symmetric_rule(32, GENERIC)
-        for p in (2.0, 4.0):
-            fixed, variable = alt_sobolev_norms(e, p, 1, grid)
-            assert fixed == pytest.approx(variable, rel=1e-14)
-
-    def test_fixed_route_on_unit_mode(self):
-        pr = GENERIC
-        grid = symmetric_rule(40, pr)
-        coeffs = np.zeros(3)
-        coeffs[2] = 1.0
-        e = SymmExpansion(pr, coeffs)
-        d1 = LadderCoefficients(pr).table(2)[1]
-        fixed, _ = alt_sobolev_norms(e, 2, 2, grid)
-        assert fixed == pytest.approx(1.0 + d1 + d1**2, rel=1e-10)
-
-    def test_variable_second_order_against_closed_form(self):
-        # one even mode: the exact outer layer has an elementary expression,
-        # which checks the finite-difference chain end to end
-        pr = GENERIC
-        grid = symmetric_rule(40, pr)
-        coeffs = np.zeros(3)
-        coeffs[2] = 1.0
-        e = SymmExpansion(pr, coeffs)
-        _, variable = alt_sobolev_norms(e, 2, 2, grid)
-
-        d1 = LadderCoefficients(pr).table(2)[1]
-        c0 = norm_constant_table(0, pr.shift(1))[0]
-        th = np.abs(grid.nodes)
-        outer = (
-            d1
-            * c0
-            / math.sqrt(2.0)
-            * trig_weight(pr.shift(1), th)
-            * (
-                -(2 * pr.alpha + 3) / (2 * np.tan(th / 2))
-                + (2 * pr.beta + 3) / 2 * np.tan(th / 2)
-            )
-        )
-        k2_norm = lp_norm(GridFunction(grid, outer), 2)
-        assert variable == pytest.approx(1.0 + d1 + k2_norm, rel=1e-6)
-
-    def test_fd_route_demands_margin(self):
-        nodes = np.array([-2.0, -1e-4, 1e-4, 2.0])
-        weights = np.ones(4)
-        grid = QuadratureGrid(nodes, weights, "symmetric")
-        e = SymmExpansion(GENERIC, np.ones(4))
-        with pytest.raises(GridError):
-            alt_sobolev_norms(e, 2, 2, grid)
 
 
 class TestAdmissibility:

@@ -27,7 +27,9 @@ from symjacobi.squarefn import (
     SquareFunctionSpec,
     _kernel,
     _kernel_factor,
+    _log_time_rule,
     _mode_table,
+    _rates,
     eigenmode_constant,
     l2_equivalence_constant,
     square_function,
@@ -183,6 +185,49 @@ class TestDualRoute:
         closed = square_function(e, spec, theta)
         slow = square_function_by_time_quadrature(e, spec, theta)
         assert np.max(np.abs(closed - slow)) <= 1e-9
+
+    @pytest.mark.parametrize("variant", ["plain", "modified"])
+    def test_time_route_at_a_large_pair(self, variant):
+        # one adaptive quad per angle missed the closed form here by 3.6e-6
+        # (plain) and 4.1e-6 (modified), near theta = 2.85
+        e = random_expansion(JacobiParams(10, 10), 6, 1)
+        theta = np.linspace(-3, 3, 40)
+        spec = SquareFunctionSpec(0.8, 1, variant)
+        closed = square_function(e, spec, theta)
+        by_time = square_function_by_time_quadrature(e, spec, theta)
+        assert np.max(np.abs(closed - by_time)) <= 1e-9
+
+    def test_time_route_on_a_half_line_expansion(self):
+        coeffs = np.random.default_rng(1).uniform(-1, 1, 6)
+        e = HalfLineExpansion(JacobiParams(10, 10), coeffs, "odd")
+        theta = np.linspace(0.05, 3.1, 40)
+        spec = SquareFunctionSpec(0.8, 1, "halfline")
+        closed = square_function(e, spec, theta)
+        by_time = square_function_by_time_quadrature(e, spec, theta)
+        assert np.max(np.abs(closed - by_time)) <= 1e-9
+
+    def test_time_route_gives_one_row_per_member(self):
+        # as many angles as modes, so a product that paired each amplitude
+        # with the wrong row would still have the right shape
+        block = random_band_limited(GENERIC, 5, 3, seed=2)
+        theta = np.linspace(-2.0, 2.0, 6)
+        spec = SquareFunctionSpec(0.7, 2, "modified")
+        rows = [
+            square_function_by_time_quadrature(SymmExpansion(GENERIC, c), spec, theta)
+            for c in block.coeffs
+        ]
+        assert np.array_equal(square_function_by_time_quadrature(block, spec, theta), rows)
+
+    def test_time_rule_widens_below_the_unit_panels(self):
+        # p = 0.02 puts the bottom of the range near u = -1692; unit panels
+        # all the way down would take about 54,000 points
+        spec = SquareFunctionSpec(2.99, 3)
+        e = random_expansion(JacobiParams(-0.5, -0.5), 6, 14)
+        p = spec.tail_power
+        u, w = _log_time_rule(p, _rates(e, spec))
+        assert u.size < 2000
+        assert u.max() < 10.0 and u.min() > math.log(1e-13 * p) / p
+        assert math.fsum(w) == pytest.approx(10.0 - math.log(1e-13 * p) / p, rel=1e-14)
 
 
 class TestPointwiseStructure:
