@@ -24,7 +24,8 @@ _FIELDS = (
     ("gamma", float, "square function decay index"),
     ("k", int, "derivative order inside the flow"),
     ("m", int, "whole derivative order"),
-    ("trunc", int, "coefficient truncation degree"),
+    ("trunc", int, "coefficient truncation degree, at least 4; at least 8 for "
+              "decomposition, sobolev, embed, schrodinger and all"),
     ("quad", int, "quadrature order"),
     ("ensemble", int, "random ensemble size"),
     ("seed", int, "ensemble seed"),

@@ -174,12 +174,13 @@ def _log_beta(p: float, q: float) -> float:
 
 # Byte budget of the table cache. Every suite treats an ensemble as one
 # coefficient block and a run shares one grid per pair, so `verif all
-# --trunc 128` makes 612 table requests for 130 distinct tables and builds
-# 168 of them (444 hits, 73 %). The basis module evaluates a mirrored grid
-# on its positive half only, which is also the key its half-line rule uses,
-# so each entry takes half the bytes. The hits are tables that several norms or
-# suites share on one grid; without them a pass of that run takes about
-# 0.65 s instead of 0.42 s on a 2-core machine. A larger budget saves little
+# --trunc 128` makes 614 table requests for 66 distinct (pair, angles). A
+# request at or below the depth of the kept table is a view of its leading
+# rows, and a deeper one extends it, so a warm pass builds 68 tables and
+# extends 34, computing 2,431 rows, where a cache keyed on the degree as
+# well built 166 tables of 5,419 rows. The basis module evaluates a mirrored
+# grid on its positive half only, which is also the key its half-line rule
+# uses, so each entry takes half the bytes. A larger budget saves little
 # and raises peak memory.
 _TABLE_CACHE_BYTES = 2 * 1024 * 1024
 
@@ -188,7 +189,8 @@ class _TableCache:
     """Least-recently-used tables under a total byte budget.
 
     A table counts its array bytes plus the node bytes in its key. A table
-    larger than the whole budget is never kept. There is no lock: every
+    larger than the whole budget is never kept, and one stored under a key
+    that is already present replaces its entry. There is no lock: every
     caller in this package runs on the calling thread.
     """
 
@@ -208,6 +210,9 @@ class _TableCache:
         size = table.nbytes + len(key[-1])
         if size > self.budget:
             return
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self.nbytes -= old[1]
         self._entries[key] = (table, size)
         self.nbytes += size
         while self.nbytes > self.budget:
@@ -228,25 +233,28 @@ def eigenfunction_table(n_top: int, params: JacobiParams, theta: np.ndarray) -> 
     The rows come from the orthonormal recurrence in theta that also gives
     the rule weights, so they stay normalized at large alpha and beta. They
     depend on |theta| only, so -theta gives the same table. The result is
-    read-only, and equal arguments share one cached array while it stays in
-    the cache.
+    read-only. The cache keeps the deepest table built for a pair and angle
+    set: a request at its depth gets that array, a shallower one a view of
+    its leading rows, and a deeper one extends it by the missing rows. Rows
+    0..n of any depth are bitwise the rows of a depth-n build.
     """
     th = np.abs(np.atleast_1d(np.asarray(theta, dtype=float)))
     # exact bytes, so -0.0 and 0.0 parameters or nearby nodes never share a table
     pair = np.array([params.alpha, params.beta], dtype=float).tobytes()
-    key = (n_top, pair, th.shape, th.tobytes())
+    key = (pair, th.shape, th.tobytes())
     table = _TABLE_CACHE.get(key)
-    if table is None:
-        table = _eigenfunction_rows(n_top, params, th)
+    if table is None or table.shape[0] <= n_top:
+        table = _eigenfunction_rows(n_top, params, th, table)
         table.flags.writeable = False
         _TABLE_CACHE.put(key, table)
-    return table
+    return table if table.shape[0] == n_top + 1 else table[: n_top + 1]
 
 
-def _eigenfunction_rows(n_top: int, params: JacobiParams, th: np.ndarray) -> np.ndarray:
-    # uncached build of the rows n = 0..n_top at the angles th: a ring that
-    # holds every row fills once
-    return next(_orthonormal_rows(n_top, params, th, n_top + 1))
+def _eigenfunction_rows(n_top: int, params: JacobiParams, th: np.ndarray, head=None) -> np.ndarray:
+    # uncached build of the rows n = 0..n_top at the angles th, continuing
+    # from the leading rows head when given: a ring that holds every row
+    # fills once
+    return next(_orthonormal_rows(n_top, params, th, n_top + 1, head))
 
 
 # Rows per block of a recurrence sweep. The factors that do not depend on
@@ -256,34 +264,41 @@ def _eigenfunction_rows(n_top: int, params: JacobiParams, th: np.ndarray) -> np.
 _ROW_BLOCK = 64
 
 
-def _orthonormal_rows(n_top: int, params: JacobiParams, th: np.ndarray, size: int):
+def _orthonormal_rows(n_top: int, params: JacobiParams, th: np.ndarray, size: int, head=None):
     """Rows phi_n(th), n = 0..n_top, written to row n % size of a ring.
 
     The recurrence s_{n+1} phi_{n+1} = (x - a_n) phi_n - s_n phi_{n-1} of the
     orthonormal polynomials runs on the entries of `_jacobi_matrix` from
-    phi_0 = trig_weight / sqrt(B(a + 1, b + 1)), formed in logarithms. Yields
-    the ring each time it fills and the rows after the last fill at the end;
-    the caller reads them before resuming.
+    phi_0 = trig_weight / sqrt(B(a + 1, b + 1)), formed in logarithms. Given
+    head, rows 0..m of these angles in a ring that holds every row, it copies
+    them and resumes at row m + 1 instead. Yields the ring each time it fills
+    and the rows after the last fill at the end; the caller reads them
+    before resuming.
     """
     _check_angles(params, th)
     a, b = params.alpha, params.beta
     _, off, ends = _jacobi_matrix(n_top + 1, params)
     half = 0.5 * th
-    log_w = (b + 0.5) * np.log(np.cos(half)) - 0.5 * _log_beta(a + 1.0, b + 1.0)
-    if a != -0.5:  # else sin^0 = 1, also in the limit at th = 0
-        with np.errstate(divide="ignore"):  # log 0 at th = 0 gives phi_0 = 0
-            log_w += (a + 0.5) * np.log(np.sin(half))
     size = min(size, n_top + 1)
     ring = np.empty((size, th.size))
-    ring[0] = np.exp(log_w)
+    if head is None:
+        first = 0
+        log_w = (b + 0.5) * np.log(np.cos(half)) - 0.5 * _log_beta(a + 1.0, b + 1.0)
+        if a != -0.5:  # else sin^0 = 1, also in the limit at th = 0
+            with np.errstate(divide="ignore"):  # log 0 at th = 0 gives phi_0 = 0
+                log_w += (a + 0.5) * np.log(np.sin(half))
+        ring[0] = np.exp(log_w)
+    else:
+        first = len(head) - 1
+        ring[: first + 1] = head
     # x - a_n is ends[n, 0] - 2 sin^2(th/2) below pi/2 and ends[n, 1] +
     # 2 cos^2(th/2) from pi/2 on, so rows next to 0 and pi keep their digits
     side = (th >= 0.5 * np.pi).astype(np.intp)
     shift = np.where(side, 2.0 * np.cos(half) ** 2, -2.0 * np.sin(half) ** 2)
     ratio = np.concatenate([[0.0], off[:-1] / off[1:]])  # s_n / s_{n+1}
-    linear = np.empty((min(_ROW_BLOCK, n_top), th.size))
-    prev, cur = np.zeros(th.size), ring[0]
-    for lo in range(0, n_top, _ROW_BLOCK):
+    linear = np.empty((min(_ROW_BLOCK, n_top - first), th.size))
+    prev, cur = (ring[first - 1] if first else np.zeros(th.size)), ring[first]
+    for lo in range(first, n_top, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, n_top)
         block = linear[: hi - lo]
         np.take(ends[lo:hi], side, axis=1, out=block)

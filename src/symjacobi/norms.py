@@ -23,11 +23,12 @@ def lp_norm(f: GridFunction, p: float):
     """
     if p < 1:
         raise DomainError(f"p must be at least 1, got {p}")
-    mags = np.abs(f.values)
+    mags = np.abs(f.values, dtype=float)  # a fresh array, so raised in place
     if math.isinf(p):
         norms = np.max(mags, axis=-1, initial=0.0)
     else:
-        norms = f.grid.integrate(mags**p) ** (1.0 / p)
+        mags **= p
+        norms = f.grid.integrate(mags) ** (1.0 / p)
     return float(norms) if norms.ndim == 0 else norms
 
 

@@ -132,6 +132,11 @@ class SuiteConfig:
         return out
 
 
+# The suites that draw at degree max(trunc // 2, _WINDOW_FLOOR) below trunc
+# need a trunc of at least the floor, or the lower degree would exceed it
+_WINDOW_FLOOR = 8
+_WINDOW_SUITES = {"decomposition", "sobolev", "embed", "schrodinger"}
+
 _ADMISSIBILITY_SUITES = {
     "potentials",
     "decomposition",
@@ -191,6 +196,11 @@ def validate_config(config: SuiteConfig) -> None:
     given = _pairs_given(config)
     suites = list(SUITES) if config.suite == "all" else [config.suite]
     for suite in suites:
+        if suite in _WINDOW_SUITES and config.trunc < _WINDOW_FLOOR:
+            raise ConfigError(
+                f"the {suite} suite draws at degree max(trunc // 2, {_WINDOW_FLOOR}), so its "
+                f"truncation degree must be at least {_WINDOW_FLOOR}, got {config.trunc}"
+            )
         pairs = config.pairs
         if suite in _PINNED_PAIRS:
             pairs = [_single_pair(dataclasses.replace(config, suite=suite))]
@@ -361,7 +371,7 @@ def _degree_doubling(
     the lower-degree draw. Returns the case and the RatioStats at the lower
     and at the upper degree.
     """
-    degrees = (max(config.trunc // 2, 8), config.trunc)
+    degrees = (max(config.trunc // 2, _WINDOW_FLOOR), config.trunc)
     block = _draw(pr, max(degrees), config.ensemble, config.seed)
     stats = []
     for degree in degrees:
@@ -620,7 +630,7 @@ def run_decomposition(config: SuiteConfig):
     s = config.s if config.s is not None else 0.7
     ratio_rows = []
     window_rows = []
-    degree_lo = max(config.trunc // 2, 8)
+    degree_lo = max(config.trunc // 2, _WINDOW_FLOOR)
 
     for pr in config.pairs:
         label = _pair_label(pr)
@@ -1132,7 +1142,7 @@ def run_schrodinger(config: SuiteConfig):
     cases = []
     pr = _single_pair(config)
     grid = _grid(config, pr)
-    degree = max(config.trunc // 2, 8)
+    degree = max(config.trunc // 2, _WINDOW_FLOOR)
     members = _draw(pr, degree, min(config.ensemble, 8), config.seed, decay=SCHRODINGER_DECAY)
     lam = members.eigenvalues()
     lam_max = float(lam[-1])

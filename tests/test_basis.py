@@ -404,9 +404,11 @@ class TestMirrorFold:
         assert full.shape == (61, 48)
         # one half table per parity, under the key of the half-line rule
         keys = list(_TABLE_CACHE._entries)
-        assert [key[0] for key in keys] == [30, 29]
-        assert all(key[2:] == ((24,), grid.half.nodes.tobytes()) for key in keys)
+        pairs = [np.array([q.alpha, q.beta]).tobytes() for q in (pr, pr.shift(1))]
+        assert [key[0] for key in keys] == pairs
+        assert all(key[1:] == ((24,), grid.half.nodes.tobytes()) for key in keys)
         tables = [_TABLE_CACHE.get(key) for key in keys]
+        assert [t.shape[0] for t in tables] == [31, 30]
         assert _TABLE_CACHE.nbytes == sum(t.nbytes + grid.half.nodes.nbytes for t in tables)
         # analysis on the half-line rule shares both entries
         assert eigenfunction_table(30, pr, grid.half.nodes) is tables[0]
@@ -461,13 +463,13 @@ class TestMirrorFold:
         _TABLE_CACHE.clear()
         synthesize(SymmExpansion(pr, np.ones(9)), grid)
         eval_halfline_expansion(HalfLineExpansion(pr, np.ones(5), "odd"), grid.nodes)
-        assert {key[2] for key in _TABLE_CACHE._entries} == {(20,)}
+        assert {key[1] for key in _TABLE_CACHE._entries} == {(20,)}
         # a node one ulp off its mirror image takes the full-set path
         nodes = grid.nodes.copy()
         nodes[3] = np.nextafter(nodes[3], 0.0)
         _TABLE_CACHE.clear()
         eval_symm_expansion(SymmExpansion(pr, np.ones(9)), nodes)
-        assert {key[2] for key in _TABLE_CACHE._entries} == {(40,)}
+        assert {key[1] for key in _TABLE_CACHE._entries} == {(40,)}
 
     def test_symmetric_tag_needs_an_exact_mirror(self):
         grid = symmetric_rule(6, JacobiParams(0.3, 0.7))

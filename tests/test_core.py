@@ -10,9 +10,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
+from symjacobi import core
 from symjacobi.basis import _mirror_split
 from symjacobi.core import (
     _TABLE_CACHE,
@@ -332,7 +335,7 @@ class TestTableCache:
         with pytest.raises(ValueError):
             hit[0, 0] = 1.0
 
-    def test_key_covers_degree_pair_and_nodes(self):
+    def test_key_covers_pair_and_nodes(self):
         _TABLE_CACHE.clear()
         pr = JacobiParams(0.3, 0.7)
         th = np.linspace(0.1, 3.0, 40)
@@ -340,13 +343,15 @@ class TestTableCache:
         nudged = th.copy()
         nudged[7] = np.nextafter(nudged[7], 4.0)
         others = [
-            eigenfunction_table(11, pr, th),
             eigenfunction_table(12, JacobiParams(0.3, 0.7 + 1e-15), th),
             eigenfunction_table(12, pr, nudged),
             eigenfunction_table(12, pr, th[:-1]),
         ]
-        assert all(t is not base for t in others)
-        assert others[0].shape == (12, 40)
+        assert all(not np.shares_memory(t, base) for t in others)
+        # a shallower request is a view of the leading rows of the same entry
+        prefix = eigenfunction_table(11, pr, th)
+        assert prefix.shape == (12, 40) and np.shares_memory(prefix, base)
+        assert_bitwise(prefix, _eigenfunction_rows(11, pr, th))
         # the table depends on |theta| only, so mirrored nodes share it
         assert eigenfunction_table(12, pr, -th) is base
 
@@ -363,6 +368,7 @@ class TestTableCache:
         assert eigenfunction_table(255, JacobiParams(0.9, 0.5), th) is table
 
     def test_oversized_table_is_returned_not_retained(self):
+        # the big table extends the small one's entry, which stays as it was
         _TABLE_CACHE.clear()
         pr = JacobiParams(0.3, 0.7)
         th = np.linspace(0.05, 3.0, 300)
@@ -388,6 +394,57 @@ class TestTableCache:
             with pytest.raises(DomainError):
                 eigenfunction_table(4, JacobiParams(0.3, 0.7), np.array([0.5, math.pi]))
         assert _TABLE_CACHE.nbytes == 0 == retained_bytes()
+
+    def test_deeper_request_replaces_the_entry(self):
+        _TABLE_CACHE.clear()
+        pr = JacobiParams(0.3, 0.7)
+        th = np.linspace(0.05, 3.0, 50)
+        shallow = eigenfunction_table(10, pr, th)
+        deep = eigenfunction_table(40, pr, th)
+        # one entry, counted once at its new size
+        assert len(_TABLE_CACHE._entries) == 1
+        assert _TABLE_CACHE.nbytes == deep.nbytes + th.nbytes == retained_bytes()
+        assert_bitwise(deep[:11], shallow)
+        assert eigenfunction_table(40, pr, th) is deep
+        assert np.shares_memory(eigenfunction_table(10, pr, th), deep)
+
+    def test_extension_computes_only_the_new_rows(self, monkeypatch):
+        resumed = []
+        original = core._orthonormal_rows
+
+        def counting(n_top, params, th, size, head=None):
+            resumed.append((n_top + 1 - (0 if head is None else len(head)), head))
+            return original(n_top, params, th, size, head)
+
+        monkeypatch.setattr(core, "_orthonormal_rows", counting)
+        _TABLE_CACHE.clear()
+        pr = JacobiParams(2.5, 1.5)
+        th = np.linspace(0.05, 3.0, 30)
+        shallow = eigenfunction_table(20, pr, th)
+        for n_top in (5, 20, 70, 33, 70):
+            eigenfunction_table(n_top, pr, th)
+        # 21 rows built, then 50 added on top of the kept table; every other
+        # request was served from the cache
+        assert [rows for rows, _ in resumed] == [21, 50]
+        assert resumed[0][1] is None and resumed[1][1] is shallow
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        alpha=st.floats(-1.0, 50.0, exclude_min=True),
+        beta=st.floats(-1.0, 50.0, exclude_min=True),
+        count=st.integers(1, 40),
+        depths=st.tuples(st.integers(0, 150), st.integers(1, 150), st.integers(0, 300)),
+    )
+    def test_every_served_table_is_a_cold_build(self, alpha, beta, count, depths):
+        # shallow, then deeper, then back to a depth at or below the deepest
+        pr = JacobiParams(alpha, beta)
+        th = np.linspace(0.01, 3.13, count)
+        shallow, gap, back = depths
+        _TABLE_CACHE.clear()
+        for n_top in (shallow, shallow + gap, min(back, shallow + gap)):
+            table = eigenfunction_table(n_top, pr, th)
+            assert not table.flags.writeable
+            assert_bitwise(table, _eigenfunction_rows(n_top, pr, th))
 
 
 def assert_bitwise(got, want):
@@ -435,7 +492,7 @@ class TestMirrorFold:
         table = eigenfunction_table(6, pr, nodes)
         # one entry, built at every node of the set
         (key,) = _TABLE_CACHE._entries
-        assert key[2] == nodes.shape
+        assert key[1] == nodes.shape
         assert _TABLE_CACHE.get(key) is table
         assert_bitwise(table, _eigenfunction_rows(6, pr, np.abs(nodes)))
 

@@ -69,6 +69,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="at least 4"):
             validate_config(SuiteConfig(suite="basis", trunc=2))
 
+    def test_suites_without_a_window_keep_trunc_4(self):
+        window = {"decomposition", "sobolev", "embed", "schrodinger"}
+        for suite in set(EXPECTED_SUITES) - window:
+            validate_config(SuiteConfig(suite=suite, trunc=4))
+        validate_config(SuiteConfig(suite="all", trunc=8))
+
     def test_quad_must_exceed_trunc(self):
         with pytest.raises(ConfigError, match="must exceed the truncation"):
             validate_config(SuiteConfig(suite="basis", trunc=32, quad=32))
@@ -237,6 +243,24 @@ class TestRunSuite:
         assert len(outputs[0]) > 2 * len(SUITES)
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("before", [32, 8])
+    def test_reports_do_not_depend_on_the_tables_left_cached(self, before):
+        # the first pass runs on the second one's grids (quad 48), so it
+        # leaves deeper tables (trunc 32) to serve as prefix views or
+        # shallower ones (trunc 8) to extend
+        def reports():
+            run = run_suite(SuiteConfig(suite="all", trunc=16, ensemble=4), write=False)
+            return [
+                json.dumps({k: v for k, v in vars(r).items() if k != "wall_clock_s"}, sort_keys=True)
+                for r in run
+            ]
+
+        _TABLE_CACHE.clear()
+        cold = reports()
+        _TABLE_CACHE.clear()
+        run_suite(SuiteConfig(suite="all", trunc=before, quad=48, ensemble=4), write=False)
+        assert reports() == cold
+
     def test_each_grid_and_draw_is_built_once_per_run(self, monkeypatch):
         rules, draws = [], []
         original_rule = core.gauss_jacobi_rule
@@ -331,6 +355,16 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "config error" in err and "0 < gamma < k" in err
+
+    @pytest.mark.parametrize("trunc", ["4", "6", "7"])
+    @pytest.mark.parametrize("suite", ["decomposition", "sobolev", "embed", "schrodinger", "all"])
+    def test_exit_two_below_the_window_floor(self, tmp_path, capsys, suite, trunc):
+        # the lower window degree max(trunc // 2, 8) would exceed trunc
+        out = tmp_path / "out"
+        code = cli.main([suite, "--trunc", trunc, "--out", str(out)])
+        assert code == 2
+        assert f"must be at least 8, got {trunc}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_exit_two_before_any_suite_writes(self, tmp_path, capsys):
         # the embed suite runs tenth; its condition is checked before the first
