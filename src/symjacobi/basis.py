@@ -248,7 +248,10 @@ def analyze(f, params: JacobiParams, n_coeffs: int, n_quad: int | None = None) -
     is sampled on symmetric_rule(n_quad, params). Either way the grid's
     half-line rule serves both parities: the odd rows, of the shifted pair,
     are exact on it too. Exact to roundoff when f lies in the span of the
-    requested basis functions and the quadrature order suffices.
+    requested basis functions and the quadrature order suffices. A
+    callable's rule lives only for this call, so its tables do not outlive
+    it; a GridFunction on a grid the caller holds reuses that grid's tables,
+    which synthesis on the grid shares.
     """
     if n_coeffs < 1:
         raise ConfigError(f"coefficient count must be positive, got {n_coeffs}")

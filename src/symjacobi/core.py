@@ -9,7 +9,7 @@ angle variable.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,59 +172,22 @@ def _log_beta(p: float, q: float) -> float:
     )
 
 
-# Byte budget of the table cache. Every suite treats an ensemble as one
-# coefficient block and a run shares one grid per pair, so `verif all
-# --trunc 128` makes 614 table requests for 66 distinct (pair, angles). A
-# request at or below the depth of the kept table is a view of its leading
-# rows, and a deeper one extends it, so a warm pass builds 68 tables and
-# extends 34, computing 2,431 rows, where a cache keyed on the degree as
-# well built 166 tables of 5,419 rows. The basis module evaluates a mirrored
-# grid on its positive half only, which is also the key its half-line rule
-# uses, so each entry takes half the bytes. A larger budget saves little
-# and raises peak memory.
-_TABLE_CACHE_BYTES = 2 * 1024 * 1024
+# The table store of each live grid, keyed by the id of the array that owns
+# the grid's nodes: the array reached by following `.base`, so `grid.nodes`,
+# its slices and the views of `symmetric_rule`'s half all reach one store.
+# An entry leaves when its owner is collected, so a caller that holds a grid
+# never rebuilds its tables and a one-shot grid leaves nothing behind.
+_GRID_TABLES: dict[int, dict] = {}
+
+# Largest table a store keeps; a larger one is returned and not kept, so a
+# degree-512 table does not stay as long as its grid, through its Gram product.
+_TABLE_CAP_BYTES = 2 * 1024 * 1024
 
 
-class _TableCache:
-    """Least-recently-used tables under a total byte budget.
-
-    A table counts its array bytes plus the node bytes in its key. A table
-    larger than the whole budget is never kept, and one stored under a key
-    that is already present replaces its entry. There is no lock: every
-    caller in this package runs on the calling thread.
-    """
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.nbytes = 0
-        self._entries: OrderedDict = OrderedDict()
-
-    def get(self, key):
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        self._entries.move_to_end(key)
-        return entry[0]
-
-    def put(self, key, table: np.ndarray) -> None:
-        size = table.nbytes + len(key[-1])
-        if size > self.budget:
-            return
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self.nbytes -= old[1]
-        self._entries[key] = (table, size)
-        self.nbytes += size
-        while self.nbytes > self.budget:
-            _, (_, dropped) = self._entries.popitem(last=False)
-            self.nbytes -= dropped
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.nbytes = 0
-
-
-_TABLE_CACHE = _TableCache(_TABLE_CACHE_BYTES)
+def _owner(a: np.ndarray) -> np.ndarray:
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
 
 
 def eigenfunction_table(n_top: int, params: JacobiParams, theta: np.ndarray) -> np.ndarray:
@@ -233,20 +196,27 @@ def eigenfunction_table(n_top: int, params: JacobiParams, theta: np.ndarray) -> 
     The rows come from the orthonormal recurrence in theta that also gives
     the rule weights, so they stay normalized at large alpha and beta. They
     depend on |theta| only, so -theta gives the same table. The result is
-    read-only. The cache keeps the deepest table built for a pair and angle
-    set: a request at its depth gets that array, a shallower one a view of
-    its leading rows, and a deeper one extends it by the missing rows. Rows
-    0..n of any depth are bitwise the rows of a depth-n build.
+    read-only. On the nodes of a live grid, or a slice of them, the grid
+    keeps the deepest table built for a pair and angle set until the grid's
+    node array is collected: a request at its depth gets that array, a
+    shallower one a view of its leading rows, and a deeper one extends it
+    by the missing rows. A table over 2 MiB is returned and not kept, and
+    so is every table on other angles. Rows 0..n of any depth are bitwise
+    the rows of a depth-n build.
     """
-    th = np.abs(np.atleast_1d(np.asarray(theta, dtype=float)))
+    theta = np.asarray(theta, dtype=float)
+    # angles of no live grid get a store that is dropped on return
+    store = _GRID_TABLES.get(id(_owner(theta)), {})
+    th = np.abs(np.atleast_1d(theta))
     # exact bytes, so -0.0 and 0.0 parameters or nearby nodes never share a table
     pair = np.array([params.alpha, params.beta], dtype=float).tobytes()
     key = (pair, th.shape, th.tobytes())
-    table = _TABLE_CACHE.get(key)
+    table = store.get(key)
     if table is None or table.shape[0] <= n_top:
         table = _eigenfunction_rows(n_top, params, th, table)
         table.flags.writeable = False
-        _TABLE_CACHE.put(key, table)
+        if table.nbytes <= _TABLE_CAP_BYTES:
+            store[key] = table
     return table if table.shape[0] == n_top + 1 else table[: n_top + 1]
 
 
@@ -321,7 +291,8 @@ class QuadratureGrid:
 
     interval is "halfline" for grids inside (0, pi) and "symmetric" for
     mirrored grids inside (-pi, pi) that never contain 0. For symmetric grids
-    the generating half-line grid is kept in half.
+    the generating half-line grid is kept in half. The eigenfunction tables
+    built on a grid's nodes are kept for as long as its node array lives.
     """
 
     nodes: np.ndarray
@@ -348,6 +319,10 @@ class QuadratureGrid:
             raise GridError("nodes must lie strictly inside the open interval")
         if self.interval == "symmetric" and np.any(nodes == 0.0):
             raise GridError("symmetric grids must not contain 0")
+        owner = _owner(nodes)
+        if id(owner) not in _GRID_TABLES:
+            _GRID_TABLES[id(owner)] = {}
+            weakref.finalize(owner, _GRID_TABLES.pop, id(owner), None)
 
     def __len__(self) -> int:
         return self.nodes.size
@@ -518,9 +493,13 @@ def symmetric_rule(n_nodes_half: int, params: JacobiParams) -> QuadratureGrid:
 
     An even integrand then picks up twice its half-line integral, which is
     the correct full-interval value under the plain angle measure. Gauss
-    nodes are interior so 0 never appears.
+    nodes are interior so 0 never appears. The half-line rule in half is
+    the positive half of the mirrored arrays, as views, so a table built on
+    half.nodes and one built on the grid's positive nodes are one table,
+    kept for as long as the grid lives.
     """
-    half = gauss_jacobi_rule(n_nodes_half, params)
-    nodes = np.concatenate([-half.nodes[::-1], half.nodes])
-    weights = np.concatenate([half.weights[::-1], half.weights])
+    rule = gauss_jacobi_rule(n_nodes_half, params)
+    nodes = np.concatenate([-rule.nodes[::-1], rule.nodes])
+    weights = np.concatenate([rule.weights[::-1], rule.weights])
+    half = QuadratureGrid(nodes[n_nodes_half:], weights[n_nodes_half:], "halfline")
     return QuadratureGrid(nodes=nodes, weights=weights, interval="symmetric", half=half)

@@ -501,18 +501,17 @@ def run_eigen(config: SuiteConfig):
         nodes = np.linspace(0.2, math.pi - 0.2, 9)
         fd_worst = 0.0
         ladder = LadderCoefficients(pr).table(21)
-        # rows of one top-height table per angle set, so the table cache
-        # serves every n after the first
+        # the stencil is elementwise, so one pass over whole tables gives
+        # each row bitwise; the stencil angles are no grid's, so nothing
+        # keeps these tables between calls
         degrees = (1, 5, 10, 20)
         top = max(degrees)
+        fd_vals = apply_ladder_down_fd(pr, lambda t: eigenfunction_table(top, pr, t), nodes)
+        lowered = eigenfunction_table(top - 1, pr.shift(1), nodes)
         for n in degrees:
-            def f(t, n=n, pr=pr):
-                return eigenfunction_table(top, pr, t)[n]
-
-            fd_vals = apply_ladder_down_fd(pr, f, nodes)
-            target = -ladder[n] * eigenfunction_table(top - 1, pr.shift(1), nodes)[n - 1]
+            target = -ladder[n] * lowered[n - 1]
             scale = np.max(np.abs(target))
-            fd_worst = np.maximum(fd_worst, np.max(np.abs(fd_vals - target)) / scale)
+            fd_worst = np.maximum(fd_worst, np.max(np.abs(fd_vals[n] - target)) / scale)
         cases.append(_case(f"ladder-vs-fd-{label}", fd_worst, 1e-5))
     residual_rows = [[n, float(per_n[n])] for n in range(n_top + 1)]
     series = {

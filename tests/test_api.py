@@ -108,6 +108,23 @@ def test_the_fold_stays_inside_basis(module):
     assert from_basis & {"_fold", "_fold_nodes", "_mirror_split"} == set()
 
 
+@pytest.mark.parametrize(
+    "module", [m for m in MODULES if m.__name__ != "symjacobi.core"], ids=lambda m: m.__name__
+)
+def test_the_table_stores_stay_inside_core(module):
+    # core alone ties a grid's tables to its node array; a module that read
+    # or filled the registry could keep tables past their grid
+    names = set()
+    for node in ast.walk(parsed(module)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert "_GRID_TABLES" not in names
+
+
 @pytest.mark.parametrize("parity", ["even", "odd"])
 def test_a_multiplier_keeps_a_half_line_expansion_and_its_parity(parity):
     h = HalfLineExpansion(JacobiParams(0.3, 0.7), np.arange(1.0, 6.0), parity)

@@ -1,5 +1,6 @@
 """Symmetrized basis: parity bookkeeping, transforms, round trips."""
 
+import gc
 import itertools
 import math
 
@@ -28,7 +29,7 @@ from symjacobi.basis import (
     to_halfline,
 )
 from symjacobi.core import (
-    _TABLE_CACHE,
+    _GRID_TABLES,
     GridFunction,
     JacobiParams,
     QuadratureGrid,
@@ -79,12 +80,11 @@ class TestIndexMap:
 
 class TestSymmEigenfunction:
     def test_parity_bitwise(self):
-        # built afresh both times, so the cache cannot make this hold
+        # angles that are no grid's nodes are built afresh each call, so no
+        # kept table can make this hold
         pr = JacobiParams(0.3, 0.7)
         th = np.linspace(0.07, 3.05, 11)
-        _TABLE_CACHE.clear()
         plus = symm_eigenfunction_table(10, pr, th)
-        _TABLE_CACHE.clear()
         minus = symm_eigenfunction_table(10, pr, -th)
         for n in (0, 2, 6):
             np.testing.assert_array_equal(plus[n], minus[n])
@@ -283,6 +283,31 @@ class TestAnalyze:
 
 
 class TestSynthesize:
+    def test_analysis_and_synthesis_share_one_build_per_parity(self, monkeypatch):
+        pr = JacobiParams(0.3, 0.7)
+        grid = symmetric_rule(24, pr)
+        assert grid.half.nodes.base is grid.nodes and grid.half.weights.base is grid.weights
+        builds = []
+        original = core._eigenfunction_rows
+
+        def counting(n_top, params, th, head=None):
+            builds.append((params, n_top))
+            return original(n_top, params, th, head)
+
+        monkeypatch.setattr(core, "_eigenfunction_rows", counting)
+        e = SymmExpansion(pr, np.random.default_rng(3).uniform(-1, 1, 31))
+        back = analyze(synthesize(e, grid), pr, 31)
+        np.testing.assert_allclose(back.coeffs, e.coeffs, atol=1e-13)
+        analyze(synthesize(e, grid), pr, 31)
+        assert sorted(builds, key=lambda b: b[1]) == [(pr.shift(1), 14), (pr, 15)]
+
+    def test_a_callables_rule_keeps_no_tables(self):
+        # the rule analyze builds for a callable lives only for the call
+        stores = set(_GRID_TABLES)
+        analyze(np.cos, JacobiParams(0.3, 0.7), 9)
+        gc.collect()
+        assert set(_GRID_TABLES) - stores == set()
+
     def test_round_trip_and_parseval(self):
         for pr in PAIRS:
             rng = np.random.default_rng(42)
@@ -399,22 +424,21 @@ class TestMirrorFold:
     def test_cache_keeps_only_the_positive_half(self):
         pr = JacobiParams(0.3, 0.7)
         grid = symmetric_rule(24, pr)
-        _TABLE_CACHE.clear()
+        store = _GRID_TABLES[id(grid.nodes)]
         full = symm_eigenfunction_table(61, pr, grid.nodes)
         assert full.shape == (61, 48)
         # one half table per parity, under the key of the half-line rule
-        keys = list(_TABLE_CACHE._entries)
+        keys = list(store)
         pairs = [np.array([q.alpha, q.beta]).tobytes() for q in (pr, pr.shift(1))]
         assert [key[0] for key in keys] == pairs
         assert all(key[1:] == ((24,), grid.half.nodes.tobytes()) for key in keys)
-        tables = [_TABLE_CACHE.get(key) for key in keys]
+        tables = [store[key] for key in keys]
         assert [t.shape[0] for t in tables] == [31, 30]
-        assert _TABLE_CACHE.nbytes == sum(t.nbytes + grid.half.nodes.nbytes for t in tables)
         # analysis on the half-line rule shares both entries
         assert eigenfunction_table(30, pr, grid.half.nodes) is tables[0]
         assert eigenfunction_table(29, pr.shift(1), grid.half.nodes) is tables[1]
         assert_bitwise(symm_eigenfunction_table(61, pr, grid.nodes), full)
-        assert len(_TABLE_CACHE._entries) == 2
+        assert len(store) == 2
 
     @pytest.mark.parametrize("shape", [(1,), (2,), (13,), (4, 13), (3, 1)])
     @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -460,16 +484,16 @@ class TestMirrorFold:
     def test_synthesis_requests_only_half_tables(self):
         pr = JacobiParams(0.3, 0.7)
         grid = symmetric_rule(20, pr)
-        _TABLE_CACHE.clear()
         synthesize(SymmExpansion(pr, np.ones(9)), grid)
         eval_halfline_expansion(HalfLineExpansion(pr, np.ones(5), "odd"), grid.nodes)
-        assert {key[1] for key in _TABLE_CACHE._entries} == {(20,)}
-        # a node one ulp off its mirror image takes the full-set path
+        assert {key[1] for key in _GRID_TABLES[id(grid.nodes)]} == {(20,)}
+        # a node one ulp off its mirror image takes the full-set path; a
+        # grid on those nodes keeps the table it builds
         nodes = grid.nodes.copy()
         nodes[3] = np.nextafter(nodes[3], 0.0)
-        _TABLE_CACHE.clear()
-        eval_symm_expansion(SymmExpansion(pr, np.ones(9)), nodes)
-        assert {key[1] for key in _TABLE_CACHE._entries} == {(40,)}
+        off = QuadratureGrid(nodes, grid.weights, "symmetric")
+        eval_symm_expansion(SymmExpansion(pr, np.ones(9)), off.nodes)
+        assert {key[1] for key in _GRID_TABLES[id(nodes)]} == {(40,)}
 
     def test_symmetric_tag_needs_an_exact_mirror(self):
         grid = symmetric_rule(6, JacobiParams(0.3, 0.7))

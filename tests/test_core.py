@@ -6,7 +6,9 @@ adaptive quadrature of the defining integrals, and the defining property of
 Gauss nodes, that they are the zeros of the top polynomial.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -18,8 +20,8 @@ from scipy.special import roots_jacobi
 from symjacobi import core
 from symjacobi.basis import _mirror_split
 from symjacobi.core import (
-    _TABLE_CACHE,
-    _TABLE_CACHE_BYTES,
+    _GRID_TABLES,
+    _TABLE_CAP_BYTES,
     _eigenfunction_rows,
     GridFunction,
     JacobiParams,
@@ -293,33 +295,38 @@ class TestEigenfunction:
 
     def test_scalar_angle_is_a_one_element_array(self):
         pr = JacobiParams(0.3, 0.7)
-        _TABLE_CACHE.clear()
-        scalar = eigenfunction_table(3, pr, 0.5).copy()
-        _TABLE_CACHE.clear()
+        scalar = eigenfunction_table(3, pr, 0.5)
         np.testing.assert_array_equal(scalar, eigenfunction_table(3, pr, np.array([0.5])))
         assert scalar.shape == (4, 1)
 
     def test_even_extension_bitwise(self):
-        # built afresh both times, so the cache cannot make this hold
+        # angles that are no grid's nodes are built afresh each call, so no
+        # kept table can make this hold
         pr = JacobiParams(0.3, 0.7)
         th = np.linspace(0.1, 3.0, 9)
-        _TABLE_CACHE.clear()
-        plus = eigenfunction_table(3, pr, th).copy()
-        _TABLE_CACHE.clear()
+        plus = eigenfunction_table(3, pr, th)
         np.testing.assert_array_equal(eigenfunction_table(3, pr, -th), plus)
 
 
-def retained_bytes():
-    return sum(size for _, size in _TABLE_CACHE._entries.values())
+def grid_on(th):
+    # a half-line grid on the angles th, so th owns a table store
+    return QuadratureGrid(th, np.ones_like(th), "halfline")
+
+
+def store_of(grid):
+    return _GRID_TABLES[id(core._owner(grid.nodes))]
 
 
 class TestTableCache:
+    """Each grid keeps the tables built on its nodes while its node array lives."""
+
     def test_hit_is_fresh_build_and_read_only(self):
-        _TABLE_CACHE.clear()
         pr = JacobiParams(0.3, 0.7)
-        th = np.linspace(0.1, 3.0, 40)
+        grid = grid_on(np.linspace(0.1, 3.0, 40))
+        th = grid.nodes
         first = eigenfunction_table(12, pr, th)
-        hit = eigenfunction_table(12, pr, th.copy())
+        # a view of the grid's nodes reaches the same store
+        hit = eigenfunction_table(12, pr, th[:])
         assert hit is first
         assert_bitwise(hit, _eigenfunction_rows(12, pr, th))
         # the x-form product is an independent oracle for the rows; 1e-13 of
@@ -336,74 +343,103 @@ class TestTableCache:
             hit[0, 0] = 1.0
 
     def test_key_covers_pair_and_nodes(self):
-        _TABLE_CACHE.clear()
         pr = JacobiParams(0.3, 0.7)
-        th = np.linspace(0.1, 3.0, 40)
+        grid = grid_on(np.linspace(0.1, 3.0, 40))
+        th = grid.nodes
         base = eigenfunction_table(12, pr, th)
-        nudged = th.copy()
-        nudged[7] = np.nextafter(nudged[7], 4.0)
+        # slices of one node array share a store; one shape, other bytes
         others = [
             eigenfunction_table(12, JacobiParams(0.3, 0.7 + 1e-15), th),
-            eigenfunction_table(12, pr, nudged),
+            eigenfunction_table(12, pr, th[1:]),
             eigenfunction_table(12, pr, th[:-1]),
         ]
         assert all(not np.shares_memory(t, base) for t in others)
+        assert not np.shares_memory(others[1], others[2])
+        assert len(store_of(grid)) == 4
         # a shallower request is a view of the leading rows of the same entry
         prefix = eigenfunction_table(11, pr, th)
         assert prefix.shape == (12, 40) and np.shares_memory(prefix, base)
         assert_bitwise(prefix, _eigenfunction_rows(11, pr, th))
-        # the table depends on |theta| only, so mirrored nodes share it
-        assert eigenfunction_table(12, pr, -th) is base
 
-    def test_retained_bytes_stay_within_budget(self):
-        _TABLE_CACHE.clear()
-        th = np.linspace(0.05, 3.0, 256)
-        requested = 0
-        for i in range(10):
-            table = eigenfunction_table(255, JacobiParams(0.1 * i, 0.5), th)
-            requested += table.nbytes
-            assert _TABLE_CACHE.nbytes == retained_bytes() <= _TABLE_CACHE_BYTES
-        assert requested > _TABLE_CACHE_BYTES
-        # least recently used tables went first; the newest one is kept
-        assert eigenfunction_table(255, JacobiParams(0.9, 0.5), th) is table
+    def test_mirrored_nodes_share_the_positive_half_table(self):
+        # the table depends on |theta| only, so the reversed negative half of
+        # a symmetric rule reaches the entry of its positive half
+        pr = JacobiParams(0.3, 0.7)
+        grid = symmetric_rule(20, pr)
+        pos = eigenfunction_table(12, pr, grid.nodes[20:])
+        assert eigenfunction_table(12, pr, grid.nodes[19::-1]) is pos
+        assert eigenfunction_table(12, pr, grid.half.nodes) is pos
+
+    def test_a_held_grid_keeps_every_table(self):
+        # ten tables of 0.5 MiB, more than the whole budget of the least
+        # recently used cache this store replaced; every one stays
+        grid = grid_on(np.linspace(0.05, 3.0, 256))
+        pairs = [JacobiParams(0.1 * i, 0.5) for i in range(10)]
+        tables = [eigenfunction_table(255, pr, grid.nodes) for pr in pairs]
+        assert sum(t.nbytes for t in tables) > 2 * _TABLE_CAP_BYTES
+        assert all(eigenfunction_table(255, pr, grid.nodes) is t for pr, t in zip(pairs, tables))
+        assert len(store_of(grid)) == 10
+
+    def test_the_store_leaves_with_its_grid(self):
+        pr = JacobiParams(0.3, 0.7)
+        grid = symmetric_rule(24, pr)
+        owner = id(grid.nodes)
+        kept = weakref.ref(eigenfunction_table(20, pr, grid.half.nodes))
+        assert owner in _GRID_TABLES and kept() is not None
+        del grid
+        gc.collect()
+        assert owner not in _GRID_TABLES and kept() is None
+
+    def test_angles_off_a_grid_keep_nothing(self):
+        pr = JacobiParams(0.3, 0.7)
+        grid = symmetric_rule(24, pr)
+        stores = set(_GRID_TABLES)
+        for th in (grid.nodes.copy(), np.linspace(0.1, 3.0, 40), list(grid.half.nodes)):
+            first, again = eigenfunction_table(12, pr, th), eigenfunction_table(12, pr, th)
+            assert first is not again and not np.shares_memory(first, again)
+            assert not first.flags.writeable
+            assert_bitwise(first, again)
+        assert store_of(grid) == {} and set(_GRID_TABLES) == stores
 
     def test_oversized_table_is_returned_not_retained(self):
         # the big table extends the small one's entry, which stays as it was
-        _TABLE_CACHE.clear()
         pr = JacobiParams(0.3, 0.7)
-        th = np.linspace(0.05, 3.0, 300)
+        grid = grid_on(np.linspace(0.05, 3.0, 300))
+        th = grid.nodes
         small = eigenfunction_table(8, pr, th)
-        kept = _TABLE_CACHE.nbytes
         big = eigenfunction_table(1023, pr, th)
-        assert big.nbytes > _TABLE_CACHE_BYTES
+        assert big.nbytes > _TABLE_CAP_BYTES
         assert big.shape == (1024, 300)
         assert not big.flags.writeable
-        # the oversized table neither stays nor pushes the small one out
-        assert _TABLE_CACHE.nbytes == kept == retained_bytes()
+        # the oversized table neither stays nor replaces the small one
+        (kept,) = store_of(grid).values()
+        assert kept is small
         assert eigenfunction_table(8, pr, th) is small
         again = eigenfunction_table(1023, pr, th)
         assert again is not big
         np.testing.assert_array_equal(again, big)
 
     def test_failed_calls_store_nothing(self):
-        _TABLE_CACHE.clear()
-        th = np.array([0.0, 0.5, 1.0])
+        # each angle set shares its owner with a grid on its valid part
+        singular = np.array([0.0, 0.5, 1.0])
+        past_pi = np.array([0.5, 1.0, math.pi])
+        grids = [grid_on(singular[1:]), grid_on(past_pi[:2])]
         for _ in range(2):
             with pytest.raises(SingularPointError):
-                eigenfunction_table(4, JacobiParams(-0.7, 0.4), th)
+                eigenfunction_table(4, JacobiParams(-0.7, 0.4), singular)
             with pytest.raises(DomainError):
-                eigenfunction_table(4, JacobiParams(0.3, 0.7), np.array([0.5, math.pi]))
-        assert _TABLE_CACHE.nbytes == 0 == retained_bytes()
+                eigenfunction_table(4, JacobiParams(0.3, 0.7), past_pi)
+        assert [store_of(g) for g in grids] == [{}, {}]
 
     def test_deeper_request_replaces_the_entry(self):
-        _TABLE_CACHE.clear()
         pr = JacobiParams(0.3, 0.7)
-        th = np.linspace(0.05, 3.0, 50)
+        grid = grid_on(np.linspace(0.05, 3.0, 50))
+        th = grid.nodes
         shallow = eigenfunction_table(10, pr, th)
         deep = eigenfunction_table(40, pr, th)
-        # one entry, counted once at its new size
-        assert len(_TABLE_CACHE._entries) == 1
-        assert _TABLE_CACHE.nbytes == deep.nbytes + th.nbytes == retained_bytes()
+        # one entry, now the deeper table
+        (kept,) = store_of(grid).values()
+        assert kept is deep
         assert_bitwise(deep[:11], shallow)
         assert eigenfunction_table(40, pr, th) is deep
         assert np.shares_memory(eigenfunction_table(10, pr, th), deep)
@@ -417,14 +453,13 @@ class TestTableCache:
             return original(n_top, params, th, size, head)
 
         monkeypatch.setattr(core, "_orthonormal_rows", counting)
-        _TABLE_CACHE.clear()
         pr = JacobiParams(2.5, 1.5)
-        th = np.linspace(0.05, 3.0, 30)
+        th = grid_on(np.linspace(0.05, 3.0, 30)).nodes
         shallow = eigenfunction_table(20, pr, th)
         for n_top in (5, 20, 70, 33, 70):
             eigenfunction_table(n_top, pr, th)
         # 21 rows built, then 50 added on top of the kept table; every other
-        # request was served from the cache
+        # request was served from the store
         assert [rows for rows, _ in resumed] == [21, 50]
         assert resumed[0][1] is None and resumed[1][1] is shallow
 
@@ -438,9 +473,8 @@ class TestTableCache:
     def test_every_served_table_is_a_cold_build(self, alpha, beta, count, depths):
         # shallow, then deeper, then back to a depth at or below the deepest
         pr = JacobiParams(alpha, beta)
-        th = np.linspace(0.01, 3.13, count)
+        th = grid_on(np.linspace(0.01, 3.13, count)).nodes
         shallow, gap, back = depths
-        _TABLE_CACHE.clear()
         for n_top in (shallow, shallow + gap, min(back, shallow + gap)):
             table = eigenfunction_table(n_top, pr, th)
             assert not table.flags.writeable
@@ -488,12 +522,13 @@ class TestMirrorFold:
     def test_near_mirrored_sets_take_the_unfolded_path(self, case):
         pr = JacobiParams(0.3, 0.7)
         nodes = near_mirrored(case)
-        _TABLE_CACHE.clear()
+        # a grid on the last node gives the set a store
+        store = store_of(grid_on(nodes[-1:]))
         table = eigenfunction_table(6, pr, nodes)
         # one entry, built at every node of the set
-        (key,) = _TABLE_CACHE._entries
+        ((key, kept),) = store.items()
         assert key[1] == nodes.shape
-        assert _TABLE_CACHE.get(key) is table
+        assert kept is table
         assert_bitwise(table, _eigenfunction_rows(6, pr, np.abs(nodes)))
 
     @pytest.mark.parametrize("n_half", [1, 23, 24, 144])
@@ -501,7 +536,6 @@ class TestMirrorFold:
         # one plain table on |theta|, built at every node of the set
         for pr in PAIRS:
             nodes = symmetric_rule(n_half, pr).nodes
-            _TABLE_CACHE.clear()
             table = eigenfunction_table(30, pr, nodes)
             assert not table.flags.writeable
             with pytest.raises(ValueError):
@@ -639,10 +673,8 @@ class TestGaussJacobiRule:
         assert approx == pytest.approx(ref, abs=1e-10)
 
     def test_rows_stay_out_of_the_table_cache(self):
-        # the rule's rows would evict the tables callers reuse
-        _TABLE_CACHE.clear()
-        gauss_jacobi_rule(64, JacobiParams(0.3, 0.7))
-        assert _TABLE_CACHE.nbytes == 0 == retained_bytes()
+        # the weight sweep holds one block of rows, not a kept table
+        assert store_of(gauss_jacobi_rule(64, JacobiParams(0.3, 0.7))) == {}
 
     def test_size_check(self):
         with pytest.raises(GridError):

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from symjacobi import core
 from symjacobi.basis import (
     SymmExpansion,
     eval_halfline_expansion,
     eval_symm_expansion,
     symm_eigenfunction_table,
+    synthesize,
 )
 from symjacobi.core import (
     GridFunction,
@@ -39,6 +41,7 @@ from symjacobi.norms import (
     uniform_time_grid,
 )
 from symjacobi.operators import symm_higher_derivative
+from symjacobi.squarefn import SquareFunctionSpec, square_function
 from symjacobi.witnesses import growth_witness_coefficient
 
 GENERIC = JacobiParams(0.3, 0.7)
@@ -189,6 +192,34 @@ class TestSobolevNorm:
                 want = want + lp_norm(GridFunction(grid, values), 3.0)
             got = sobolev_norm(block, 3.0, m, grid)
             assert got.shape == (3,) and got.tobytes() == want.tobytes()
+
+
+class TestHeldGrids:
+    def test_norms_on_held_grids_build_each_table_once(self, monkeypatch):
+        # an order-2 norm of a degree-256 expansion over (a, b) reads the
+        # tables of (a + k, b + k), k = 0..3, on 528 half-nodes: 2.1 MiB per
+        # pair, so two pairs once overflowed a 2 MiB cache on every member
+        builds = []
+        original = core._eigenfunction_rows
+
+        def counting(n_top, params, th, head=None):
+            builds.append((params, n_top))
+            return original(n_top, params, th, head)
+
+        monkeypatch.setattr(core, "_eigenfunction_rows", counting)
+        pairs = [GENERIC, CHEBYSHEV]
+        grids = [symmetric_rule(528, pr) for pr in pairs]
+        spec = SquareFunctionSpec(0.5, 1)
+        for seed in range(5):
+            for pr, grid in zip(pairs, grids):
+                e = random_band_limited(pr, 256, 1, seed)[0]
+                synthesize(e, grid)
+                potential_norm(e, 2.0, 1.0, grid)
+                sobolev_norm(e, 2.0, 2, grid)
+                square_function(e, spec, grid.nodes)
+        # one build per (pair, shift), and never an extension
+        assert len(builds) == 8
+        assert {params for params, _ in builds} == {pr.shift(k) for pr in pairs for k in range(4)}
 
 
 class TestAdmissibility:

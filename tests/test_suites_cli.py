@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import symjacobi
 from symjacobi import cli, core, norms, suites
-from symjacobi.core import _TABLE_CACHE, JacobiParams
+from symjacobi.core import _GRID_TABLES, JacobiParams
 from symjacobi.errors import ConfigError
 from symjacobi.reporting import ExperimentReport, emit_plots, report_to_json, write_report
 from symjacobi.suites import (
@@ -223,10 +224,8 @@ class TestRunSuite:
         assert written == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["stub-report.json"]
 
-    def test_reports_identical_with_cold_and_warm_table_cache(self, tmp_path):
-        # the first run builds every table, the second reads them back; each
-        # run builds its own grids and draws
-        _TABLE_CACHE.clear()
+    def test_reports_identical_across_runs(self, tmp_path):
+        # each run builds its own grids and draws, and its grids their tables
         outputs = []
         for i in range(2):
             out = tmp_path / f"run{i}"
@@ -245,21 +244,37 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("before", [32, 8])
     def test_reports_do_not_depend_on_the_tables_left_cached(self, before):
-        # the first pass runs on the second one's grids (quad 48), so it
-        # leaves deeper tables (trunc 32) to serve as prefix views or
-        # shallower ones (trunc 8) to extend
+        # the first pass runs on rules of the second one's size (quad 48) at
+        # a deeper (trunc 32) or shallower (trunc 8) degree; its grids go
+        # with the run, and their tables with them
+        stores = set(_GRID_TABLES)
+
         def reports():
             run = run_suite(SuiteConfig(suite="all", trunc=16, ensemble=4), write=False)
+            gc.collect()
+            assert set(_GRID_TABLES) - stores == set()
             return [
                 json.dumps({k: v for k, v in vars(r).items() if k != "wall_clock_s"}, sort_keys=True)
                 for r in run
             ]
 
-        _TABLE_CACHE.clear()
         cold = reports()
-        _TABLE_CACHE.clear()
         run_suite(SuiteConfig(suite="all", trunc=before, quad=48, ensemble=4), write=False)
         assert reports() == cold
+
+    def test_the_eigen_suite_builds_six_tables_per_pair(self, monkeypatch):
+        # five stencil angle sets of depth 20 and one lowered table
+        builds = []
+        original = core._eigenfunction_rows
+
+        def counting(n_top, params, th, head=None):
+            builds.append((n_top, th.size, head is None))
+            return original(n_top, params, th, head)
+
+        monkeypatch.setattr(core, "_eigenfunction_rows", counting)
+        config = fast_config("eigen")
+        run_suite(config, write=False)
+        assert builds == ([(20, 9, True)] * 5 + [(19, 9, True)]) * len(config.pairs)
 
     def test_each_grid_and_draw_is_built_once_per_run(self, monkeypatch):
         rules, draws = [], []
