@@ -88,27 +88,18 @@ def _fold(th: np.ndarray, k: int | None, parts: dict) -> np.ndarray:
     """even(|th|) + sign(th) odd(|th|) at th from values keyed by parity.
 
     The values lie on th[k:] when k is the mirror split of th, else on every
-    angle of th; a missing key is a zero part.
+    angle of th. A missing key is an exact zero part, so one part folds to
+    the two-part sum with a zero partner, up to the sign of exact zeros.
     """
-    even, odd = parts.get("even"), parts.get("odd")
+    even, odd = parts.get("even", 0.0), parts.get("odd", 0.0)
     if k is None:
-        if odd is None:
-            return even
-        odd = np.sign(th) * odd
-        return odd if even is None else even + odd
+        return even + np.sign(th) * odd
     # each half is written straight into its place, the negative one
     # through a reversed view, so no half-size copies are concatenated
-    given = [v for v in (even, odd) if v is not None]
-    out = np.empty(given[0].shape[:-1] + th.shape, np.result_type(*given))
-    neg, pos = out[..., k - 1 :: -1], out[..., k:]
-    if odd is None:
-        neg[...] = pos[...] = even
-    elif even is None:
-        np.negative(odd, out=neg)
-        pos[...] = odd
-    else:
-        np.subtract(even, odd, out=neg)
-        np.add(even, odd, out=pos)
+    lead = (even if isinstance(even, np.ndarray) else odd).shape[:-1]
+    out = np.empty(lead + th.shape, np.result_type(even, odd))
+    np.subtract(even, odd, out=out[..., k - 1 :: -1])
+    np.add(even, odd, out=out[..., k:])
     return out
 
 
@@ -207,13 +198,6 @@ def reflect_coeffs(e: SymmExpansion) -> SymmExpansion:
     return SymmExpansion(e.params, e.coeffs * np.where(np.arange(len(e)) % 2, -1.0, 1.0))
 
 
-def _positive_half(grid: QuadratureGrid) -> QuadratureGrid:
-    if grid.half is not None:
-        return grid.half
-    k = grid.nodes.size // 2
-    return QuadratureGrid(grid.nodes[k:], grid.weights[k:], "halfline")
-
-
 def split_even_odd(f: GridFunction) -> tuple[GridFunction, GridFunction]:
     """Even and odd parts restricted to the positive nodes.
 
@@ -221,7 +205,7 @@ def split_even_odd(f: GridFunction) -> tuple[GridFunction, GridFunction]:
     grid.
     """
     _require_symmetric(f.grid)
-    half = _positive_half(f.grid)
+    half = f.grid.half
     k = f.grid.nodes.size // 2
     pos = f.values[..., k:]
     neg = f.values[..., ::-1][..., k:]
@@ -290,10 +274,7 @@ def analyze(f, params: JacobiParams, n_coeffs: int, n_quad: int | None = None) -
 
 def _halfline_parts(e) -> tuple[HalfLineExpansion, ...]:
     # the parity-tagged half-line parts whose folded sum is e
-    if isinstance(e, HalfLineExpansion):
-        return (e,)
-    even, odd = to_halfline(e)
-    return (even, odd) if len(e) > 1 else (even,)
+    return (e,) if isinstance(e, HalfLineExpansion) else to_halfline(e)
 
 
 def _evaluator(parts, theta):

@@ -8,9 +8,10 @@ angle variable.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,7 +175,7 @@ def _log_beta(p: float, q: float) -> float:
 
 # The table store of each live grid, keyed by the id of the array that owns
 # the grid's nodes: the array reached by following `.base`, so `grid.nodes`,
-# its slices and the views of `symmetric_rule`'s half all reach one store.
+# its slices and the views in `grid.half` all reach one store.
 # An entry leaves when its owner is collected, so a caller that holds a grid
 # never rebuilds its tables and a one-shot grid leaves nothing behind.
 _GRID_TABLES: dict[int, dict] = {}
@@ -290,15 +291,13 @@ class QuadratureGrid:
     """Nodes and positive weights for quadrature in the angle variable.
 
     interval is "halfline" for grids inside (0, pi) and "symmetric" for
-    mirrored grids inside (-pi, pi) that never contain 0. For symmetric grids
-    the generating half-line grid is kept in half. The eigenfunction tables
+    grids inside (-pi, pi) that never contain 0. The eigenfunction tables
     built on a grid's nodes are kept for as long as its node array lives.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     interval: str
-    half: "QuadratureGrid | None" = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
@@ -326,6 +325,16 @@ class QuadratureGrid:
 
     def __len__(self) -> int:
         return self.nodes.size
+
+    @functools.cached_property
+    def half(self) -> "QuadratureGrid | None":
+        """A symmetric grid's positive nodes and weights, as views, on the
+        half line; None on a half-line grid. On a mirrored grid it is the
+        generating half-line rule, and it shares the grid's tables."""
+        if self.interval == "halfline":
+            return None
+        k = int(np.searchsorted(self.nodes, 0.0))
+        return QuadratureGrid(self.nodes[k:], self.weights[k:], "halfline")
 
     def integrate(self, values: np.ndarray):
         """Weighted sum along the node axis approximating the integral of
@@ -493,13 +502,10 @@ def symmetric_rule(n_nodes_half: int, params: JacobiParams) -> QuadratureGrid:
 
     An even integrand then picks up twice its half-line integral, which is
     the correct full-interval value under the plain angle measure. Gauss
-    nodes are interior so 0 never appears. The half-line rule in half is
-    the positive half of the mirrored arrays, as views, so a table built on
-    half.nodes and one built on the grid's positive nodes are one table,
-    kept for as long as the grid lives.
+    nodes are interior so 0 never appears. The grid's half is the half-line
+    rule, as views of the positive half.
     """
     rule = gauss_jacobi_rule(n_nodes_half, params)
     nodes = np.concatenate([-rule.nodes[::-1], rule.nodes])
     weights = np.concatenate([rule.weights[::-1], rule.weights])
-    half = QuadratureGrid(nodes[n_nodes_half:], weights[n_nodes_half:], "halfline")
-    return QuadratureGrid(nodes=nodes, weights=weights, interval="symmetric", half=half)
+    return QuadratureGrid(nodes=nodes, weights=weights, interval="symmetric")

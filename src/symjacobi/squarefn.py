@@ -24,16 +24,18 @@ from .basis import (
 from .core import GAUSS_LEGENDRE_32
 from .errors import ConfigError, DomainError
 
-_VARIANTS = ("plain", "modified", "halfline")
+_VARIANTS = ("plain", "modified")
 
 
 @dataclasses.dataclass(frozen=True)
 class SquareFunctionSpec:
     """Smoothness index, derivative order, and flow flavor.
 
-    gamma must lie strictly between 0 and the integer order k. plain and
-    halfline use the spectral square root as decay rate, modified shifts
-    every rate up by one so the bottom of the spectrum never degenerates.
+    gamma must lie strictly between 0 and the integer order k. plain uses
+    the spectral square root as decay rate, modified shifts every rate up
+    by one so the bottom of the spectrum never degenerates. Either flow
+    acts on a symmetrized or a half-line expansion; the input's kind picks
+    the form.
     """
 
     gamma: float
@@ -79,13 +81,9 @@ def _kernel(rates: np.ndarray, spec: SquareFunctionSpec) -> np.ndarray:
 
 
 def _rates(e, spec: SquareFunctionSpec) -> np.ndarray:
-    # flow rates of e's modes, once the variant has been checked against e
-    if spec.variant == "halfline":
-        if not isinstance(e, HalfLineExpansion):
-            raise ConfigError("halfline variant expects a half-line expansion")
-        return _flow_rates(e.eigenvalues(), False)
-    if not isinstance(e, SymmExpansion):
-        raise ConfigError(f"{spec.variant} variant expects a symmetrized expansion")
+    # flow rates of e's modes
+    if not isinstance(e, (SymmExpansion, HalfLineExpansion)):
+        raise ConfigError("square function input must be a symmetrized or half-line expansion")
     return _flow_rates(e.eigenvalues(), spec.variant == "modified")
 
 
@@ -93,7 +91,7 @@ def _mode_table(e, spec: SquareFunctionSpec, theta: np.ndarray):
     """e's basis functions at theta, one per row, and their flow rates; a
     half-line expansion's rows synthesize an identity block, which is exact."""
     rates = _rates(e, spec)
-    if spec.variant == "halfline":
+    if isinstance(e, HalfLineExpansion):
         table = eval_halfline_expansion(dataclasses.replace(e, coeffs=np.eye(len(e))), theta)
     else:
         table = symm_eigenfunction_table(len(e), e.params, theta)

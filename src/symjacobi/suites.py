@@ -9,8 +9,10 @@ count, seed, decay), built on first use and dropped when the call ends.
 
 Every case is judged in one of two places. _case compares a value with its
 bound: every bound is inclusive, and a NaN or infinite value fails it. The
-equivalence windows go through _degree_doubling, the one window protocol.
-Only compound and detector cases hand _case a verdict of their own.
+equivalence windows go through _degree_doubling, the one window protocol,
+except two that are judged at one degree against 50: potentials'
+smoothing-window and squarefn's char-window. Only compound and detector
+cases hand _case a verdict of their own.
 """
 
 import dataclasses
@@ -132,10 +134,16 @@ class SuiteConfig:
         return out
 
 
-# The suites that draw at degree max(trunc // 2, _WINDOW_FLOOR) below trunc
-# need a trunc of at least the floor, or the lower degree would exceed it
+# The suites that draw at _window_degree(trunc) below trunc need a trunc of
+# at least the floor, or the lower degree would exceed it
 _WINDOW_FLOOR = 8
 _WINDOW_SUITES = {"decomposition", "sobolev", "embed", "schrodinger"}
+
+
+def _window_degree(trunc: int) -> int:
+    """The lower ensemble degree of the window protocol."""
+    return max(trunc // 2, _WINDOW_FLOOR)
+
 
 _ADMISSIBILITY_SUITES = {
     "potentials",
@@ -173,6 +181,8 @@ def validate_config(config: SuiteConfig) -> None:
         )
     if config.ensemble < 1:
         raise ConfigError(f"ensemble size must be positive, got {config.ensemble}")
+    if config.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {config.seed}")
     for name in ("p", "q", "s"):
         value = getattr(config, name)
         if value is not None and not math.isfinite(value):
@@ -198,7 +208,7 @@ def validate_config(config: SuiteConfig) -> None:
     for suite in suites:
         if suite in _WINDOW_SUITES and config.trunc < _WINDOW_FLOOR:
             raise ConfigError(
-                f"the {suite} suite draws at degree max(trunc // 2, {_WINDOW_FLOOR}), so its "
+                f"the {suite} suite draws at degree {_window_degree(config.trunc)}, so its "
                 f"truncation degree must be at least {_WINDOW_FLOOR}, got {config.trunc}"
             )
         pairs = config.pairs
@@ -322,7 +332,8 @@ def _grid(config: SuiteConfig, pr: JacobiParams) -> QuadratureGrid:
 
     def build():
         grid = symmetric_rule(n, pr)
-        for arr in (grid.nodes, grid.weights, grid.half.nodes, grid.half.weights):
+        # grid.half views these, so it is read-only too
+        for arr in (grid.nodes, grid.weights):
             arr.flags.writeable = False
         return grid
 
@@ -354,7 +365,7 @@ def _degree_doubling(
     """The equivalence-window case of norm_a / norm_b as the ensemble degree doubles.
 
     The one equivalence-window protocol of the suites. The seeded ensemble is
-    taken at degree max(trunc // 2, 8), then at degree trunc. tracked names
+    taken at degree _window_degree(trunc), then at degree trunc. tracked names
     the RatioStats statistics to watch: "window" (max / min), "maximum" or
     both. The case passes when every tracked statistic is finite at both
     degrees and grows by at most 10 %, and, when the window is tracked, the
@@ -371,7 +382,7 @@ def _degree_doubling(
     the lower-degree draw. Returns the case and the RatioStats at the lower
     and at the upper degree.
     """
-    degrees = (max(config.trunc // 2, _WINDOW_FLOOR), config.trunc)
+    degrees = (_window_degree(config.trunc), config.trunc)
     block = _draw(pr, max(degrees), config.ensemble, config.seed)
     stats = []
     for degree in degrees:
@@ -629,7 +640,7 @@ def run_decomposition(config: SuiteConfig):
     s = config.s if config.s is not None else 0.7
     ratio_rows = []
     window_rows = []
-    degree_lo = max(config.trunc // 2, _WINDOW_FLOOR)
+    degree_lo = _window_degree(config.trunc)
 
     for pr in config.pairs:
         label = _pair_label(pr)
@@ -713,7 +724,7 @@ def run_counterexample(config: SuiteConfig):
 
     nodes = np.linspace(0.3, math.pi - 0.3, 9)
     f1 = decay_witness(w1)
-    residual = float(np.max(np.abs(apply_ladder_up_fd(w1, lambda t: f1(t), nodes))))
+    residual = float(np.max(np.abs(apply_ladder_up_fd(w1, f1, nodes))))
     cases.append(
         _case(
             "witness1-reflection-term-vanishes",
@@ -724,7 +735,7 @@ def run_counterexample(config: SuiteConfig):
         )
     )
 
-    base_vals = truncated_lp_powers(lambda t: np.abs(f1(t)), p, 0.1, levels=6)
+    base_vals = truncated_lp_powers(f1, p, 0.1, levels=6)
     base_verdict = flag_divergent_by_exponent(base_vals)
     cases.append(
         _case(
@@ -736,7 +747,7 @@ def run_counterexample(config: SuiteConfig):
     )
 
     g1 = decay_witness_first_derivative(w1)
-    w1_vals = truncated_lp_powers(lambda t: np.abs(g1(t)), p, 0.1, levels=6)
+    w1_vals = truncated_lp_powers(g1, p, 0.1, levels=6)
     w1_growth = flag_divergent_by_growth(w1_vals)
     w1_exponent = flag_divergent_by_exponent(w1_vals)
     cases.append(
@@ -777,7 +788,7 @@ def run_counterexample(config: SuiteConfig):
     )
 
     dd = growth_witness_double_derivative(w2)
-    w2_vals = truncated_lp_powers(lambda t: np.abs(dd(t)), p, 0.1, levels=6)
+    w2_vals = truncated_lp_powers(dd, p, 0.1, levels=6)
     w2_growth = flag_divergent_by_growth(w2_vals)
     w2_exponent = flag_divergent_by_exponent(w2_vals)
     cases.append(
@@ -1104,7 +1115,7 @@ def run_noninclusion(config: SuiteConfig):
             )
         )
         cross = cross_parameter_derivative(first, second)
-        vals = truncated_lp_powers(lambda t: np.abs(cross(t)), p, 0.05, levels=6)
+        vals = truncated_lp_powers(cross, p, 0.05, levels=6)
         growth = flag_divergent_by_growth(vals)
         verdict = flag_divergent_by_exponent(vals)
         cases.append(
@@ -1141,7 +1152,7 @@ def run_schrodinger(config: SuiteConfig):
     cases = []
     pr = _single_pair(config)
     grid = _grid(config, pr)
-    degree = max(config.trunc // 2, _WINDOW_FLOOR)
+    degree = _window_degree(config.trunc)
     members = _draw(pr, degree, min(config.ensemble, 8), config.seed, decay=SCHRODINGER_DECAY)
     lam = members.eigenvalues()
     lam_max = float(lam[-1])

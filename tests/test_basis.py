@@ -301,6 +301,33 @@ class TestSynthesize:
         analyze(synthesize(e, grid), pr, 31)
         assert sorted(builds, key=lambda b: b[1]) == [(pr.shift(1), 14), (pr, 15)]
 
+    def test_a_hand_built_grid_derives_its_half(self, monkeypatch):
+        # a mirrored grid built without symmetric_rule: its half is views of
+        # its own positive half, so analysis and synthesis on it share one
+        # build per parity
+        pr = JacobiParams(0.3, 0.7)
+        rule = gauss_jacobi_rule(24, pr)
+        nodes = np.concatenate([-rule.nodes[::-1], rule.nodes])
+        weights = np.concatenate([rule.weights[::-1], rule.weights])
+        grid = QuadratureGrid(nodes, weights, "symmetric")
+        assert grid.half.nodes.base is nodes and grid.half.weights.base is weights
+        assert grid.half.interval == "halfline" and grid.half is grid.half
+        assert_bitwise(grid.half.nodes, rule.nodes)
+        assert_bitwise(grid.half.weights, rule.weights)
+        builds = []
+        original = core._eigenfunction_rows
+
+        def counting(n_top, params, th, head=None):
+            builds.append((params, n_top))
+            return original(n_top, params, th, head)
+
+        monkeypatch.setattr(core, "_eigenfunction_rows", counting)
+        e = SymmExpansion(pr, np.random.default_rng(4).uniform(-1, 1, 31))
+        for _ in range(2):
+            back = analyze(synthesize(e, grid), pr, 31)
+            np.testing.assert_allclose(back.coeffs, e.coeffs, atol=1e-13)
+        assert sorted(builds, key=lambda b: b[1]) == [(pr.shift(1), 14), (pr, 15)]
+
     def test_a_callables_rule_keeps_no_tables(self):
         # the rule analyze builds for a callable lives only for the call
         stores = set(_GRID_TABLES)
@@ -420,6 +447,27 @@ class TestMirrorFold:
         nodes = near_mirrored(case)
         assert _mirror_split(nodes) is None
         assert_bitwise(symm_eigenfunction_table(12, pr, nodes), unfolded_table(12, pr, nodes))
+
+    @pytest.mark.parametrize("mirrored", [True, False])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_one_part_folds_as_two_with_a_zero_partner(self, mirrored, kind):
+        # a missing parity part is an exact zero: the one-part fold is the
+        # two-part one up to the sign of exact zeros
+        nodes = symmetric_rule(10, JacobiParams(0.3, 0.7)).nodes
+        theta = nodes if mirrored else near_mirrored("nudged")
+        th, k, on = basis._fold_nodes(theta)
+        assert (k is not None) == mirrored
+        rng = np.random.default_rng([mirrored, kind == "complex"])
+        values = rng.uniform(-1, 1, (3, on.size))
+        if kind == "complex":
+            values = values + 1j * rng.uniform(-1, 1, values.shape)
+        values[:, ::4] = -0.0
+        values[:, 1::4] = 0.0
+        for parity, partner in (("even", "odd"), ("odd", "even")):
+            one = basis._fold(th, k, {parity: values})
+            two = basis._fold(th, k, {parity: values, partner: np.zeros_like(values)})
+            assert one.shape == two.shape == (3, th.size) and one.dtype == two.dtype
+            assert np.array_equal(one, two)
 
     def test_cache_keeps_only_the_positive_half(self):
         pr = JacobiParams(0.3, 0.7)

@@ -731,6 +731,18 @@ class TestGridTypes:
         with pytest.raises(GridError, match="finite"):
             QuadratureGrid(np.array([0.5, 1.0]), np.array([np.inf, 1.0]), "halfline")
 
+    def test_half_is_derived_from_the_grid(self):
+        # a symmetric grid's half is the views of its positive nodes and
+        # weights; a half-line grid has none, and none can be given
+        nodes, weights = np.array([-0.5, 0.2, 0.5]), np.array([1.0, 2.0, 3.0])
+        grid = QuadratureGrid(nodes, weights, "symmetric")
+        assert grid.half.nodes.base is nodes and grid.half.weights.base is weights
+        assert grid.half.nodes.tolist() == [0.2, 0.5] and grid.half.weights.tolist() == [2.0, 3.0]
+        assert grid.half.interval == "halfline"
+        assert gauss_jacobi_rule(4, JacobiParams(0.0, 0.0)).half is None
+        with pytest.raises(TypeError):
+            QuadratureGrid(nodes, weights, "symmetric", half=grid.half)
+
     def test_grid_function_shape(self):
         rule = gauss_jacobi_rule(4, JacobiParams(0.0, 0.0))
         GridFunction(rule, np.zeros(4))

@@ -18,6 +18,7 @@ from symjacobi.basis import (
     reflect_coeffs,
     symm_eigenfunction_table,
     symm_eigenvalues,
+    synthesize,
     to_halfline,
 )
 from symjacobi.core import JacobiParams, eigenfunction_table, symmetric_rule
@@ -77,8 +78,10 @@ class TestSpecValidation:
             SquareFunctionSpec(0.5, 1.0)
 
     def test_rejects_unknown_variant(self):
-        with pytest.raises(ConfigError):
-            SquareFunctionSpec(0.5, 1, "fancy")
+        # the input's kind picks the half-line form, so it is no variant
+        for variant in ("fancy", "halfline"):
+            with pytest.raises(ConfigError):
+                SquareFunctionSpec(0.5, 1, variant)
 
     def test_accepts_the_experiment_grid(self):
         for gamma, k in [(0.5, 1), (0.7, 2), (1.5, 2)]:
@@ -201,10 +204,11 @@ class TestDualRoute:
         coeffs = np.random.default_rng(1).uniform(-1, 1, 6)
         e = HalfLineExpansion(JacobiParams(10, 10), coeffs, "odd")
         theta = np.linspace(0.05, 3.1, 40)
-        spec = SquareFunctionSpec(0.8, 1, "halfline")
-        closed = square_function(e, spec, theta)
-        by_time = square_function_by_time_quadrature(e, spec, theta)
-        assert np.max(np.abs(closed - by_time)) <= 1e-9
+        for variant in ("plain", "modified"):
+            spec = SquareFunctionSpec(0.8, 1, variant)
+            closed = square_function(e, spec, theta)
+            by_time = square_function_by_time_quadrature(e, spec, theta)
+            assert np.max(np.abs(closed - by_time)) <= 1e-9
 
     def test_time_route_gives_one_row_per_member(self):
         # as many angles as modes, so a product that paired each amplitude
@@ -303,7 +307,7 @@ class TestHalfLineVariant:
         theta = np.linspace(0.15, 3.0, 13)
         gamma, k = 0.5, 1
         whole = square_function(f, SquareFunctionSpec(gamma, k), theta)
-        part = square_function(ev, SquareFunctionSpec(gamma, k, "halfline"), theta)
+        part = square_function(ev, SquareFunctionSpec(gamma, k), theta)
         np.testing.assert_allclose(part, whole, rtol=1e-12)
 
     def test_odd_part_matches_restriction(self):
@@ -314,16 +318,20 @@ class TestHalfLineVariant:
         theta = np.linspace(0.15, 3.0, 13)
         gamma, k = 0.7, 2
         whole = square_function(f, SquareFunctionSpec(gamma, k), theta)
-        part = square_function(od, SquareFunctionSpec(gamma, k, "halfline"), theta)
+        part = square_function(od, SquareFunctionSpec(gamma, k), theta)
         np.testing.assert_allclose(part, whole, rtol=1e-12)
 
     def test_variant_input_mismatch(self):
+        # either flow takes either kind of expansion, and nothing else
         f = random_expansion(GENERIC, 4, 22)
-        with pytest.raises(ConfigError):
-            square_function(f, SquareFunctionSpec(0.5, 1, "halfline"), [1.0])
-        ev, _ = to_halfline(f)
-        with pytest.raises(ConfigError):
-            square_function(ev, SquareFunctionSpec(0.5, 1), [1.0])
+        grid = symmetric_rule(8, GENERIC)
+        for spec in (SquareFunctionSpec(0.5, 1), SquareFunctionSpec(0.5, 1, "modified")):
+            for e in (f, *to_halfline(f)):
+                assert square_function(e, spec, [1.0]).shape == (1,)
+            with pytest.raises(ConfigError):
+                square_function(synthesize(f, grid), spec, [1.0])
+            with pytest.raises(ConfigError):
+                square_function_by_time_quadrature(f.coeffs, spec, [1.0])
 
 
 def three_operand_square_function(e, spec, theta):
@@ -334,19 +342,31 @@ def three_operand_square_function(e, spec, theta):
     return np.sqrt(np.clip(vals, 0.0, None))
 
 
+# (flow, input kind) of the square function tests: "halfline" is a half-line
+# input under the plain flow
+FLOWS = pytest.mark.parametrize(
+    "variant, halves",
+    [("plain", False), ("modified", False), ("plain", True), ("modified", True)],
+    ids=["plain", "modified", "halfline", "halfline-modified"],
+)
+
+
+def flow_inputs(e, halves):
+    return to_halfline(e) if halves else (e,)
+
+
 class TestContraction:
-    @pytest.mark.parametrize("variant", ["plain", "modified", "halfline"])
+    @FLOWS
     @pytest.mark.parametrize("kind", ["real", "complex"])
-    def test_matches_three_operand_reference(self, variant, kind):
-        rng = np.random.default_rng([len(variant), kind == "complex"])
+    def test_matches_three_operand_reference(self, variant, halves, kind):
+        rng = np.random.default_rng([len(variant) + 8 * halves, kind == "complex"])
         theta = symmetric_rule(40, GENERIC).nodes
         for pr in PAIRS:
             coeffs = rng.uniform(-1, 1, 24)
             if kind == "complex":
                 coeffs = coeffs + 1j * rng.uniform(-1, 1, 24)
             e = SymmExpansion(pr, coeffs)
-            inputs = to_halfline(e) if variant == "halfline" else (e,)
-            for f, (gamma, k) in itertools.product(inputs, ((0.5, 1), (1.5, 2))):
+            for f, (gamma, k) in itertools.product(flow_inputs(e, halves), ((0.5, 1), (1.5, 2))):
                 spec = SquareFunctionSpec(gamma, k, variant)
                 got = square_function(f, spec, theta)
                 want = three_operand_square_function(f, spec, theta)
@@ -395,22 +415,21 @@ ROUNDOFF = 1e-13
 class TestMirrorFold:
     """On a mirrored angle set the products run on the positive half only."""
 
-    @pytest.mark.parametrize("variant", ["plain", "modified", "halfline"])
+    @FLOWS
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("members", [None, 3])
-    def test_bitwise_the_unfolded_values(self, variant, kind, members):
+    def test_bitwise_the_unfolded_values(self, variant, halves, kind, members):
         # the fold gives bitwise the values of the same angles in an order
         # that is not folded, and both are the quadratic form to roundoff
-        rng = np.random.default_rng([len(variant), kind == "complex", members or 1])
+        rng = np.random.default_rng([len(variant) + 8 * halves, kind == "complex", members or 1])
         shape = (members, 17) if members else (17,)
         for pr, n_half in itertools.product(PAIRS, ALIGNED):
             coeffs = rng.uniform(-1, 1, shape)
             if kind == "complex":
                 coeffs = coeffs + 1j * rng.uniform(-1, 1, shape)
             e = SymmExpansion(pr, coeffs)
-            inputs = to_halfline(e) if variant == "halfline" else (e,)
             nodes = symmetric_rule(n_half, pr).nodes
-            for f, (gamma, k) in itertools.product(inputs, ((0.5, 1), (1.5, 2))):
+            for f, (gamma, k) in itertools.product(flow_inputs(e, halves), ((0.5, 1), (1.5, 2))):
                 spec = SquareFunctionSpec(gamma, k, variant)
                 got = square_function(f, spec, nodes)
                 unfolded = square_function(f, spec, non_mirrored_order(nodes))
@@ -545,7 +564,7 @@ class TestFactorPath:
         # theta, and it is the quadratic form of the unfolded odd table
         coeffs = np.random.default_rng(25).uniform(-1, 1, (3, 9))
         odd = HalfLineExpansion(GENERIC.shift(1), coeffs, "odd")
-        spec = SquareFunctionSpec(0.5, 1, "halfline")
+        spec = SquareFunctionSpec(0.5, 1)
         nodes = symmetric_rule(24, GENERIC).nodes
         got = square_function(odd, spec, nodes)
         assert got.tobytes() == got[:, ::-1].tobytes()

@@ -76,6 +76,12 @@ class TestConfigValidation:
             validate_config(SuiteConfig(suite=suite, trunc=4))
         validate_config(SuiteConfig(suite="all", trunc=8))
 
+    def test_negative_seed(self):
+        # numpy's generators take no negative seed
+        with pytest.raises(ConfigError, match="seed must be nonnegative, got -1"):
+            validate_config(SuiteConfig(suite="potentials", seed=-1))
+        validate_config(SuiteConfig(suite="potentials", seed=0))
+
     def test_quad_must_exceed_trunc(self):
         with pytest.raises(ConfigError, match="must exceed the truncation"):
             validate_config(SuiteConfig(suite="basis", trunc=32, quad=32))
@@ -390,6 +396,15 @@ class TestCli:
         )
         assert code == 2
         assert "1/q >= 1/p - s" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("suite", ["potentials", "all"])
+    def test_exit_two_on_a_negative_seed(self, tmp_path, capsys, suite):
+        # refused before any suite runs, so all writes no report either
+        out = tmp_path / "out"
+        code = cli.main([suite, "--seed", "-1", "--trunc", "8", "--out", str(out)])
+        assert code == 2
+        assert "seed must be nonnegative, got -1" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
     def test_embed_checks_p_against_its_own_pair(self, tmp_path):
