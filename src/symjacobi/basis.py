@@ -67,10 +67,6 @@ def _mirror_split(theta: np.ndarray) -> int | None:
     if theta.size % 2:
         return None
     k = theta.size // 2
-    # the end nodes first: this scalar test turns away most other sets, such
-    # as a half-line rule, at a tenth of the cost of the array test
-    if k and not (theta[-1] > 0 and -theta[0] == theta[-1]):
-        return None
     pos = theta[k:]
     if np.all(pos > 0) and np.array_equal(-theta[:k][::-1], pos):
         return k

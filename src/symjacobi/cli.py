@@ -22,7 +22,8 @@ _FIELDS = (
     ("q", float, "secondary integrability exponent"),
     ("s", float, "smoothness index"),
     ("gamma", float, "square function decay index"),
-    ("k", int, "derivative order inside the flow"),
+    ("k", int, "order, at least 1: the square function's derivative order inside "
+             "the flow (with --gamma), and the inclusion suite's transform order"),
     ("m", int, "whole derivative order"),
     ("trunc", int, "coefficient truncation degree, at least 4; at least 8 for "
               "decomposition, sobolev, embed, schrodinger and all"),

@@ -200,10 +200,10 @@ def eigenfunction_table(n_top: int, params: JacobiParams, theta: np.ndarray) -> 
     read-only. On the nodes of a live grid, or a slice of them, the grid
     keeps the deepest table built for a pair and angle set until the grid's
     node array is collected: a request at its depth gets that array, a
-    shallower one a view of its leading rows, and a deeper one extends it
-    by the missing rows. A table over 2 MiB is returned and not kept, and
-    so is every table on other angles. Rows 0..n of any depth are bitwise
-    the rows of a depth-n build.
+    shallower one a view of its leading rows, and a deeper one is built
+    from row 0 and replaces it. A table over 2 MiB is returned and not
+    kept, and so is every table on other angles. Rows 0..n of any depth are
+    bitwise the rows of a depth-n build.
     """
     theta = np.asarray(theta, dtype=float)
     # angles of no live grid get a store that is dropped on return
@@ -214,18 +214,16 @@ def eigenfunction_table(n_top: int, params: JacobiParams, theta: np.ndarray) -> 
     key = (pair, th.shape, th.tobytes())
     table = store.get(key)
     if table is None or table.shape[0] <= n_top:
-        table = _eigenfunction_rows(n_top, params, th, table)
+        table = _eigenfunction_rows(n_top, params, th)
         table.flags.writeable = False
         if table.nbytes <= _TABLE_CAP_BYTES:
             store[key] = table
     return table if table.shape[0] == n_top + 1 else table[: n_top + 1]
 
 
-def _eigenfunction_rows(n_top: int, params: JacobiParams, th: np.ndarray, head=None) -> np.ndarray:
-    # uncached build of the rows n = 0..n_top at the angles th, continuing
-    # from the leading rows head when given: a ring that holds every row
-    # fills once
-    return next(_orthonormal_rows(n_top, params, th, n_top + 1, head))
+def _eigenfunction_rows(n_top: int, params: JacobiParams, th: np.ndarray) -> np.ndarray:
+    # uncached build of the rows 0..n_top at th: a ring of every row fills once
+    return next(_orthonormal_rows(n_top, params, th, n_top + 1))
 
 
 # Rows per block of a recurrence sweep. The factors that do not depend on
@@ -235,16 +233,15 @@ def _eigenfunction_rows(n_top: int, params: JacobiParams, th: np.ndarray, head=N
 _ROW_BLOCK = 64
 
 
-def _orthonormal_rows(n_top: int, params: JacobiParams, th: np.ndarray, size: int, head=None):
-    """Rows phi_n(th), n = 0..n_top, written to row n % size of a ring.
+def _orthonormal_rows(n_top: int, params: JacobiParams, th: np.ndarray, size: int):
+    """Rows phi_n(th), n = 0..n_top, built from row 0 into row n % size of a ring.
 
     The recurrence s_{n+1} phi_{n+1} = (x - a_n) phi_n - s_n phi_{n-1} of the
     orthonormal polynomials runs on the entries of `_jacobi_matrix` from
-    phi_0 = trig_weight / sqrt(B(a + 1, b + 1)), formed in logarithms. Given
-    head, rows 0..m of these angles in a ring that holds every row, it copies
-    them and resumes at row m + 1 instead. Yields the ring each time it fills
-    and the rows after the last fill at the end; the caller reads them
-    before resuming.
+    phi_0 = trig_weight / sqrt(B(a + 1, b + 1)), formed in logarithms. Yields
+    the ring each time it fills and the rows after the last fill at the end;
+    the caller reads them before resuming. A ring of n_top + 1 rows is the
+    whole table; the rule's weight sweep holds `_ROW_BLOCK` rows at a time.
     """
     _check_angles(params, th)
     a, b = params.alpha, params.beta
@@ -252,24 +249,19 @@ def _orthonormal_rows(n_top: int, params: JacobiParams, th: np.ndarray, size: in
     half = 0.5 * th
     size = min(size, n_top + 1)
     ring = np.empty((size, th.size))
-    if head is None:
-        first = 0
-        log_w = (b + 0.5) * np.log(np.cos(half)) - 0.5 * _log_beta(a + 1.0, b + 1.0)
-        if a != -0.5:  # else sin^0 = 1, also in the limit at th = 0
-            with np.errstate(divide="ignore"):  # log 0 at th = 0 gives phi_0 = 0
-                log_w += (a + 0.5) * np.log(np.sin(half))
-        ring[0] = np.exp(log_w)
-    else:
-        first = len(head) - 1
-        ring[: first + 1] = head
+    log_w = (b + 0.5) * np.log(np.cos(half)) - 0.5 * _log_beta(a + 1.0, b + 1.0)
+    if a != -0.5:  # else sin^0 = 1, also in the limit at th = 0
+        with np.errstate(divide="ignore"):  # log 0 at th = 0 gives phi_0 = 0
+            log_w += (a + 0.5) * np.log(np.sin(half))
+    ring[0] = np.exp(log_w)
     # x - a_n is ends[n, 0] - 2 sin^2(th/2) below pi/2 and ends[n, 1] +
     # 2 cos^2(th/2) from pi/2 on, so rows next to 0 and pi keep their digits
     side = (th >= 0.5 * np.pi).astype(np.intp)
     shift = np.where(side, 2.0 * np.cos(half) ** 2, -2.0 * np.sin(half) ** 2)
     ratio = np.concatenate([[0.0], off[:-1] / off[1:]])  # s_n / s_{n+1}
-    linear = np.empty((min(_ROW_BLOCK, n_top - first), th.size))
-    prev, cur = (ring[first - 1] if first else np.zeros(th.size)), ring[first]
-    for lo in range(first, n_top, _ROW_BLOCK):
+    linear = np.empty((min(_ROW_BLOCK, n_top), th.size))
+    prev, cur = np.zeros(th.size), ring[0]
+    for lo in range(0, n_top, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, n_top)
         block = linear[: hi - lo]
         np.take(ends[lo:hi], side, axis=1, out=block)

@@ -193,13 +193,8 @@ def validate_config(config: SuiteConfig) -> None:
         raise ConfigError(f"q must be at least 1, got {config.q}")
     if config.s is not None and not config.s > 0:
         raise ConfigError(f"smoothness s must be positive, got {config.s}")
-    if (config.gamma is None) != (config.k is None):
-        raise ConfigError("gamma and k must be given together")
-    if config.gamma is not None and not 0.0 < config.gamma < config.k:
-        raise ConfigError(
-            f"square function indices must satisfy 0 < gamma < k; "
-            f"got gamma={config.gamma}, k={config.k}"
-        )
+    if config.k is not None and config.k < 1:
+        raise ConfigError(f"order k must be at least 1, got {config.k}")
     if config.m is not None and config.m < 1:
         raise ConfigError(f"derivative order m must be positive, got {config.m}")
 
@@ -222,6 +217,14 @@ def validate_config(config: SuiteConfig) -> None:
                         f"p={config.p} lies outside the open admissible interval "
                         f"({lo:.6g}, {hi:.6g}) for alpha={pr.alpha}, beta={pr.beta}"
                     )
+        if suite == "squarefn":
+            if (config.gamma is None) != (config.k is None):
+                raise ConfigError("the squarefn suite needs gamma and k given together")
+            if config.gamma is not None and not 0.0 < config.gamma < config.k:
+                raise ConfigError(
+                    f"square function indices must satisfy 0 < gamma < k; "
+                    f"got gamma={config.gamma}, k={config.k}"
+                )
         if suite == "potentials" and given:
             for pr in config.pairs:
                 if pr.eigen_shift == 0.0:
@@ -244,13 +247,24 @@ def validate_config(config: SuiteConfig) -> None:
                     f"blows up at rate p/2, which diverges only when p/2 >= 1; got p={config.p}"
                 )
         if suite == "noninclusion":
-            other = JacobiParams(*NONINCLUSION_OTHER)
+            # a cross derivative behaves like (a - g) t^(a - 1/2) at 0, with a
+            # the alpha it starts from and g the other one, so its p-th power
+            # diverges only when a != g and a <= 1/2 - 1/p
+            bound = 0.5 - 1.0 / config.p
+            other = NONINCLUSION_OTHER[0]
             for pr in pairs:
-                if pr.alpha == other.alpha and pr.beta == other.beta:
+                if pr.alpha == other:
                     raise ConfigError(
-                        "the two parameter pairs must differ; "
-                        f"({pr.alpha}, {pr.beta}) matches the built-in partner"
+                        "the two alphas must differ; "
+                        f"alpha={pr.alpha} matches the built-in partner's"
                     )
+                for alpha in (pr.alpha, other):
+                    if alpha > bound:
+                        raise ConfigError(
+                            "a cross derivative diverges at 0 only when its alpha is at "
+                            f"most 1/2 - 1/p = {bound:.6g}; got alpha={alpha} "
+                            f"(own {pr.alpha}, built-in partner {other})"
+                        )
         if suite == "embed":
             s, q = _embed_exponents(config)
             if not admissibility(pairs[0], config.p, q=q, s=s).embedding:
@@ -1124,7 +1138,9 @@ def run_noninclusion(config: SuiteConfig):
                 verdict.mean_exponent,
                 1.5,
                 f"minimum refinement ratio {float(np.min(vals[1:] / vals[:-1])):.4g}",
-                passed=growth and verdict.divergent,
+                # growth ratios only reach 1.5 at rates from about 1.585 on, so
+                # the exponent detector catches the rates between 1 and that
+                passed=growth or verdict.divergent,
             )
         )
         if not series_rows:

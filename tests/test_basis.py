@@ -290,9 +290,9 @@ class TestSynthesize:
         builds = []
         original = core._eigenfunction_rows
 
-        def counting(n_top, params, th, head=None):
+        def counting(n_top, params, th):
             builds.append((params, n_top))
-            return original(n_top, params, th, head)
+            return original(n_top, params, th)
 
         monkeypatch.setattr(core, "_eigenfunction_rows", counting)
         e = SymmExpansion(pr, np.random.default_rng(3).uniform(-1, 1, 31))
@@ -317,9 +317,9 @@ class TestSynthesize:
         builds = []
         original = core._eigenfunction_rows
 
-        def counting(n_top, params, th, head=None):
+        def counting(n_top, params, th):
             builds.append((params, n_top))
-            return original(n_top, params, th, head)
+            return original(n_top, params, th)
 
         monkeypatch.setattr(core, "_eigenfunction_rows", counting)
         e = SymmExpansion(pr, np.random.default_rng(4).uniform(-1, 1, 31))

@@ -402,7 +402,7 @@ class TestTableCache:
         assert store_of(grid) == {} and set(_GRID_TABLES) == stores
 
     def test_oversized_table_is_returned_not_retained(self):
-        # the big table extends the small one's entry, which stays as it was
+        # a deeper table over the budget leaves the small one's entry as it was
         pr = JacobiParams(0.3, 0.7)
         grid = grid_on(np.linspace(0.05, 3.0, 300))
         th = grid.nodes
@@ -444,24 +444,23 @@ class TestTableCache:
         assert eigenfunction_table(40, pr, th) is deep
         assert np.shares_memory(eigenfunction_table(10, pr, th), deep)
 
-    def test_extension_computes_only_the_new_rows(self, monkeypatch):
-        resumed = []
+    def test_a_deeper_request_is_built_from_row_0(self, monkeypatch):
+        builds = []
         original = core._orthonormal_rows
 
-        def counting(n_top, params, th, size, head=None):
-            resumed.append((n_top + 1 - (0 if head is None else len(head)), head))
-            return original(n_top, params, th, size, head)
+        def counting(n_top, params, th, size):
+            builds.append(n_top + 1)
+            return original(n_top, params, th, size)
 
         monkeypatch.setattr(core, "_orthonormal_rows", counting)
         pr = JacobiParams(2.5, 1.5)
         th = grid_on(np.linspace(0.05, 3.0, 30)).nodes
-        shallow = eigenfunction_table(20, pr, th)
+        eigenfunction_table(20, pr, th)
         for n_top in (5, 20, 70, 33, 70):
             eigenfunction_table(n_top, pr, th)
-        # 21 rows built, then 50 added on top of the kept table; every other
+        # 21 rows, then all 71 of the deeper table from row 0; every other
         # request was served from the store
-        assert [rows for rows, _ in resumed] == [21, 50]
-        assert resumed[0][1] is None and resumed[1][1] is shallow
+        assert builds == [21, 71]
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(

@@ -202,9 +202,9 @@ class TestHeldGrids:
         builds = []
         original = core._eigenfunction_rows
 
-        def counting(n_top, params, th, head=None):
+        def counting(n_top, params, th):
             builds.append((params, n_top))
-            return original(n_top, params, th, head)
+            return original(n_top, params, th)
 
         monkeypatch.setattr(core, "_eigenfunction_rows", counting)
         pairs = [GENERIC, CHEBYSHEV]
@@ -217,7 +217,7 @@ class TestHeldGrids:
                 potential_norm(e, 2.0, 1.0, grid)
                 sobolev_norm(e, 2.0, 2, grid)
                 square_function(e, spec, grid.nodes)
-        # one build per (pair, shift), and never an extension
+        # one build per (pair, shift), and never a deeper rebuild
         assert len(builds) == 8
         assert {params for params, _ in builds} == {pr.shift(k) for pr in pairs for k in range(4)}
 

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -273,14 +275,14 @@ class TestRunSuite:
         builds = []
         original = core._eigenfunction_rows
 
-        def counting(n_top, params, th, head=None):
-            builds.append((n_top, th.size, head is None))
-            return original(n_top, params, th, head)
+        def counting(n_top, params, th):
+            builds.append((n_top, th.size))
+            return original(n_top, params, th)
 
         monkeypatch.setattr(core, "_eigenfunction_rows", counting)
         config = fast_config("eigen")
         run_suite(config, write=False)
-        assert builds == ([(20, 9, True)] * 5 + [(19, 9, True)]) * len(config.pairs)
+        assert builds == ([(20, 9)] * 5 + [(19, 9)]) * len(config.pairs)
 
     def test_each_grid_and_draw_is_built_once_per_run(self, monkeypatch):
         rules, draws = [], []
@@ -452,6 +454,53 @@ class TestCli:
         report = suites.run_counterexample(fast_config("counterexample"))
         case = next(c for c in report.cases if c["name"] == "witness1-derivative-diverges-growth")
         assert not case["passed"]
+
+    @pytest.mark.parametrize(
+        "argv", [["--p", "1.5"], ["--p", "1.2"], ["--p", "1.06"], ["--alpha", "-0.2", "--beta", "-0.6"]]
+    )
+    def test_noninclusion_divergence_is_seen_below_the_growth_detectors_reach(self, tmp_path, argv):
+        # the cross derivatives blow up at rates from 1.007 (p = 1.06) to
+        # 1.425 here; three growth ratios of 1.5 need about 1.585, so the
+        # exponent detector decides
+        assert cli.main(["noninclusion", *argv, "--out", str(tmp_path)]) == 0
+
+    def test_noninclusion_divergence_fails_on_a_convergent_sequence(self, monkeypatch):
+        original = suites.truncated_lp_powers
+
+        def convergent(f, p, eps0, levels=5):
+            return original(lambda t: t**-0.5, 1.0, eps0, levels)
+
+        monkeypatch.setattr(suites, "truncated_lp_powers", convergent)
+        report = suites.run_noninclusion(fast_config("noninclusion"))
+        diverges = [c for c in report.cases if c["name"].startswith("cross-derivative-diverges")]
+        assert len(diverges) == 2 and not any(c["passed"] for c in diverges)
+
+    def test_inclusion_takes_k_alone(self, tmp_path):
+        assert cli.main(["inclusion", "--k", "2", "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "inclusion-report.json").read_text())
+        assert doc["cases"] and all("-k2-" in c["name"] for c in doc["cases"])
+
+    @pytest.mark.parametrize(
+        "argv, cited",
+        [
+            # no cross derivative diverges at 0, so the cases could not pass
+            (["noninclusion", "--p", "1"], "at most 1/2 - 1/p = -0.5; got alpha=-0.45"),
+            (
+                ["noninclusion", "--alpha", "0.4", "--beta", "0.4"],
+                "at most 1/2 - 1/p = 0; got alpha=0.4",
+            ),
+            (["noninclusion", "--alpha", "-0.45", "--beta", "-0.2"], "the two alphas must differ"),
+            # the square function needs both indices; inclusion takes k alone
+            (["squarefn", "--k", "2"], "gamma and k given together"),
+            (["all", "--k", "2"], "gamma and k given together"),
+            (["inclusion", "--k", "0"], "order k must be at least 1, got 0"),
+        ],
+    )
+    def test_exit_two_cites_the_refused_condition(self, tmp_path, capsys, argv, cited):
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert cited in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("alpha", ["1e4", "1e5"])
     def test_exit_two_names_an_overflowing_newton_step(self, tmp_path, capsys, alpha):
@@ -696,6 +745,30 @@ class TestCli:
         a = (outs[0] / "noninclusion-cross-divergence.csv").read_bytes()
         b = (outs[1] / "noninclusion-cross-divergence.csv").read_bytes()
         assert a == b
+
+    def test_all_is_byte_identical_across_processes(self, tmp_path):
+        # two fresh interpreters with different string hashing write the
+        # same files, the reports up to their wall clock; at this degree and
+        # ensemble two sobolev windows grow past their bound, so both exit 1
+        src = os.path.dirname(os.path.dirname(symjacobi.__file__))
+        outs = [tmp_path / "a", tmp_path / "b"]
+        codes = []
+        for seed, out in zip(("1", "2"), outs):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            argv = ["all", "--trunc", "16", "--ensemble", "4", "--out", str(out)]
+            run = subprocess.run(
+                [sys.executable, "-m", "symjacobi.cli", *argv], env=env, capture_output=True
+            )
+            assert run.returncode in (0, 1), run.stderr
+            codes.append(run.returncode)
+        assert codes[0] == codes[1]
+        names = sorted(os.listdir(outs[0]))
+        assert len(names) == 44 and names == sorted(os.listdir(outs[1]))
+        for name in names:
+            a, b = ((out / name).read_bytes() for out in outs)
+            if name.endswith("-report.json"):
+                a, b = ({k: v for k, v in json.loads(x).items() if k != "wall_clock_s"} for x in (a, b))
+            assert a == b, name
 
 
 # Every case family of `verif all` at the FAST config with its tolerance, so
