@@ -35,6 +35,7 @@ from .errors import (
     EnsembleError,
     GridError,
     SingularPointError,
+    SymJacobiError,
     UnsupportedParametersError,
 )
 from .norms import (

@@ -4,13 +4,7 @@ import argparse
 import json
 import sys
 
-from .errors import (
-    AdmissibilityError,
-    ConfigError,
-    DomainError,
-    GridError,
-    UnsupportedParametersError,
-)
+from .errors import ConfigError, SymJacobiError
 from .suites import SUITES, SuiteConfig, run_suite
 
 # (field, type, help) of each flag; a JSON config file may set the same
@@ -26,7 +20,7 @@ _FIELDS = (
              "the flow (with --gamma), and the inclusion suite's transform order"),
     ("m", int, "whole derivative order"),
     ("trunc", int, "coefficient truncation degree, at least 4; at least 8 for "
-              "decomposition, sobolev, embed, schrodinger and all"),
+              "potentials, decomposition, sobolev, embed, schrodinger and all"),
     ("quad", int, "quadrature order"),
     ("ensemble", int, "random ensemble size"),
     ("seed", int, "ensemble seed"),
@@ -97,8 +91,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"config error: malformed JSON: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, DomainError, AdmissibilityError, GridError,
-            UnsupportedParametersError) as exc:
+    except SymJacobiError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

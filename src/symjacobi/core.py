@@ -51,6 +51,11 @@ class JacobiParams:
         return 0.5 * (self.alpha + self.beta + 1.0)
 
     @property
+    def zero_bottom(self) -> bool:
+        """Whether the bottom eigenvalue is 0, that is alpha + beta = -1."""
+        return self.eigen_shift == 0.0
+
+    @property
     def p_upper(self) -> float:
         """Upper endpoint of the admissible Lebesgue exponent range."""
         if self.alpha >= -0.5 and self.beta >= -0.5:

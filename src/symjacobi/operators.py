@@ -62,10 +62,6 @@ def _require_positive(value: float, name: str) -> None:
         raise DomainError(f"{name} must be positive, got {value}")
 
 
-def _has_zero_bottom(params: JacobiParams) -> bool:
-    return params.eigen_shift == 0.0
-
-
 def spectral_base(params: JacobiParams, eigenvalues: np.ndarray) -> np.ndarray:
     """Base of the smoothing powers: 1 + eigenvalue when the bottom
     eigenvalue is 0, the eigenvalue itself otherwise.
@@ -73,13 +69,13 @@ def spectral_base(params: JacobiParams, eigenvalues: np.ndarray) -> np.ndarray:
     Negative powers of the plain operator blow up at a zero eigenvalue, so
     that case takes the shifted operator throughout.
     """
-    return 1.0 + eigenvalues if _has_zero_bottom(params) else eigenvalues
+    return 1.0 + eigenvalues if params.zero_bottom else eigenvalues
 
 
 def riesz_potential(e: SymmExpansion, sigma: float) -> SymmExpansion:
     """Negative power of the operator; rejects a zero bottom eigenvalue."""
     _require_positive(sigma, "sigma")
-    if _has_zero_bottom(e.params):
+    if e.params.zero_bottom:
         raise UnsupportedParametersError(
             "negative powers are undefined when the bottom eigenvalue is 0 "
             f"(alpha + beta = -1 at {e.params.label()}); use the shifted form"

@@ -4,14 +4,16 @@ Each suite is a pure function from a validated SuiteConfig to an
 ExperimentReport; file output lives in the reporting module. Suites never
 read each other's results, and a fixed config gives the same report on every
 run. What suites of one run_suite call do share are read-only inputs: one
-quadrature grid per (pair, quad order) and one ensemble draw per (degree,
-count, seed, decay), built on first use and dropped when the call ends.
+quadrature grid per (pair, quad order) and one ensemble block per decay,
+drawn at (ensemble, trunc), of which every suite reads leading rows and
+columns. Both are built on first use and dropped when the call ends.
 
 Every case is judged in one of two places. _case compares a value with its
 bound: every bound is inclusive, and a NaN or infinite value fails it. The
 equivalence windows go through _degree_doubling, the one window protocol,
-except two that are judged at one degree against 50: potentials'
-smoothing-window and squarefn's char-window. Only compound and detector
+except squarefn's char-window, judged at one degree against 50 because its
+square function at the upper degree would cost milliseconds per pair. Every
+divergence case goes through _divergence_case. Only compound and detector
 cases hand _case a verdict of their own.
 """
 
@@ -137,7 +139,7 @@ class SuiteConfig:
 # The suites that draw at _window_degree(trunc) below trunc need a trunc of
 # at least the floor, or the lower degree would exceed it
 _WINDOW_FLOOR = 8
-_WINDOW_SUITES = {"decomposition", "sobolev", "embed", "schrodinger"}
+_WINDOW_SUITES = {"potentials", "decomposition", "sobolev", "embed", "schrodinger"}
 
 
 def _window_degree(trunc: int) -> int:
@@ -227,7 +229,7 @@ def validate_config(config: SuiteConfig) -> None:
                 )
         if suite == "potentials" and given:
             for pr in config.pairs:
-                if pr.eigen_shift == 0.0:
+                if pr.zero_bottom:
                     raise ConfigError(
                         "the plain fractional potential needs a positive bottom "
                         f"eigenvalue: alpha + beta must differ from -1, got "
@@ -357,20 +359,23 @@ def _grid(config: SuiteConfig, pr: JacobiParams) -> QuadratureGrid:
 
 
 def _draw(
-    pr: JacobiParams, degree: int, count: int, seed: int, decay: float = 1.0
+    config: SuiteConfig, pr: JacobiParams, degree: int, count: int | None = None, decay: float = 1.0
 ) -> SymmExpansion:
-    """The seeded ensemble block over pr, with read-only coeffs.
+    """The first count members (all by default) of the seeded ensemble to degree.
 
-    The coefficients do not depend on the pair, so every pair of a run
-    wraps the same block.
+    A run draws one block per decay, at (ensemble, trunc), and every draw is
+    a read-only view of its leading rows and columns, which random_band_limited
+    makes bitwise the smaller draw. The coefficients do not depend on the
+    pair, so every pair of a run wraps the same block.
     """
 
     def build():
-        coeffs = random_band_limited(pr, degree, count, seed, decay).coeffs
+        coeffs = random_band_limited(pr, config.trunc, config.ensemble, config.seed, decay).coeffs
         coeffs.flags.writeable = False
         return coeffs
 
-    return SymmExpansion(pr, _shared(("draw", degree, count, seed, decay), build))
+    block = _shared(("draw", config.trunc, config.ensemble, config.seed, decay), build)
+    return SymmExpansion(pr, block[:count, : degree + 1])
 
 
 def _degree_doubling(
@@ -391,16 +396,13 @@ def _degree_doubling(
     lower-degree maximum. detail is a format string over lo and hi (the
     RatioStats) and lo_degree and hi_degree.
 
-    The norms map a block to one norm per member. The block is drawn once at
-    the top degree; the lower degree is its column prefix, which is exactly
-    the lower-degree draw. Returns the case and the RatioStats at the lower
-    and at the upper degree.
+    The norms map a block to one norm per member. Returns the case and the
+    RatioStats at the lower and at the upper degree.
     """
     degrees = (_window_degree(config.trunc), config.trunc)
-    block = _draw(pr, max(degrees), config.ensemble, config.seed)
     stats = []
     for degree in degrees:
-        members = SymmExpansion(pr, block.coeffs[:, : degree + 1])
+        members = _draw(config, pr, degree)
         stats.append(equivalence_ratio(norm_a(members), norm_b(members)))
     lo, hi = stats
     text = detail.format(lo=lo, hi=hi, lo_degree=degrees[0], hi_degree=degrees[1])
@@ -412,6 +414,35 @@ def _degree_doubling(
     if "window" in tracked:
         return _case(name, hi.window, 50.0, text, passed=lo.window <= 50.0), lo, hi
     return _case(name, hi.maximum, 1.1 * lo.maximum, text, passed=True), lo, hi
+
+
+def _divergence_case(name: str, f, p: float, eps0: float) -> tuple:
+    """The case that |f|^p is not integrable at 0, and its truncated integrals.
+
+    The integrals run from the cutoffs eps0 * 2^-j, j < 6. Either detector's
+    verdict counts: three growth ratios of 1.5 in a row need a blowup rate
+    of about 1.585, so the exponent detector, which fires at a mean rate of
+    0.95, catches the rates between 1 and that, and logarithmic blowup, whose
+    ratios tend to 1. The record holds the mean rate against 0.95, and its
+    detail the smallest refinement ratio against 1.5.
+    """
+    vals = truncated_lp_powers(f, p, eps0, levels=6)
+    growth = flag_divergent_by_growth(vals)
+    exponent = flag_divergent_by_exponent(vals)
+    detail = (
+        "mean blowup rate against 0.95; smallest refinement ratio "
+        f"{float(np.min(vals[1:] / vals[:-1])):.4g} against 1.5; either detector counts"
+    )
+    case = _case(
+        name, exponent.mean_exponent, lower=0.95, detail=detail, passed=growth or exponent.divergent
+    )
+    return case, vals
+
+
+def _law_deviation(op, e: SymmExpansion, s: float, t: float) -> float:
+    """Relative deviation of op(op(e, s), t) from op(e, s + t)."""
+    twice, once = op(op(e, s), t), op(e, s + t)
+    return float(np.max(np.abs(twice.coeffs - once.coeffs)) / np.max(np.abs(once.coeffs)))
 
 
 # The suites by name, in run order; _suite fills it.
@@ -560,13 +591,8 @@ def run_potentials(config: SuiteConfig):
         rng = np.random.default_rng([config.seed, 99])
         e = SymmExpansion(pr, rng.uniform(-1, 1, 17))
 
-        if pr.eigen_shift != 0.0:
-            twice = riesz_potential(riesz_potential(e, 0.35), 0.4)
-            once = riesz_potential(e, 0.75)
-            dev = float(
-                np.max(np.abs(twice.coeffs - once.coeffs))
-                / np.max(np.abs(once.coeffs))
-            )
+        if not pr.zero_bottom:
+            dev = _law_deviation(riesz_potential, e, 0.35, 0.4)
             cases.append(_case(f"composition-{label}", dev, 1e-14))
         else:
             e0 = _unit(pr, 0, 3)
@@ -595,37 +621,31 @@ def run_potentials(config: SuiteConfig):
         )
         cases.append(_case(f"bessel-sandwich-{label}", violation, 1e-15))
 
-        t1, t2 = 0.3, 0.45
-        a = poisson_semigroup(poisson_semigroup(e, t1), t2)
-        b = poisson_semigroup(e, t1 + t2)
-        dev = float(np.max(np.abs(a.coeffs - b.coeffs)) / np.max(np.abs(b.coeffs)))
+        dev = _law_deviation(poisson_semigroup, e, 0.3, 0.45)
         cases.append(_case(f"semigroup-law-{label}", dev, 1e-14))
 
     smoothing_pairs = [
         pr
         for pr in config.pairs
-        if pr.eigen_shift != 0.0
+        if not pr.zero_bottom
         and admissibility(pr, config.p, q=q, sigma=sigma).smoothing_lp_lq
         and pr.contains_p(q)
     ]
     for pr in smoothing_pairs:
         grid = _grid(config, pr)
-        members = _draw(pr, config.trunc // 2, config.ensemble, config.seed)
-        smoothed = riesz_potential(members, sigma)
-        stats = equivalence_ratio(
-            lp_norm(synthesize(smoothed, grid), q), lp_norm(synthesize(members, grid), config.p)
+        case, lo, _ = _degree_doubling(
+            config,
+            pr,
+            f"smoothing-window-{_pair_label(pr)}",
+            lambda e: lp_norm(synthesize(riesz_potential(e, sigma), grid), q),
+            lambda e: lp_norm(synthesize(e, grid), config.p),
+            ("window",),
+            f"ratio of the q-norm after order-{2 * sigma:g} smoothing to the p-norm: "
+            "window {lo.window:.6g} at degree {lo_degree}, {hi.window:.6g} at degree {hi_degree}",
         )
-        label = _pair_label(pr)
-        cases.append(
-            _case(
-                f"smoothing-window-{label}",
-                stats.window,
-                50.0,
-                f"ratio of the q-norm after order-{2 * sigma:g} smoothing to the p-norm",
-            )
-        )
+        cases.append(case)
         if not ratio_rows:
-            ratio_rows = [[i, r] for i, r in enumerate(stats.ratios)]
+            ratio_rows = [[i, r] for i, r in enumerate(lo.ratios)]
 
     series = {}
     if ratio_rows:
@@ -659,7 +679,7 @@ def run_decomposition(config: SuiteConfig):
     for pr in config.pairs:
         label = _pair_label(pr)
         grid = _grid(config, pr)
-        members = _draw(pr, degree_lo, config.ensemble, config.seed)
+        members = _draw(config, pr, degree_lo)
         ratios = potential_norm(members, 2, s, grid) / _parity_split_norm(members, 2, s, grid)
         dev = float(np.max(np.abs(ratios - 1.0)))
         cases.append(_case(f"parity-ratio-p2-{label}", dev, 1e-9))
@@ -760,21 +780,10 @@ def run_counterexample(config: SuiteConfig):
         )
     )
 
-    g1 = decay_witness_first_derivative(w1)
-    w1_vals = truncated_lp_powers(g1, p, 0.1, levels=6)
-    w1_growth = flag_divergent_by_growth(w1_vals)
-    w1_exponent = flag_divergent_by_exponent(w1_vals)
-    cases.append(
-        _case(
-            "witness1-derivative-diverges-growth",
-            np.min(w1_vals[1:] / w1_vals[:-1]),
-            1.5,
-            f"exponent route agrees: mean rate {w1_exponent.mean_exponent:.4g}",
-            # growth ratios only reach 1.5 at rates from about 1.585 on, so the
-            # exponent detector catches the rates between 1 and that
-            passed=w1_growth or w1_exponent.divergent,
-        )
+    case, w1_vals = _divergence_case(
+        "witness1-derivative-diverges-growth", decay_witness_first_derivative(w1), p, 0.1
     )
+    cases.append(case)
 
     # the band-limited witness is pinned: its closed forms are derived at
     # integer parameters and the grid oracle below depends on them
@@ -801,20 +810,10 @@ def run_counterexample(config: SuiteConfig):
         )
     )
 
-    dd = growth_witness_double_derivative(w2)
-    w2_vals = truncated_lp_powers(dd, p, 0.1, levels=6)
-    w2_growth = flag_divergent_by_growth(w2_vals)
-    w2_exponent = flag_divergent_by_exponent(w2_vals)
-    cases.append(
-        _case(
-            "witness2-mixed-second-derivative-diverges",
-            w2_exponent.mean_exponent,
-            lower=0.95,
-            detail="logarithmic blowup: the growth-factor detector reads "
-            f"{w2_growth} because refinement ratios tend to 1, so the verdict "
-            "gates on the exponent detector",
-        )
+    case, w2_vals = _divergence_case(
+        "witness2-mixed-second-derivative-diverges", growth_witness_double_derivative(w2), p, 0.1
     )
+    cases.append(case)
 
     series = {
         "witness1-refinement": {
@@ -914,7 +913,7 @@ def run_squarefn(config: SuiteConfig):
 
         gamma, k = index_set[0]
         spec = SquareFunctionSpec(gamma, int(k))
-        members = _draw(pr, config.trunc // 2, config.ensemble, config.seed)
+        members = _draw(config, pr, config.trunc // 2)
         sq = GridFunction(grid, square_function(members, spec, grid.nodes))
         lam = members.eigenvalues()
         alive = lam > 0
@@ -992,7 +991,7 @@ def run_structure(config: SuiteConfig):
     for pr in config.pairs:
         label = _pair_label(pr)
         grid = _grid(config, pr)
-        members = _draw(pr, config.trunc // 2, min(config.ensemble, 12), config.seed)
+        members = _draw(config, pr, config.trunc // 2, 12)
         const = (2 * math.pi) ** (1.0 / config.p - 1.0 / q)
         f = synthesize(members, grid)
         worst = float(np.max(lp_norm(f, config.p) - const * lp_norm(f, q)))
@@ -1024,15 +1023,11 @@ def run_structure(config: SuiteConfig):
 
         rng = np.random.default_rng([config.seed, 5])
         e = SymmExpansion(pr, rng.uniform(-1, 1, 13))
-        potential = riesz_potential if pr.eigen_shift != 0.0 else bessel_potential
-        twice = potential(potential(e, 0.3), 0.5)
-        once = potential(e, 0.8)
-        comp_dev = float(
-            np.max(np.abs(twice.coeffs - once.coeffs)) / np.max(np.abs(once.coeffs))
-        )
+        potential = bessel_potential if pr.zero_bottom else riesz_potential
+        comp_dev = _law_deviation(potential, e, 0.3, 0.5)
         cases.append(_case(f"composition-law-{label}", comp_dev, 1e-14))
 
-        if pr.eigen_shift != 0.0:
+        if not pr.zero_bottom:
             s_iso, t_iso = 0.8, 0.6
             lifted = riesz_potential(e, t_iso / 2)
             iso_a = potential_norm(lifted, 2, s_iso + t_iso, grid)
@@ -1128,21 +1123,10 @@ def run_noninclusion(config: SuiteConfig):
                 "first-order norm is finite",
             )
         )
-        cross = cross_parameter_derivative(first, second)
-        vals = truncated_lp_powers(cross, p, 0.05, levels=6)
-        growth = flag_divergent_by_growth(vals)
-        verdict = flag_divergent_by_exponent(vals)
-        cases.append(
-            _case(
-                f"cross-derivative-diverges-{tag}",
-                verdict.mean_exponent,
-                1.5,
-                f"minimum refinement ratio {float(np.min(vals[1:] / vals[:-1])):.4g}",
-                # growth ratios only reach 1.5 at rates from about 1.585 on, so
-                # the exponent detector catches the rates between 1 and that
-                passed=growth or verdict.divergent,
-            )
+        case, vals = _divergence_case(
+            f"cross-derivative-diverges-{tag}", cross_parameter_derivative(first, second), p, 0.05
         )
+        cases.append(case)
         if not series_rows:
             series_rows = [[j, float(v)] for j, v in enumerate(vals)]
         else:
@@ -1169,7 +1153,7 @@ def run_schrodinger(config: SuiteConfig):
     pr = _single_pair(config)
     grid = _grid(config, pr)
     degree = _window_degree(config.trunc)
-    members = _draw(pr, degree, min(config.ensemble, 8), config.seed, decay=SCHRODINGER_DECAY)
+    members = _draw(config, pr, degree, 8, decay=SCHRODINGER_DECAY)
     lam = members.eigenvalues()
     lam_max = float(lam[-1])
     times = [2.0**-j for j in range(4, 15)]

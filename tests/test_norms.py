@@ -360,12 +360,14 @@ class TestEnsembles:
             block[0][0]
 
     def test_prefix_stability_under_degree_growth(self):
-        # the degree-doubling protocol reads its lower degree off the top
-        # draw, so the degree-d draw must be bitwise the first d + 1 columns
+        # the suites read every draw off one block per run, so the draw of
+        # count members to degree d must be bitwise its first count rows and
+        # d + 1 columns
         for low, high in [(0, 1), (8, 16), (16, 32), (64, 128), (127, 128)]:
-            short = random_band_limited(GENERIC, low, 5, seed=9)
             long = random_band_limited(GENERIC, high, 5, seed=9)
-            np.testing.assert_array_equal(short.coeffs, long.coeffs[:, : low + 1])
+            for count in (1, 3, 5):
+                short = random_band_limited(GENERIC, low, count, seed=9)
+                np.testing.assert_array_equal(short.coeffs, long.coeffs[:count, : low + 1])
 
     def test_members_differ(self):
         members = random_band_limited(GENERIC, 8, 3, seed=11)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import symjacobi
-from symjacobi import cli, core, norms, suites
+from symjacobi import cli, core, errors, norms, suites
 from symjacobi.core import _GRID_TABLES, JacobiParams
 from symjacobi.errors import ConfigError
 from symjacobi.reporting import ExperimentReport, emit_plots, report_to_json, write_report
@@ -73,7 +73,7 @@ class TestConfigValidation:
             validate_config(SuiteConfig(suite="basis", trunc=2))
 
     def test_suites_without_a_window_keep_trunc_4(self):
-        window = {"decomposition", "sobolev", "embed", "schrodinger"}
+        window = {"potentials", "decomposition", "sobolev", "embed", "schrodinger"}
         for suite in set(EXPECTED_SUITES) - window:
             validate_config(SuiteConfig(suite=suite, trunc=4))
         validate_config(SuiteConfig(suite="all", trunc=8))
@@ -305,11 +305,11 @@ class TestRunSuite:
                 monkeypatch.setattr(module, "random_band_limited", counting_draw)
         config = SuiteConfig(suite="all", trunc=32, ensemble=4)
         run_suite(config, write=False)
-        # one rule per default pair; draws at degrees 16 and 32, and the
+        # one rule per default pair; one draw per decay, the default and the
         # faster-decaying schrodinger draw
-        assert (len(rules), len(draws)) == (6, 3)
+        assert (len(rules), len(draws)) == (6, 2)
         run_suite(config, write=False)
-        assert (len(rules), len(draws)) == (12, 6)
+        assert (len(rules), len(draws)) == (12, 4)
 
     def test_shared_inputs_are_read_only_and_keyed_exactly(self, monkeypatch):
         ran = []
@@ -317,9 +317,10 @@ class TestRunSuite:
         def probe(config):
             zero, signed = JacobiParams(0.0, 0.0), JacobiParams(-0.0, 0.0)
             grid = suites._grid(config, zero)
-            block = suites._draw(zero, 8, 3, config.seed)
+            block = suites._draw(config, zero, 8, 3)
             assert suites._grid(config, zero) is grid
-            assert suites._draw(signed, 8, 3, config.seed).coeffs is block.coeffs
+            assert suites._draw(config, signed, 8, 3).coeffs.base is block.coeffs.base
+            assert suites._draw(config, zero, 8, 3, decay=3.0).coeffs.base is not block.coeffs.base
             assert suites._grid(config, signed) is not grid
             arrays = (grid.nodes, grid.weights, grid.half.nodes, grid.half.weights, block.coeffs)
             for arr in arrays:
@@ -474,6 +475,12 @@ class TestCli:
         report = suites.run_noninclusion(fast_config("noninclusion"))
         diverges = [c for c in report.cases if c["name"].startswith("cross-derivative-diverges")]
         assert len(diverges) == 2 and not any(c["passed"] for c in diverges)
+
+    def test_potentials_draws_at_the_window_floor(self, tmp_path, capsys):
+        # its smoothing window goes through the window protocol
+        assert cli.main(["potentials", "--trunc", "7", "--out", str(tmp_path)]) == 2
+        assert "must be at least 8, got 7" in capsys.readouterr().err
+        assert cli.main(["potentials", "--trunc", "8", "--out", str(tmp_path)]) == 0
 
     def test_inclusion_takes_k_alone(self, tmp_path):
         assert cli.main(["inclusion", "--k", "2", "--out", str(tmp_path)]) == 0
@@ -654,6 +661,26 @@ class TestCli:
         assert code == 2
         assert "malformed JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "error",
+        [
+            errors.DomainError,
+            errors.SingularPointError,
+            errors.GridError,
+            errors.UnsupportedParametersError,
+            errors.AdmissibilityError,
+            errors.EnsembleError,
+            errors.ConfigError,
+        ],
+    )
+    def test_exit_two_on_every_library_error(self, tmp_path, capsys, monkeypatch, error):
+        def refuse(config):
+            raise error("refused")
+
+        monkeypatch.setitem(SUITES, "basis", refuse)
+        assert cli.main(["basis", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "config error: refused\n"
+
     def test_exit_two_on_unknown_config_field(self, tmp_path, capsys):
         bad = tmp_path / "conf.json"
         bad.write_text(json.dumps({"turnc": 32}))
@@ -793,7 +820,7 @@ CASE_FAMILIES = {
     "sobolev-window-m2": 50.0,
     "witness1-reflection-term-vanishes": 1e-8,
     "witness1-own-lp-integral-converges": 0.95,
-    "witness1-derivative-diverges-growth": 1.5,
+    "witness1-derivative-diverges-growth": 0.95,
     "witness2-variable-derivatives-vanish": 1e-8,
     "witness2-mixed-second-derivative-diverges": 0.95,
     "transform-columns-k1": 1.0,
@@ -818,13 +845,27 @@ CASE_FAMILIES = {
     "embedding-ratio-stable": "computed",
     "supnorm-ratio-stable": "computed",
     "weight-annihilated-own-under-other": 1e-8,
-    "cross-derivative-diverges-own-under-other": 1.5,
+    "cross-derivative-diverges-own-under-other": 0.95,
     "weight-annihilated-other-under-own": 1e-8,
-    "cross-derivative-diverges-other-under-own": 1.5,
+    "cross-derivative-diverges-other-under-own": 0.95,
     "linear-error-bound": 1.0,
     "convergence-slope": 1.1,
     "mixed-norm-recorded": None,
 }
+
+
+def test_divergence_records_name_both_detector_bounds():
+    # the value is the exponent detector's mean rate against its 0.95; the
+    # detail gives the growth detector's smallest ratio against its 1.5
+    cases = [
+        c
+        for suite in ("counterexample", "noninclusion")
+        for c in SUITES[suite](fast_config(suite)).cases
+        if "-diverges" in c["name"]
+    ]
+    assert len(cases) == 4
+    for c in cases:
+        assert c["tolerance"] == 0.95 and "against 1.5" in c["detail"], c["name"]
 
 
 def test_case_table_is_pinned():
