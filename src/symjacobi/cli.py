@@ -5,7 +5,7 @@ import json
 import sys
 
 from .errors import ConfigError, SymJacobiError
-from .suites import SUITES, SuiteConfig, run_suite
+from .suites import SUITES, WINDOW_FLOOR, SuiteConfig, run_suite
 
 # (field, type, help) of each flag; a JSON config file may set the same
 # fields, and flags override file values
@@ -19,8 +19,8 @@ _FIELDS = (
     ("k", int, "order, at least 1: the square function's derivative order inside "
              "the flow (with --gamma), and the inclusion suite's transform order"),
     ("m", int, "whole derivative order"),
-    ("trunc", int, "coefficient truncation degree, at least 4; at least 8 for "
-              "potentials, decomposition, sobolev, embed, schrodinger and all"),
+    ("trunc", int, "coefficient truncation degree, at least 4; at least "
+              f"{WINDOW_FLOOR} for {', '.join(n for n, s in SUITES.items() if s.window)} and all"),
     ("quad", int, "quadrature order"),
     ("ensemble", int, "random ensemble size"),
     ("seed", int, "ensemble seed"),

@@ -192,7 +192,24 @@ class TestSplitEvenOdd:
         assert total == pytest.approx(parts, rel=1e-13)
 
 
+class TestExpansionValidation:
+    def test_empty_coefficients_are_refused(self):
+        with pytest.raises(DomainError, match="nonempty"):
+            SymmExpansion(JacobiParams(0.3, 0.7), np.array([]))
+
+    def test_unknown_parity_is_refused(self):
+        with pytest.raises(DomainError, match="parity must be 'even' or 'odd', got 'both'"):
+            HalfLineExpansion(JacobiParams(0.3, 0.7), np.ones(3), "both")
+
+
 class TestAnalyze:
+    def test_refuses_no_coefficients_and_a_non_callable(self):
+        pr = JacobiParams(0.3, 0.7)
+        with pytest.raises(ConfigError, match="coefficient count must be positive, got 0"):
+            analyze(np.cos, pr, 0)
+        with pytest.raises(ConfigError, match="GridFunction or a callable"):
+            analyze(1.5, pr, 4)
+
     def test_unit_vector_recovery(self):
         pr = JacobiParams(0.3, 0.7)
         e = analyze(lambda t: symm_eigenfunction_table(4, pr, t)[3], pr, 6)

@@ -679,6 +679,11 @@ class TestGaussJacobiRule:
         with pytest.raises(GridError):
             gauss_jacobi_rule(0, JacobiParams(0.0, 0.0))
 
+    def test_a_root_outside_the_interval_is_refused(self):
+        # at alpha = 1e20 every root of the Jacobi matrix rounds to -1
+        with pytest.raises(GridError, match=r"a root is not finite or lies outside \(-1, 1\)"):
+            gauss_jacobi_rule(8, JacobiParams(1e20, 0.0))
+
 
 class TestSymmetricRule:
     def test_structure(self):
@@ -724,6 +729,17 @@ class TestGridTypes:
         # carrying them
         with pytest.raises(GridError):
             QuadratureGrid(np.array(nodes), np.array(weights), "halfline")
+
+    @pytest.mark.parametrize(
+        "nodes, weights, interval, cited",
+        [
+            ([0.1, 0.2], [1.0], "halfline", "1-d arrays of equal length"),
+            ([-0.1, 0.0, 0.1], [1.0, 1.0, 1.0], "symmetric", "must not contain 0"),
+        ],
+    )
+    def test_grid_rejects_a_malformed_layout(self, nodes, weights, interval, cited):
+        with pytest.raises(GridError, match=cited):
+            QuadratureGrid(np.array(nodes), np.array(weights), interval)
 
     def test_grid_rejects_infinite_weights(self):
         # 1 / sum phi_n^2 is inf at a node where every row underflows

@@ -28,6 +28,7 @@ from symjacobi.errors import (
 )
 from symjacobi.norms import (
     AdmissibilityRecord,
+    TimeGrid,
     admissibility,
     equivalence_ratio,
     flag_divergent_by_exponent,
@@ -149,6 +150,11 @@ class TestPotentialNorm:
 
 
 class TestSobolevNorm:
+    def test_order_must_be_positive(self):
+        grid = symmetric_rule(8, GENERIC)
+        with pytest.raises(DomainError, match="positive integer, got 0"):
+            sobolev_norm(SymmExpansion(GENERIC, np.ones(4)), 2.0, 0, grid)
+
     def test_band_limited_witness_truncation(self):
         # the first odd mode is killed by orders 1 and 2, so the whole norm
         # collapses to the plain p-norm
@@ -265,6 +271,19 @@ class TestAdmissibility:
 
 
 class TestMixedNorm:
+    def test_infinite_time_exponent_takes_the_node_maxima(self):
+        grid = symmetric_rule(12, GENERIC)
+        tg = uniform_time_grid(5)
+        vals = np.random.default_rng(3).uniform(-1, 1, (len(grid), 5))
+        expect = lp_norm(GridFunction(grid, np.max(np.abs(vals), axis=1)), 3.0)
+        assert mixed_norm(vals, grid, tg, 3.0, math.inf) == expect
+
+    def test_time_grid_validation(self):
+        with pytest.raises(GridError, match="matching 1-d arrays"):
+            TimeGrid(np.ones(3), np.ones(2))
+        with pytest.raises(GridError, match="at least one time node, got 0"):
+            uniform_time_grid(0)
+
     def test_constant(self):
         grid = symmetric_rule(32, CHEBYSHEV)
         tg = uniform_time_grid(16)

@@ -142,6 +142,24 @@ class TestPotentials:
             assert np.all((1 + lam) ** -0.8 <= (1 + np.sqrt(lam)) ** -0.8 + 1e-15)
 
 
+def test_multipliers_refuse_a_plain_array():
+    with pytest.raises(DomainError, match="symmetrized or half-line expansions"):
+        poisson_semigroup(np.ones(3), 0.1)
+
+
+@pytest.mark.parametrize(
+    "call, cited",
+    [
+        (lambda e: poisson_time_derivative(e, 0.1, -1), "nonnegative, got -1"),
+        (lambda e: var_index_derivative(to_halfline(e)[0], -1), "nonnegative, got -1"),
+        (lambda e: riesz_transform(e, 0), "at least 1, got 0"),
+    ],
+)
+def test_derivative_orders_are_checked(call, cited):
+    with pytest.raises(DomainError, match=cited):
+        call(SymmExpansion(GENERIC, np.ones(4)))
+
+
 class TestPoisson:
     def test_zero_time_identity(self):
         e = SymmExpansion(GENERIC, np.array([1.0, -2.0, 0.5]))

@@ -111,6 +111,10 @@ class TestGammaIntegralOracle:
             expect = l2_equivalence_constant(gamma, k) * lam ** (gamma / 2)
             assert eigenmode_constant(spec, lam) == pytest.approx(expect, rel=1e-13)
 
+    def test_eigenmode_constant_of_a_zero_mode(self):
+        # the plain flow holds a zero mode constant, so its time derivatives vanish
+        assert eigenmode_constant(SquareFunctionSpec(0.5, 1), 0.0) == 0.0
+
 
 class TestSingleModeValues:
     def test_plain_closed_form(self):

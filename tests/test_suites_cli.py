@@ -51,6 +51,19 @@ def fast_config(suite, **kw):
     return SuiteConfig(suite=suite, **merged)
 
 
+def stub_report(series):
+    return ExperimentReport(
+        suite="stub",
+        config={},
+        cases=[{"name": "x", "passed": True, "value": 0.0}],
+        series=series,
+        passed=True,
+        version="0",
+        seed=0,
+        wall_clock_s=0.0,
+    )
+
+
 class TestConfigValidation:
     def test_registry_names(self):
         # bench/tracer.py swaps these bindings by object identity; a binding
@@ -58,6 +71,36 @@ class TestConfigValidation:
         assert list(SUITES) == list(EXPECTED_SUITES)
         for name in EXPECTED_SUITES:
             assert SUITES[name] is getattr(suites, f"run_{name}")
+
+    def test_declarations(self):
+        # the runner facts each suite declares at registration
+        declared = {
+            name: (run.pinned, run.window, run.admissible) for name, run in SUITES.items()
+        }
+        assert declared == {
+            "basis": (None, False, False),
+            "eigen": (None, False, False),
+            "potentials": (None, True, True),
+            "decomposition": (None, True, True),
+            "sobolev": (None, True, True),
+            "counterexample": ((-0.3, -0.3), False, True),
+            "inclusion": (None, False, False),
+            "squarefn": (None, False, True),
+            "structure": (None, False, False),
+            "embed": ((0.0, 0.0), True, True),
+            "noninclusion": ((-0.6, -0.4), False, False),
+            "schrodinger": ((0.0, 0.0), True, False),
+        }
+
+    def test_trunc_help_names_the_window_suites(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["basis", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert (
+            "at least 8 for potentials, decomposition, sobolev, embed, schrodinger and all"
+            in text
+        )
 
     def test_default_pairs(self):
         pairs = default_pairs()
@@ -232,6 +275,17 @@ class TestRunSuite:
         assert written == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["stub-report.json"]
 
+    def test_cells_and_charts_of_a_series_with_no_numeric_column(self, tmp_path):
+        report = stub_report({"flags": {"columns": ["name", "ok"], "rows": [["a", True]]}})
+        emit_plots(report, str(tmp_path))
+        assert (tmp_path / "stub-flags.csv").read_text() == "name,ok\na,true\n"
+        assert "no plottable data" in (tmp_path / "stub-flags.svg").read_text()
+
+    def test_a_ragged_series_is_refused(self, tmp_path):
+        report = stub_report({"ragged": {"columns": ["n", "value"], "rows": [[0, 1.0], [1]]}})
+        with pytest.raises(errors.GridError, match="column count"):
+            emit_plots(report, str(tmp_path))
+
     def test_reports_identical_across_runs(self, tmp_path):
         # each run builds its own grids and draws, and its grids their tables
         outputs = []
@@ -320,7 +374,6 @@ class TestRunSuite:
             block = suites._draw(config, zero, 8, 3)
             assert suites._grid(config, zero) is grid
             assert suites._draw(config, signed, 8, 3).coeffs.base is block.coeffs.base
-            assert suites._draw(config, zero, 8, 3, decay=3.0).coeffs.base is not block.coeffs.base
             assert suites._grid(config, signed) is not grid
             arrays = (grid.nodes, grid.weights, grid.half.nodes, grid.half.weights, block.coeffs)
             for arr in arrays:
@@ -501,6 +554,9 @@ class TestCli:
             (["squarefn", "--k", "2"], "gamma and k given together"),
             (["all", "--k", "2"], "gamma and k given together"),
             (["inclusion", "--k", "0"], "order k must be at least 1, got 0"),
+            (["basis", "--p", "0.5"], "p must be at least 1, got 0.5"),
+            (["embed", "--q", "0.5"], "q must be at least 1, got 0.5"),
+            (["sobolev", "--m", "0"], "derivative order m must be positive, got 0"),
         ],
     )
     def test_exit_two_cites_the_refused_condition(self, tmp_path, capsys, argv, cited):
@@ -660,6 +716,13 @@ class TestCli:
         code = cli.main(["basis", "--config", str(bad), "--out", str(tmp_path)])
         assert code == 2
         assert "malformed JSON" in capsys.readouterr().err
+
+    def test_exit_two_on_a_config_file_that_is_not_an_object(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps([{"trunc": 32}]))
+        code = cli.main(["basis", "--config", str(conf), "--out", str(tmp_path)])
+        assert code == 2
+        assert "config file must hold a JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "error",
@@ -852,6 +915,13 @@ CASE_FAMILIES = {
     "convergence-slope": 1.1,
     "mixed-norm-recorded": None,
 }
+
+
+def test_structure_takes_q_above_p():
+    # the containment direction needs q above p, so q defaults to 2p there
+    report = SUITES["structure"](fast_config("structure", p=4.0))
+    holder = [c for c in report.cases if c["name"].startswith("holder-containment-")]
+    assert holder and all("q=8.0 norm" in c["detail"] for c in holder)
 
 
 def test_divergence_records_name_both_detector_bounds():
