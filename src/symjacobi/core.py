@@ -226,46 +226,36 @@ def eigenfunction_table(n_top: int, params: JacobiParams, theta: np.ndarray) -> 
     return table if table.shape[0] == n_top + 1 else table[: n_top + 1]
 
 
-def _eigenfunction_rows(n_top: int, params: JacobiParams, th: np.ndarray) -> np.ndarray:
-    # uncached build of the rows 0..n_top at th: a ring of every row fills once
-    return next(_orthonormal_rows(n_top, params, th, n_top + 1))
-
-
 # Rows per block of a recurrence sweep. The factors that do not depend on
 # the previous rows are formed a block at a time, which leaves three array
-# operations per row, and the rule's weight sweep holds one block of rows
-# instead of the N x N table of all rows at all nodes.
+# operations per row; the rule sums its squared rows a block at a time too.
 _ROW_BLOCK = 64
 
 
-def _orthonormal_rows(n_top: int, params: JacobiParams, th: np.ndarray, size: int):
-    """Rows phi_n(th), n = 0..n_top, built from row 0 into row n % size of a ring.
+def _eigenfunction_rows(n_top: int, params: JacobiParams, th: np.ndarray) -> np.ndarray:
+    """Uncached rows phi_n(th), n = 0..n_top, written from row 0 into one table.
 
     The recurrence s_{n+1} phi_{n+1} = (x - a_n) phi_n - s_n phi_{n-1} of the
     orthonormal polynomials runs on the entries of `_jacobi_matrix` from
-    phi_0 = trig_weight / sqrt(B(a + 1, b + 1)), formed in logarithms. Yields
-    the ring each time it fills and the rows after the last fill at the end;
-    the caller reads them before resuming. A ring of n_top + 1 rows is the
-    whole table; the rule's weight sweep holds `_ROW_BLOCK` rows at a time.
+    phi_0 = trig_weight / sqrt(B(a + 1, b + 1)), formed in logarithms.
     """
     _check_angles(params, th)
     a, b = params.alpha, params.beta
     _, off, ends = _jacobi_matrix(n_top + 1, params)
     half = 0.5 * th
-    size = min(size, n_top + 1)
-    ring = np.empty((size, th.size))
+    rows = np.empty((n_top + 1, th.size))
     log_w = (b + 0.5) * np.log(np.cos(half)) - 0.5 * _log_beta(a + 1.0, b + 1.0)
     if a != -0.5:  # else sin^0 = 1, also in the limit at th = 0
         with np.errstate(divide="ignore"):  # log 0 at th = 0 gives phi_0 = 0
             log_w += (a + 0.5) * np.log(np.sin(half))
-    ring[0] = np.exp(log_w)
+    rows[0] = np.exp(log_w)
     # x - a_n is ends[n, 0] - 2 sin^2(th/2) below pi/2 and ends[n, 1] +
     # 2 cos^2(th/2) from pi/2 on, so rows next to 0 and pi keep their digits
     side = (th >= 0.5 * np.pi).astype(np.intp)
     shift = np.where(side, 2.0 * np.cos(half) ** 2, -2.0 * np.sin(half) ** 2)
     ratio = np.concatenate([[0.0], off[:-1] / off[1:]])  # s_n / s_{n+1}
     linear = np.empty((min(_ROW_BLOCK, n_top), th.size))
-    prev, cur = np.zeros(th.size), ring[0]
+    prev, cur = np.zeros(th.size), rows[0]
     for lo in range(0, n_top, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, n_top)
         block = linear[: hi - lo]
@@ -273,14 +263,12 @@ def _orthonormal_rows(n_top: int, params: JacobiParams, th: np.ndarray, size: in
         block += shift
         block /= off[lo:hi, None]
         for n, row, r in zip(range(lo, hi), block, ratio[lo:hi].tolist()):
-            if n % size == size - 1:  # rows up to n fill the ring
-                yield ring
             row *= cur
-            nxt = ring[(n + 1) % size]
+            nxt = rows[n + 1]
             np.multiply(r, prev, out=nxt)
             np.subtract(row, nxt, out=nxt)
             prev, cur = cur, nxt
-    yield ring[: n_top % size + 1]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -379,8 +367,9 @@ def gauss_jacobi_rule(n_nodes: int, params: JacobiParams) -> QuadratureGrid:
     by a Newton step in theta; a rule whose step is too large to have
     converged takes a second one, and raises GridError if that is still too
     large. Each weight is 1 / sum_{n < n_nodes} phi_n(t)^2 at its node, from
-    the rows `eigenfunction_table` builds, so the rule shares the tables'
-    normalization; a weight that is not finite raises GridError. The rule
+    the rows `eigenfunction_table` builds, summed 64 at a time and not kept,
+    so the rule shares the tables' normalization; a weight that is not
+    finite raises GridError. The nodes and weights are read-only. The rule
     integrates trig_weight(params, t)^2 times any polynomial in cos(t) of
     degree at most 2*n_nodes - 1 exactly over (0, pi).
     """
@@ -406,11 +395,14 @@ def gauss_jacobi_rule(n_nodes: int, params: JacobiParams) -> QuadratureGrid:
                 break
         else:
             raise GridError("a node moved too far in two Newton steps to have converged")
+        rows = _eigenfunction_rows(n_nodes - 1, params, theta)
         total = np.zeros(n_nodes)
-        for rows in _orthonormal_rows(n_nodes - 1, params, theta, _ROW_BLOCK):
-            total += np.einsum("ij,ij->j", rows, rows)
+        for lo in range(0, n_nodes, _ROW_BLOCK):
+            block = rows[lo : lo + _ROW_BLOCK]
+            total += np.einsum("ij,ij->j", block, block)
         with np.errstate(divide="ignore"):  # inf where every row underflows
             weights = 1.0 / total
+        theta.flags.writeable = weights.flags.writeable = False
         return QuadratureGrid(nodes=theta, weights=weights, interval="halfline")
     except GridError as exc:
         raise GridError(
@@ -499,10 +491,11 @@ def symmetric_rule(n_nodes_half: int, params: JacobiParams) -> QuadratureGrid:
 
     An even integrand then picks up twice its half-line integral, which is
     the correct full-interval value under the plain angle measure. Gauss
-    nodes are interior so 0 never appears. The grid's half is the half-line
-    rule, as views of the positive half.
+    nodes are interior so 0 never appears. The nodes and weights are
+    read-only, as are the views of their positive half in `grid.half`.
     """
     rule = gauss_jacobi_rule(n_nodes_half, params)
     nodes = np.concatenate([-rule.nodes[::-1], rule.nodes])
     weights = np.concatenate([rule.weights[::-1], rule.weights])
+    nodes.flags.writeable = weights.flags.writeable = False
     return QuadratureGrid(nodes=nodes, weights=weights, interval="symmetric")

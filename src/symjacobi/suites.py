@@ -325,19 +325,11 @@ def _shared(key, build):
 
 
 def _grid(config: SuiteConfig, pr: JacobiParams) -> QuadratureGrid:
-    """The read-only symmetric rule of pr at the config's quadrature order."""
+    """pr's symmetric rule at the config's quadrature order, read-only from core."""
     n = config.quad_order()
-
-    def build():
-        grid = symmetric_rule(n, pr)
-        # grid.half views these, so it is read-only too
-        for arr in (grid.nodes, grid.weights):
-            arr.flags.writeable = False
-        return grid
-
     # exact bytes, so -0.0 and 0.0 parameters never share a grid
     pair = np.array([pr.alpha, pr.beta], dtype=float).tobytes()
-    return _shared(("grid", n, pair), build)
+    return _shared(("grid", n, pair), lambda: symmetric_rule(n, pr))
 
 
 def _draw(
@@ -519,7 +511,6 @@ def run_basis(config: SuiteConfig):
 def run_eigen(config: SuiteConfig):
     cases = []
     n_top = min(config.trunc, 40)
-    residual_rows = []
     per_n = np.zeros(n_top + 1)
     units = np.eye(n_top + 1)
     diag = np.arange(n_top + 1)

@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
 from symjacobi import core
-from symjacobi.basis import _mirror_split
+from symjacobi.basis import _mirror_split, analyze, symm_eigenfunction_table
 from symjacobi.core import (
     _GRID_TABLES,
     _TABLE_CAP_BYTES,
@@ -275,13 +275,20 @@ class TestEigenfunction:
         limit *= trig_weight(pr, 0.0)
         np.testing.assert_allclose(table[:, 0], limit, rtol=1e-13, atol=0)
 
-    def test_rows_match_an_mpmath_oracle_next_to_alpha_minus_one(self):
-        # at the first node of the default rule for degree 256 the x-form
-        # product was 4.1e-6 off: P_n(cos t) cancels to a small value there
+    @pytest.mark.parametrize(
+        "alpha, beta, node",
+        [(-0.999999, 0.0, 0), (0.0, -0.999999, -1)],
+        ids=["alpha-end", "beta-end"],
+    )
+    def test_rows_match_an_mpmath_oracle_next_to_either_end(self, alpha, beta, node):
+        # at the first node of the default rule for degree 256 at alpha near
+        # -1 the x-form product was 4.1e-6 off: P_n(cos t) cancels to a small
+        # value there; the last node at beta near -1 takes the 2 cos^2(t/2)
+        # branch next to pi
         mp = pytest.importorskip("mpmath")
-        alpha, beta, degree = -0.999999, 0.0, 256
+        degree = 256
         pr = JacobiParams(alpha, beta)
-        t = gauss_jacobi_rule(2 * degree + 16, pr).nodes[:1]
+        t = gauss_jacobi_rule(2 * degree + 16, pr).nodes[[node]]
         row = eigenfunction_table(degree, pr, t)[:, 0]
         with mp.workdps(40):
             a, b, th = mp.mpf(alpha), mp.mpf(beta), mp.mpf(t[0])
@@ -446,13 +453,13 @@ class TestTableCache:
 
     def test_a_deeper_request_is_built_from_row_0(self, monkeypatch):
         builds = []
-        original = core._orthonormal_rows
+        original = core._eigenfunction_rows
 
-        def counting(n_top, params, th, size):
+        def counting(n_top, params, th):
             builds.append(n_top + 1)
-            return original(n_top, params, th, size)
+            return original(n_top, params, th)
 
-        monkeypatch.setattr(core, "_orthonormal_rows", counting)
+        monkeypatch.setattr(core, "_eigenfunction_rows", counting)
         pr = JacobiParams(2.5, 1.5)
         th = grid_on(np.linspace(0.05, 3.0, 30)).nodes
         eigenfunction_table(20, pr, th)
@@ -672,7 +679,7 @@ class TestGaussJacobiRule:
         assert approx == pytest.approx(ref, abs=1e-10)
 
     def test_rows_stay_out_of_the_table_cache(self):
-        # the weight sweep holds one block of rows, not a kept table
+        # the weight sum builds its table uncached, so no store keeps it
         assert store_of(gauss_jacobi_rule(64, JacobiParams(0.3, 0.7))) == {}
 
     def test_size_check(self):
@@ -707,6 +714,47 @@ class TestSymmetricRule:
         sym = symmetric_rule(10, pr)
         f = np.sign(sym.nodes) * trig_weight(pr, np.abs(sym.nodes)) ** 2
         assert abs(sym.integrate(f)) < 1e-15
+
+
+class TestReadOnlyRules:
+    """Rules are read-only where core makes them, and only there."""
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            lambda pr: gauss_jacobi_rule(6, pr).nodes,
+            lambda pr: gauss_jacobi_rule(6, pr).weights,
+            lambda pr: symmetric_rule(6, pr).nodes,
+            lambda pr: symmetric_rule(6, pr).weights,
+            lambda pr: symmetric_rule(6, pr).half.nodes,
+        ],
+        ids=["rule-nodes", "rule-weights", "symmetric-nodes", "symmetric-weights", "half-nodes"],
+    )
+    def test_writing_into_a_rule_raises(self, array):
+        target = array(JacobiParams(0.3, 0.7))
+        with pytest.raises(ValueError, match="read-only"):
+            target[0] = 1.0
+
+    def test_a_hand_built_grid_leaves_the_callers_arrays_writable(self):
+        nodes, weights = np.array([-0.5, 0.2, 0.5]), np.array([1.0, 2.0, 3.0])
+        grid = QuadratureGrid(nodes, weights, "symmetric")
+        assert grid.nodes is nodes and grid.weights is weights
+        for arr in (nodes, weights, grid.half.nodes, grid.half.weights):
+            assert arr.flags.writeable
+
+    def test_analyze_hands_a_callable_read_only_angles(self):
+        pr = JacobiParams(0.3, 0.7)
+        seen = []
+
+        def f(t):
+            seen.append(t.flags.writeable)
+            return symm_eigenfunction_table(4, pr, t)[3]
+
+        e = analyze(f, pr, 6)
+        expect = np.zeros(6)
+        expect[3] = 1.0
+        np.testing.assert_allclose(e.coeffs, expect, atol=1e-13)
+        assert seen == [False]
 
 
 class TestGridTypes:

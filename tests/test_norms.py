@@ -205,6 +205,9 @@ class TestHeldGrids:
         # an order-2 norm of a degree-256 expansion over (a, b) reads the
         # tables of (a + k, b + k), k = 0..3, on 528 half-nodes: 2.1 MiB per
         # pair, so two pairs once overflowed a 2 MiB cache on every member
+        # the grids come first: a rule's weights use the same row builder
+        pairs = [GENERIC, CHEBYSHEV]
+        grids = [symmetric_rule(528, pr) for pr in pairs]
         builds = []
         original = core._eigenfunction_rows
 
@@ -213,8 +216,6 @@ class TestHeldGrids:
             return original(n_top, params, th)
 
         monkeypatch.setattr(core, "_eigenfunction_rows", counting)
-        pairs = [GENERIC, CHEBYSHEV]
-        grids = [symmetric_rule(528, pr) for pr in pairs]
         spec = SquareFunctionSpec(0.5, 1)
         for seed in range(5):
             for pr, grid in zip(pairs, grids):
