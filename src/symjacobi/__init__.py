@@ -5,7 +5,6 @@ from .basis import (
     HalfLineExpansion,
     SymmExpansion,
     analyze,
-    eigen_index,
     eval_halfline_expansion,
     eval_symm_expansion,
     recombine,
@@ -56,10 +55,9 @@ from .norms import (
     uniform_time_grid,
 )
 from .operators import (
-    LadderCoefficients,
     bessel_potential,
     dunkl_derivative,
-    ladder_down,
+    ladder_constants,
     ladder_up,
     modified_riesz_potential,
     poisson_semigroup,
@@ -68,6 +66,7 @@ from .operators import (
     riesz_transform,
     riesz_transform_shifted,
     schrodinger_propagator,
+    spectral_potential,
     symm_higher_derivative,
     var_index_derivative,
 )

@@ -28,7 +28,6 @@ from .errors import ConfigError, DomainError, GridError
 __all__ = [
     "HalfLineExpansion",
     "SymmExpansion",
-    "eigen_index",
     "symm_eigenfunction_table",
     "symm_eigenvalues",
     "reflect",
@@ -45,15 +44,9 @@ __all__ = [
 SQRT2 = math.sqrt(2.0)
 
 
-def eigen_index(n: int) -> int:
-    """Map a symmetrized basis index to its eigenvalue index floor((n+1)/2)."""
-    if n < 0:
-        raise DomainError(f"basis index must be nonnegative, got {n}")
-    return (n + 1) // 2
-
-
 def symm_eigenvalues(n_coeffs: int, params: JacobiParams) -> np.ndarray:
-    """Eigenvalues attached to symmetrized indices 0..n_coeffs-1."""
+    """Eigenvalues attached to symmetrized indices 0..n_coeffs-1: slot n
+    carries eigenvalue index floor((n + 1) / 2)."""
     return ((np.arange(n_coeffs) + 1) // 2 + params.eigen_shift) ** 2
 
 
@@ -179,7 +172,7 @@ class SymmExpansion(_Expansion):
 
 
 def _require_symmetric(grid: QuadratureGrid) -> None:
-    if grid.interval != "symmetric" or _mirror_split(grid.nodes) is None:
+    if _mirror_split(grid.nodes) is None:
         raise GridError("operation requires a mirror-symmetric grid")
 
 

@@ -82,7 +82,13 @@ class JacobiParams:
         return JacobiParams(self.alpha + k, self.beta + k)
 
     def label(self) -> str:
-        return f"alpha={self.alpha:g},beta={self.beta:g}"
+        """The pair as case names write it, such as (0.3,0.7)."""
+        return f"({self.alpha:g},{self.beta:g})"
+
+    @property
+    def key(self) -> bytes:
+        """Exact bytes of (alpha, beta): -0.0 and 0.0 never share a table or grid."""
+        return np.array([self.alpha, self.beta], dtype=float).tobytes()
 
 
 def eigenvalue(n: int, params: JacobiParams) -> float:
@@ -214,9 +220,8 @@ def eigenfunction_table(n_top: int, params: JacobiParams, theta: np.ndarray) -> 
     # angles of no live grid get a store that is dropped on return
     store = _GRID_TABLES.get(id(_owner(theta)), {})
     th = np.abs(np.atleast_1d(theta))
-    # exact bytes, so -0.0 and 0.0 parameters or nearby nodes never share a table
-    pair = np.array([params.alpha, params.beta], dtype=float).tobytes()
-    key = (pair, th.shape, th.tobytes())
+    # exact bytes, so nearby nodes never share a table
+    key = (params.key, th.shape, th.tobytes())
     table = store.get(key)
     if table is None or table.shape[0] <= n_top:
         table = _eigenfunction_rows(n_top, params, th)
@@ -275,22 +280,22 @@ def _eigenfunction_rows(n_top: int, params: JacobiParams, th: np.ndarray) -> np.
 class QuadratureGrid:
     """Nodes and positive weights for quadrature in the angle variable.
 
-    interval is "halfline" for grids inside (0, pi) and "symmetric" for
-    grids inside (-pi, pi) that never contain 0. The eigenfunction tables
-    built on a grid's nodes are kept for as long as its node array lives.
+    The nodes increase strictly inside (-pi, pi) and are never 0. They
+    decide the layout, read as interval: "symmetric" when a node is
+    negative, else "halfline". A layout passed as a third argument must
+    agree with them. The eigenfunction tables built on a grid's nodes are
+    kept for as long as its node array lives.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    interval: str
+    interval: str | None = None
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-        if self.interval not in ("halfline", "symmetric"):
-            raise GridError(f"unknown interval tag {self.interval!r}")
         if nodes.ndim != 1 or nodes.shape != weights.shape:
             raise GridError("nodes and weights must be 1-d arrays of equal length")
         # negated comparisons, so a NaN node or weight fails them too
@@ -298,11 +303,12 @@ class QuadratureGrid:
             raise GridError("nodes must be strictly increasing")
         if not np.all((weights > 0) & (weights < np.inf)):
             raise GridError("weights must be positive and finite")
-        lo = 0.0 if self.interval == "halfline" else -np.pi
-        if nodes.size and not (nodes[0] > lo and nodes[-1] < np.pi):
-            raise GridError("nodes must lie strictly inside the open interval")
-        if self.interval == "symmetric" and np.any(nodes == 0.0):
-            raise GridError("symmetric grids must not contain 0")
+        if nodes.size and not (nodes[0] > -np.pi and nodes[-1] < np.pi) or np.any(nodes == 0.0):
+            raise GridError("nodes must lie inside (-pi, pi) and must not contain 0")
+        layout = "symmetric" if nodes.size and nodes[0] < 0.0 else "halfline"
+        if self.interval not in (None, layout):
+            raise GridError(f"the nodes make a {layout} grid, not {self.interval!r}")
+        object.__setattr__(self, "interval", layout)
         owner = _owner(nodes)
         if id(owner) not in _GRID_TABLES:
             _GRID_TABLES[id(owner)] = {}
@@ -319,7 +325,7 @@ class QuadratureGrid:
         if self.interval == "halfline":
             return None
         k = int(np.searchsorted(self.nodes, 0.0))
-        return QuadratureGrid(self.nodes[k:], self.weights[k:], "halfline")
+        return QuadratureGrid(self.nodes[k:], self.weights[k:])
 
     def integrate(self, values: np.ndarray):
         """Weighted sum along the node axis approximating the integral of
@@ -403,7 +409,7 @@ def gauss_jacobi_rule(n_nodes: int, params: JacobiParams) -> QuadratureGrid:
         with np.errstate(divide="ignore"):  # inf where every row underflows
             weights = 1.0 / total
         theta.flags.writeable = weights.flags.writeable = False
-        return QuadratureGrid(nodes=theta, weights=weights, interval="halfline")
+        return QuadratureGrid(theta, weights)
     except GridError as exc:
         raise GridError(
             f"no Gauss-Jacobi rule of size {n_nodes} for alpha={params.alpha}, "
@@ -498,4 +504,4 @@ def symmetric_rule(n_nodes_half: int, params: JacobiParams) -> QuadratureGrid:
     nodes = np.concatenate([-rule.nodes[::-1], rule.nodes])
     weights = np.concatenate([rule.weights[::-1], rule.weights])
     nodes.flags.writeable = weights.flags.writeable = False
-    return QuadratureGrid(nodes=nodes, weights=weights, interval="symmetric")
+    return QuadratureGrid(nodes, weights)

@@ -32,11 +32,12 @@ def lp_norm(f: GridFunction, p: float):
     return float(norms) if norms.ndim == 0 else norms
 
 
-def _require_admissible(params: JacobiParams, p: float) -> None:
+def _require_admissible(params: JacobiParams, p: float, error: type[Exception]) -> None:
+    # the one refusal of an inadmissible p; each caller names its error type
     if not params.contains_p(p):
         lo, hi = params.admissible_range()
-        raise AdmissibilityError(
-            f"p={p} lies outside the admissible open range ({lo}, {hi}) "
+        raise error(
+            f"p={p} lies outside the open admissible interval ({lo:.6g}, {hi:.6g}) "
             f"for alpha={params.alpha}, beta={params.beta}"
         )
 
@@ -50,7 +51,7 @@ def potential_norm(e: SymmExpansion, p: float, s: float, grid: QuadratureGrid):
     """
     if s <= 0:
         raise DomainError(f"smoothness must be positive, got {s}")
-    _require_admissible(e.params, p)
+    _require_admissible(e.params, p, AdmissibilityError)
     rates = spectral_base(e.params, e.eigenvalues()) ** (s / 2.0)
     sharpened = SymmExpansion(e.params, e.coeffs * rates)
     return lp_norm(synthesize(sharpened, grid), p)
@@ -60,7 +61,7 @@ def sobolev_norm(e: SymmExpansion, p: float, m: int, grid: QuadratureGrid):
     """Sum over orders 0..m of the p-norms of the variable-index derivatives."""
     if m < 1:
         raise DomainError(f"order must be a positive integer, got {m}")
-    _require_admissible(e.params, p)
+    _require_admissible(e.params, p, AdmissibilityError)
     total = 0.0
     for k in range(m + 1):
         values = _eval_parts(symm_higher_derivative(e, k), grid.nodes)

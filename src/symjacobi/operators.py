@@ -10,7 +10,7 @@ the independent pointwise route used to validate the spectral one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -19,15 +19,15 @@ from .core import JacobiParams
 from .errors import DomainError, UnsupportedParametersError
 
 __all__ = [
-    "LadderCoefficients",
+    "ladder_constants",
     "spectral_base",
+    "spectral_potential",
     "riesz_potential",
     "bessel_potential",
     "modified_riesz_potential",
     "poisson_semigroup",
     "poisson_time_derivative",
     "schrodinger_propagator",
-    "ladder_down",
     "ladder_up",
     "dunkl_derivative",
     "var_index_derivative",
@@ -72,15 +72,23 @@ def spectral_base(params: JacobiParams, eigenvalues: np.ndarray) -> np.ndarray:
     return 1.0 + eigenvalues if params.zero_bottom else eigenvalues
 
 
+def spectral_potential(e: SymmExpansion, sigma: float) -> SymmExpansion:
+    """Power -sigma of spectral_base: the plain potential, or the shifted
+    one when the bottom eigenvalue is 0; defined for every pair."""
+    _require_positive(sigma, "sigma")
+    return _multiply(
+        e, lambda lam: spectral_base(e.params, lam) ** (-sigma), f"spectral_base^(-{sigma:g})"
+    )
+
+
 def riesz_potential(e: SymmExpansion, sigma: float) -> SymmExpansion:
     """Negative power of the operator; rejects a zero bottom eigenvalue."""
-    _require_positive(sigma, "sigma")
     if e.params.zero_bottom:
         raise UnsupportedParametersError(
             "negative powers are undefined when the bottom eigenvalue is 0 "
             f"(alpha + beta = -1 at {e.params.label()}); use the shifted form"
         )
-    return _multiply(e, lambda lam: lam ** (-sigma), f"eigenvalue^(-{sigma:g})")
+    return spectral_potential(e, sigma)
 
 
 def bessel_potential(e: SymmExpansion, sigma: float) -> SymmExpansion:
@@ -123,24 +131,12 @@ def schrodinger_propagator(e: SymmExpansion, t: float) -> SymmExpansion:
     return _multiply(e, lambda lam: np.exp(1j * t * lam), f"exp(i {t:g} eigenvalue)")
 
 
-@dataclass(frozen=True)
-class LadderCoefficients:
-    """Index-lowering constants sqrt(n (n + alpha + beta + 1)), with entry 0 at 0."""
-
-    params: JacobiParams
-
-    def table(self, count: int) -> np.ndarray:
-        n = np.arange(count, dtype=float)
-        s = self.params.alpha + self.params.beta + 1.0
-        return np.sqrt(n * (n + s))
-
-
-def ladder_down(h: HalfLineExpansion) -> HalfLineExpansion:
-    """First-order lowering operator: index n feeds index n-1 of the shifted pair.
-
-    Index 0 is annihilated. The output's extension parity is flipped.
-    """
-    return var_index_derivative(h, 1)
+def ladder_constants(params: JacobiParams, count: int) -> np.ndarray:
+    """Constants sqrt(n (n + alpha + beta + 1)), n < count: the lowering operator
+    var_index_derivative(h, 1) takes index n to n - 1 times minus entry n."""
+    n = np.arange(count, dtype=float)
+    s = params.alpha + params.beta + 1.0
+    return np.sqrt(n * (n + s))
 
 
 def ladder_up(h: HalfLineExpansion) -> HalfLineExpansion:
@@ -150,7 +146,7 @@ def ladder_up(h: HalfLineExpansion) -> HalfLineExpansion:
     be valid (alpha, beta > 0 on the input side). Parity flips.
     """
     target = h.params.shift(-1)
-    d = LadderCoefficients(target).table(len(h) + 1)
+    d = ladder_constants(target, len(h) + 1)
     out = np.zeros(h.coeffs.shape[:-1] + (len(h) + 1,), dtype=h.coeffs.dtype)
     out[..., 1:] = -d[1:] * h.coeffs
     parity = "odd" if h.parity == "even" else "even"
@@ -168,7 +164,7 @@ def dunkl_derivative(e: SymmExpansion) -> SymmExpansion:
     n_in = len(e)
     out_len = n_in + 1 if n_in % 2 == 0 else n_in
     out = np.zeros(b.shape[:-1] + (out_len,), dtype=b.dtype)
-    d = LadderCoefficients(e.params).table(n_in // 2 + 2)
+    d = ladder_constants(e.params, n_in // 2 + 2)
     even_idx = np.arange(2, n_in, 2)
     if even_idx.size:
         out[..., even_idx - 1] = -d[even_idx // 2] * b[..., even_idx]
@@ -224,22 +220,19 @@ def symm_higher_derivative(
     return dev, dod
 
 
-def _inverse_root(e: SymmExpansion, k: int) -> SymmExpansion:
-    # negative half-power of the operator, shifted when the bottom eigenvalue is 0
+def _require_order(k: int) -> None:
     if k < 1:
         raise DomainError(f"transform order must be at least 1, got {k}")
-    return _multiply(
-        e, lambda lam: spectral_base(e.params, lam) ** (-k / 2), f"spectral_base^(-{k}/2)"
-    )
 
 
 def riesz_transform(e: SymmExpansion, k: int) -> SymmExpansion:
-    """k-th power of the Dunkl derivative against the matching potential.
+    """k-th power of the Dunkl derivative against spectral_potential(e, k / 2).
 
     When the bottom eigenvalue is 0 the potential silently takes the shifted
     form, mirroring the case split of the underlying operator family.
     """
-    out = _inverse_root(e, k)
+    _require_order(k)
+    out = spectral_potential(e, k / 2)
     for _ in range(k):
         out = dunkl_derivative(out)
     return out
@@ -248,14 +241,23 @@ def riesz_transform(e: SymmExpansion, k: int) -> SymmExpansion:
 def riesz_transform_shifted(
     e: SymmExpansion, k: int
 ) -> tuple[HalfLineExpansion, HalfLineExpansion]:
-    """Variable-index derivative of order k against the matching potential."""
-    return symm_higher_derivative(_inverse_root(e, k), k)
+    """Variable-index derivative of order k against spectral_potential(e, k / 2)."""
+    _require_order(k)
+    return symm_higher_derivative(spectral_potential(e, k / 2), k)
 
 
 # --- finite-difference validation path ---
 
 FD_STEP = 1e-4 * math.pi
 FD_MARGIN = 10 * FD_STEP
+
+
+def _fd_step(params: JacobiParams) -> float:
+    # The log-derivative of a pair's rows grows like alpha + beta, and the
+    # stencil's error like the fourth power of the step times it; so the
+    # step shrinks in proportion once alpha + beta + 1 exceeds 100. FD_STEP
+    # itself leaves ladder-vs-fd at 8.1e-4 at (1e4, 0) and 135 at (1e5, 0).
+    return FD_STEP / max(1.0, (params.alpha + params.beta + 1.0) / 100.0)
 
 
 def _check_margin(theta: np.ndarray) -> None:
@@ -268,9 +270,11 @@ def _check_margin(theta: np.ndarray) -> None:
 
 def fd_derivative(f, theta) -> np.ndarray:
     """First derivative by the central 5-point stencil, away from singular points."""
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    return _stencil(f, np.atleast_1d(np.asarray(theta, dtype=float)), FD_STEP)
+
+
+def _stencil(f, th: np.ndarray, h: float) -> np.ndarray:
     _check_margin(th)
-    h = FD_STEP
     return (
         -np.asarray(f(th + 2 * h))
         + 8 * np.asarray(f(th + h))
@@ -289,15 +293,17 @@ def _coefficient_terms(params: JacobiParams, theta: np.ndarray) -> np.ndarray:
 
 def apply_ladder_down_fd(params: JacobiParams, f, theta) -> np.ndarray:
     """Pointwise first-order lowering operator of the given pair: f' plus
-    cotangent/tangent terms."""
+    cotangent/tangent terms. The stencil step is FD_STEP, shrunk in
+    proportion to alpha + beta + 1 above 100."""
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    return fd_derivative(f, th) + _coefficient_terms(params, th) * np.asarray(f(th))
+    return _stencil(f, th, _fd_step(params)) + _coefficient_terms(params, th) * np.asarray(f(th))
 
 
 def apply_ladder_up_fd(params: JacobiParams, f, theta) -> np.ndarray:
-    """Pointwise raising operator: the lowering expression minus twice f'."""
+    """Pointwise raising operator: the lowering expression minus twice f',
+    at the lowering operator's step."""
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    return -fd_derivative(f, th) + _coefficient_terms(params, th) * np.asarray(f(th))
+    return -_stencil(f, th, _fd_step(params)) + _coefficient_terms(params, th) * np.asarray(f(th))
 
 
 def apply_dunkl_fd(params: JacobiParams, f, theta) -> np.ndarray:

@@ -41,6 +41,7 @@ from .core import (
 )
 from .errors import ConfigError
 from .norms import (
+    _require_admissible,
     admissibility,
     equivalence_ratio,
     flag_divergent_by_exponent,
@@ -54,17 +55,18 @@ from .norms import (
     uniform_time_grid,
 )
 from .operators import (
-    LadderCoefficients,
     apply_ladder_down_fd,
     apply_ladder_up_fd,
     bessel_potential,
     dunkl_derivative,
+    ladder_constants,
     poisson_semigroup,
     riesz_potential,
     riesz_transform,
     riesz_transform_shifted,
     schrodinger_propagator,
     spectral_base,
+    spectral_potential,
     symm_higher_derivative,
 )
 from .reporting import ExperimentReport, emit_plots, write_report
@@ -201,12 +203,7 @@ def validate_config(config: SuiteConfig) -> None:
         pairs = [_single_pair(config, suite)] if getattr(run, "pinned", None) else config.pairs
         if getattr(run, "admissible", False):
             for pr in pairs:
-                if not pr.contains_p(config.p):
-                    lo, hi = pr.admissible_range()
-                    raise ConfigError(
-                        f"p={config.p} lies outside the open admissible interval "
-                        f"({lo:.6g}, {hi:.6g}) for alpha={pr.alpha}, beta={pr.beta}"
-                    )
+                _require_admissible(pr, config.p, ConfigError)
         if suite == "squarefn":
             if (config.gamma is None) != (config.k is None):
                 raise ConfigError("the squarefn suite needs gamma and k given together")
@@ -290,24 +287,18 @@ def _case(name: str, value, upper=None, detail: str = "", *, lower=None, passed=
     return rec
 
 
-def _pair_label(pr: JacobiParams) -> str:
-    return f"({pr.alpha:g},{pr.beta:g})"
-
-
 def _unit(pr: JacobiParams, n: int, length: int) -> SymmExpansion:
     coeffs = np.zeros(length)
     coeffs[n] = 1.0
     return SymmExpansion(pr, coeffs)
 
 
-def _single_pair(config: SuiteConfig, suite: str | None = None) -> JacobiParams:
-    """The one pair a pinned suite (config.suite by default) runs.
-
-    That is the first pair given, else the pair the suite declares.
-    """
+def _single_pair(config: SuiteConfig, suite: str) -> JacobiParams:
+    """The one pair a pinned suite runs: the first pair given, else the
+    pair the suite declares."""
     if _pairs_given(config):
         return config.pairs[0]
-    return JacobiParams(*SUITES[suite or config.suite].pinned)
+    return JacobiParams(*SUITES[suite].pinned)
 
 
 # The grids and draws of the current run_suite call, keyed as in _grid and
@@ -327,9 +318,7 @@ def _shared(key, build):
 def _grid(config: SuiteConfig, pr: JacobiParams) -> QuadratureGrid:
     """pr's symmetric rule at the config's quadrature order, read-only from core."""
     n = config.quad_order()
-    # exact bytes, so -0.0 and 0.0 parameters never share a grid
-    pair = np.array([pr.alpha, pr.beta], dtype=float).tobytes()
-    return _shared(("grid", n, pair), lambda: symmetric_rule(n, pr))
+    return _shared(("grid", n, pr.key), lambda: symmetric_rule(n, pr))
 
 
 def _draw(
@@ -435,6 +424,7 @@ def _suite(*, pinned: tuple | None = None, window: bool = False, admissible: boo
 
     The keywords declare what validate_config checks: pinned is the one pair
     the suite runs when none is given (it runs only the first pair given),
+    and run gets a config holding only that pair, which the report echoes;
     window marks a suite that draws at _window_degree(trunc), and admissible
     one whose pairs must admit p. A callable put into SUITES by other means
     declares nothing.
@@ -445,6 +435,8 @@ def _suite(*, pinned: tuple | None = None, window: bool = False, admissible: boo
 
         def suite(config: SuiteConfig) -> ExperimentReport:
             started = time.perf_counter()
+            if pinned:
+                config = dataclasses.replace(config, pairs=(_single_pair(config, name),))
             cases, series = run(config)
             return ExperimentReport(
                 suite=name,
@@ -483,7 +475,7 @@ def run_basis(config: SuiteConfig):
         sgram = (stable * grid.weights) @ stable.T
         symm_dev = float(np.max(np.abs(sgram - np.eye(n_top + 1))))
 
-        label = _pair_label(pr)
+        label = pr.label()
         cases.append(_case(f"halfline-gram-{label}", half_dev, 1e-10))
         cases.append(_case(f"symmetric-gram-{label}", symm_dev, 1e-10))
         series_rows.append([label, half_dev, symm_dev])
@@ -525,7 +517,7 @@ def run_eigen(config: SuiteConfig):
         np.maximum(per_n, rel, out=per_n)
         out[diag, diag] = 0.0
         pattern_ok = not np.any(out != 0.0)
-        label = _pair_label(pr)
+        label = pr.label()
         cases.append(
             _case(
                 f"eigen-relation-{label}",
@@ -538,7 +530,7 @@ def run_eigen(config: SuiteConfig):
 
         nodes = np.linspace(0.2, math.pi - 0.2, 9)
         fd_worst = 0.0
-        ladder = LadderCoefficients(pr).table(21)
+        ladder = ladder_constants(pr, 21)
         # the stencil is elementwise, so one pass over whole tables gives
         # each row bitwise; the stencil angles are no grid's, so nothing
         # keeps these tables between calls
@@ -566,7 +558,7 @@ def run_potentials(config: SuiteConfig):
     sigma = config.s if config.s is not None else 0.2
 
     for pr in config.pairs:
-        label = _pair_label(pr)
+        label = pr.label()
         rng = np.random.default_rng([config.seed, 99])
         e = SymmExpansion(pr, rng.uniform(-1, 1, 17))
 
@@ -615,7 +607,7 @@ def run_potentials(config: SuiteConfig):
         case, lo, _ = _degree_doubling(
             config,
             pr,
-            f"smoothing-window-{_pair_label(pr)}",
+            f"smoothing-window-{pr.label()}",
             lambda e: lp_norm(synthesize(riesz_potential(e, sigma), grid), q),
             lambda e: lp_norm(synthesize(e, grid), config.p),
             ("window",),
@@ -653,7 +645,7 @@ def run_decomposition(config: SuiteConfig):
     degree_lo = _window_degree(config.trunc)
 
     for pr in config.pairs:
-        label = _pair_label(pr)
+        label = pr.label()
         grid = _grid(config, pr)
         members = _draw(config, pr, degree_lo)
         ratios = potential_norm(members, 2, s, grid) / _parity_split_norm(members, 2, s, grid)
@@ -692,7 +684,7 @@ def run_sobolev(config: SuiteConfig):
     orders = (config.m,) if config.m is not None else (1, 2)
 
     for pr in config.pairs:
-        label = _pair_label(pr)
+        label = pr.label()
         grid = _grid(config, pr)
         for m in orders:
             case, lo, hi = _degree_doubling(
@@ -721,7 +713,7 @@ WITNESS2_PAIR = (0.0, 0.0)
 def run_counterexample(config: SuiteConfig):
     cases = []
     p = config.p
-    w1 = _single_pair(config)
+    w1 = config.pairs[0]
 
     nodes = np.linspace(0.3, math.pi - 0.3, 9)
     f1 = decay_witness(w1)
@@ -799,7 +791,7 @@ def run_inclusion(config: SuiteConfig):
     n_top = min(config.trunc, 32)
     column_rows = []
     for pr in config.pairs:
-        label = _pair_label(pr)
+        label = pr.label()
         # row n of each block is the transform of unit vector n, one column
         units = SymmExpansion(pr, np.eye(n_top + 1))
         for k in orders:
@@ -846,7 +838,7 @@ def run_squarefn(config: SuiteConfig):
     q_alt = config.q if config.q is not None else 4.0
 
     for pr in config.pairs:
-        label = _pair_label(pr)
+        label = pr.label()
         grid = _grid(config, pr)
         # zero modes carry no flow, so only the live unit vectors are measured
         lam = symm_eigenvalues(n_top + 1, pr)
@@ -946,7 +938,7 @@ def run_structure(config: SuiteConfig):
         q = 2.0 * config.p
     monotone_rows = []
     for pr in config.pairs:
-        label = _pair_label(pr)
+        label = pr.label()
         grid = _grid(config, pr)
         members = _draw(config, pr, config.trunc // 2, 12)
         const = (2 * math.pi) ** (1.0 / config.p - 1.0 / q)
@@ -980,8 +972,7 @@ def run_structure(config: SuiteConfig):
 
         rng = np.random.default_rng([config.seed, 5])
         e = SymmExpansion(pr, rng.uniform(-1, 1, 13))
-        potential = bessel_potential if pr.zero_bottom else riesz_potential
-        comp_dev = _law_deviation(potential, e, 0.3, 0.5)
+        comp_dev = _law_deviation(spectral_potential, e, 0.3, 0.5)
         cases.append(_case(f"composition-law-{label}", comp_dev, 1e-14))
 
         if not pr.zero_bottom:
@@ -993,7 +984,7 @@ def run_structure(config: SuiteConfig):
             cases.append(_case(f"smoothing-isometry-{label}", iso_dev, 1e-12))
 
         sigma = 0.6
-        forward = potential(e, sigma)
+        forward = spectral_potential(e, sigma)
         back = SymmExpansion(pr, forward.coeffs * spectral_base(pr, e.eigenvalues()) ** sigma)
         inj_dev = float(np.max(np.abs(back.coeffs - e.coeffs)))
         cases.append(
@@ -1014,7 +1005,7 @@ def run_structure(config: SuiteConfig):
 
 @_suite(pinned=(0.0, 0.0), window=True, admissible=True)
 def run_embed(config: SuiteConfig):
-    pr = _single_pair(config)
+    pr = config.pairs[0]
     p = config.p
     s, q = _embed_exponents(config)
     grid = _grid(config, pr)
@@ -1056,7 +1047,7 @@ NONINCLUSION_OTHER = (-0.45, -0.35)
 def run_noninclusion(config: SuiteConfig):
     cases = []
     p = config.p
-    own = _single_pair(config)
+    own = config.pairs[0]
     other = JacobiParams(*NONINCLUSION_OTHER)
 
     nodes = np.linspace(0.3, math.pi - 0.3, 9)
@@ -1097,7 +1088,7 @@ SCHRODINGER_DECAY = 3.0
 @_suite(pinned=(0.0, 0.0), window=True)
 def run_schrodinger(config: SuiteConfig):
     cases = []
-    pr = _single_pair(config)
+    pr = config.pairs[0]
     grid = _grid(config, pr)
     # a faster-decaying draw of its own, of at most 8 members
     members = random_band_limited(

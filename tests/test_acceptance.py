@@ -35,11 +35,11 @@ from symjacobi.norms import (
     truncated_lp_powers,
 )
 from symjacobi.operators import (
-    LadderCoefficients,
     apply_ladder_down_fd,
     apply_ladder_up_fd,
     bessel_potential,
     dunkl_derivative,
+    ladder_constants,
     riesz_potential,
     symm_higher_derivative,
 )
@@ -152,7 +152,7 @@ def test_criterion_03_eigen_relation_and_ladder(capsys):
     nodes = np.linspace(0.2, math.pi - 0.2, 9)
     fd_worst = 0.0
     for pr in PAIRS:
-        ladder = LadderCoefficients(pr).table(21)
+        ladder = ladder_constants(pr, 21)
         shifted = eigenfunction_table(19, pr.shift(1), nodes)
         for n in range(1, 21):
             fd_vals = apply_ladder_down_fd(

@@ -15,7 +15,6 @@ from symjacobi.basis import (
     SymmExpansion,
     _mirror_split,
     analyze,
-    eigen_index,
     eval_halfline_expansion,
     eval_symm_expansion,
     min_quadrature_order,
@@ -61,10 +60,10 @@ def unit_expansion(params, n, length=None):
 
 class TestIndexMap:
     def test_frozen_values(self):
-        assert eigen_index(0) == 0
-        assert eigen_index(1) == 1
-        assert eigen_index(2) == 1
-        assert eigen_index(7) == 4
+        # slot n carries eigenvalue index floor((n + 1) / 2)
+        pr = JacobiParams(0.3, 0.7)
+        index = np.array([0, 1, 1, 2, 2, 3, 3, 4])
+        np.testing.assert_array_equal(symm_eigenvalues(8, pr), (index + pr.eigen_shift) ** 2)
 
     def test_eigenvalue_alignment(self):
         # consecutive odd/even indices share an eigenvalue
@@ -72,10 +71,6 @@ class TestIndexMap:
         lam = symm_eigenvalues(9, pr)
         assert lam[1] == lam[2] and lam[3] == lam[4]
         assert lam[0] == pytest.approx(pr.eigen_shift**2)
-
-    def test_negative(self):
-        with pytest.raises(DomainError):
-            eigen_index(-2)
 
 
 class TestSymmEigenfunction:
@@ -326,7 +321,7 @@ class TestSynthesize:
         rule = gauss_jacobi_rule(24, pr)
         nodes = np.concatenate([-rule.nodes[::-1], rule.nodes])
         weights = np.concatenate([rule.weights[::-1], rule.weights])
-        grid = QuadratureGrid(nodes, weights, "symmetric")
+        grid = QuadratureGrid(nodes, weights)
         assert grid.half.nodes.base is nodes and grid.half.weights.base is weights
         assert grid.half.interval == "halfline" and grid.half is grid.half
         assert_bitwise(grid.half.nodes, rule.nodes)
@@ -494,8 +489,7 @@ class TestMirrorFold:
         assert full.shape == (61, 48)
         # one half table per parity, under the key of the half-line rule
         keys = list(store)
-        pairs = [np.array([q.alpha, q.beta]).tobytes() for q in (pr, pr.shift(1))]
-        assert [key[0] for key in keys] == pairs
+        assert [key[0] for key in keys] == [pr.key, pr.shift(1).key]
         assert all(key[1:] == ((24,), grid.half.nodes.tobytes()) for key in keys)
         tables = [store[key] for key in keys]
         assert [t.shape[0] for t in tables] == [31, 30]
@@ -556,7 +550,7 @@ class TestMirrorFold:
         # grid on those nodes keeps the table it builds
         nodes = grid.nodes.copy()
         nodes[3] = np.nextafter(nodes[3], 0.0)
-        off = QuadratureGrid(nodes, grid.weights, "symmetric")
+        off = QuadratureGrid(nodes, grid.weights)
         eval_symm_expansion(SymmExpansion(pr, np.ones(9)), off.nodes)
         assert {key[1] for key in _GRID_TABLES[id(nodes)]} == {(40,)}
 
@@ -564,7 +558,7 @@ class TestMirrorFold:
         grid = symmetric_rule(6, JacobiParams(0.3, 0.7))
         nodes = grid.nodes.copy()
         nodes[2] = np.nextafter(nodes[2], 0.0)
-        off = QuadratureGrid(nodes, grid.weights, "symmetric")
+        off = QuadratureGrid(nodes, grid.weights)
         with pytest.raises(GridError):
             reflect(GridFunction(off, np.ones(12)))
 

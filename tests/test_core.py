@@ -6,6 +6,7 @@ adaptive quadrature of the defining integrals, and the defining property of
 Gauss nodes, that they are the zeros of the top polynomial.
 """
 
+import dataclasses
 import gc
 import math
 import weakref
@@ -76,6 +77,16 @@ class TestParams:
     def test_shift(self):
         p = JacobiParams(0.3, 0.7).shift(2)
         assert p.alpha == 2.3 and p.beta == 2.7
+
+    def test_label_is_the_case_name_form(self):
+        assert JacobiParams(0.3, 0.7).label() == "(0.3,0.7)"
+        assert JacobiParams(-0.5, 100000.0).label() == "(-0.5,100000)"
+
+    def test_key_is_the_exact_bytes_of_the_pair(self):
+        pr = JacobiParams(0.3, 0.7)
+        assert pr.key == np.array([0.3, 0.7]).tobytes() == JacobiParams(0.3, 0.7).key
+        assert JacobiParams(-0.0, 0.0).key != JacobiParams(0.0, 0.0).key
+        assert JacobiParams(0.0, 0.3).key != JacobiParams(0.3, 0.0).key
 
     def test_admissible_range_large_params(self):
         p = JacobiParams(1.0, 2.0)
@@ -317,7 +328,7 @@ class TestEigenfunction:
 
 def grid_on(th):
     # a half-line grid on the angles th, so th owns a table store
-    return QuadratureGrid(th, np.ones_like(th), "halfline")
+    return QuadratureGrid(th, np.ones_like(th))
 
 
 def store_of(grid):
@@ -737,7 +748,7 @@ class TestReadOnlyRules:
 
     def test_a_hand_built_grid_leaves_the_callers_arrays_writable(self):
         nodes, weights = np.array([-0.5, 0.2, 0.5]), np.array([1.0, 2.0, 3.0])
-        grid = QuadratureGrid(nodes, weights, "symmetric")
+        grid = QuadratureGrid(nodes, weights)
         assert grid.nodes is nodes and grid.weights is weights
         for arr in (nodes, weights, grid.half.nodes, grid.half.weights):
             assert arr.flags.writeable
@@ -760,12 +771,13 @@ class TestReadOnlyRules:
 class TestGridTypes:
     def test_grid_validation(self):
         with pytest.raises(GridError):
-            QuadratureGrid(np.array([0.2, 0.1]), np.array([1.0, 1.0]), "halfline")
+            QuadratureGrid(np.array([0.2, 0.1]), np.array([1.0, 1.0]))
         with pytest.raises(GridError):
-            QuadratureGrid(np.array([0.1, 0.2]), np.array([1.0, -1.0]), "halfline")
-        with pytest.raises(GridError):
+            QuadratureGrid(np.array([0.1, 0.2]), np.array([1.0, -1.0]))
+        # a layout passed in must agree with the one the nodes make
+        with pytest.raises(GridError, match="the nodes make a symmetric grid, not 'halfline'"):
             QuadratureGrid(np.array([-0.1, 0.2]), np.array([1.0, 1.0]), "halfline")
-        with pytest.raises(GridError):
+        with pytest.raises(GridError, match="the nodes make a halfline grid, not 'circle'"):
             QuadratureGrid(np.array([0.1, 0.2]), np.array([1.0, 1.0]), "circle")
 
     @pytest.mark.parametrize(
@@ -776,7 +788,7 @@ class TestGridTypes:
         # a rule whose nodes or weights come out NaN must fail instead of
         # carrying them
         with pytest.raises(GridError):
-            QuadratureGrid(np.array(nodes), np.array(weights), "halfline")
+            QuadratureGrid(np.array(nodes), np.array(weights))
 
     @pytest.mark.parametrize(
         "nodes, weights, interval, cited",
@@ -792,19 +804,35 @@ class TestGridTypes:
     def test_grid_rejects_infinite_weights(self):
         # 1 / sum phi_n^2 is inf at a node where every row underflows
         with pytest.raises(GridError, match="finite"):
-            QuadratureGrid(np.array([0.5, 1.0]), np.array([np.inf, 1.0]), "halfline")
+            QuadratureGrid(np.array([0.5, 1.0]), np.array([np.inf, 1.0]))
 
     def test_half_is_derived_from_the_grid(self):
         # a symmetric grid's half is the views of its positive nodes and
         # weights; a half-line grid has none, and none can be given
         nodes, weights = np.array([-0.5, 0.2, 0.5]), np.array([1.0, 2.0, 3.0])
-        grid = QuadratureGrid(nodes, weights, "symmetric")
+        grid = QuadratureGrid(nodes, weights)
         assert grid.half.nodes.base is nodes and grid.half.weights.base is weights
         assert grid.half.nodes.tolist() == [0.2, 0.5] and grid.half.weights.tolist() == [2.0, 3.0]
         assert grid.half.interval == "halfline"
         assert gauss_jacobi_rule(4, JacobiParams(0.0, 0.0)).half is None
         with pytest.raises(TypeError):
-            QuadratureGrid(nodes, weights, "symmetric", half=grid.half)
+            QuadratureGrid(nodes, weights, half=grid.half)
+
+    def test_the_nodes_decide_the_layout(self):
+        half = np.array([0.4, 1.1, 2.5])
+        mirrored = QuadratureGrid(np.concatenate([-half[::-1], half]), np.ones(6))
+        assert mirrored.interval == "symmetric"
+        assert np.array_equal(mirrored.half.nodes, half) and mirrored.half.interval == "halfline"
+        positive = QuadratureGrid(half, np.ones(3))
+        assert positive.interval == "halfline" and positive.half is None
+        for nodes in ([-0.4, 0.0, 0.4], [0.0, 0.4]):
+            with pytest.raises(GridError, match="must not contain 0"):
+                QuadratureGrid(np.array(nodes), np.ones(len(nodes)))
+        for nodes in ([-np.pi, 0.4], [0.4, np.pi]):
+            with pytest.raises(GridError, match=r"inside \(-pi, pi\)"):
+                QuadratureGrid(np.array(nodes), np.ones(2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            positive.interval = "symmetric"
 
     def test_grid_function_shape(self):
         rule = gauss_jacobi_rule(4, JacobiParams(0.0, 0.0))

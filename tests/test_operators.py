@@ -26,14 +26,15 @@ from symjacobi.core import (
 from symjacobi.errors import DomainError, UnsupportedParametersError
 from symjacobi.operators import (
     FD_MARGIN,
-    LadderCoefficients,
+    FD_STEP,
+    _fd_step,
     apply_dunkl_fd,
     apply_ladder_down_fd,
     apply_ladder_up_fd,
     bessel_potential,
     dunkl_derivative,
     fd_derivative,
-    ladder_down,
+    ladder_constants,
     ladder_up,
     modified_riesz_potential,
     poisson_semigroup,
@@ -43,6 +44,7 @@ from symjacobi.operators import (
     riesz_transform_shifted,
     schrodinger_propagator,
     spectral_base,
+    spectral_potential,
     symm_higher_derivative,
     var_index_derivative,
 )
@@ -115,6 +117,18 @@ class TestPotentials:
         np.testing.assert_array_equal(spectral_base(ZERO_BOTTOM, lam), 1.0 + lam)
         lam = symm_eigenvalues(5, GENERIC)
         assert spectral_base(GENERIC, lam) is lam
+
+    def test_spectral_potential_is_the_potential_of_its_case(self):
+        # the shifted potential at a zero bottom, the plain one otherwise,
+        # bitwise
+        rng = np.random.default_rng(3)
+        for pr, same in ((ZERO_BOTTOM, bessel_potential), (GENERIC, riesz_potential)):
+            e = SymmExpansion(pr, rng.uniform(-1, 1, (3, 11)))
+            for sigma in (0.3, 0.5, 1.5):
+                got = spectral_potential(e, sigma).coeffs
+                assert np.array_equal(got, same(e, sigma).coeffs)
+        with pytest.raises(DomainError, match="sigma must be positive"):
+            spectral_potential(unit(GENERIC, 1, 3), 0.0)
 
     def test_bessel_handles_zero_bottom(self):
         e = unit(ZERO_BOTTOM, 0, 3)
@@ -221,7 +235,7 @@ class TestSchrodinger:
 class TestLadder:
     def test_kills_lowest(self):
         h = HalfLineExpansion(GENERIC, np.array([1.0]), "even")
-        out = ladder_down(h)
+        out = var_index_derivative(h, 1)
         np.testing.assert_array_equal(out.coeffs, [0.0])
         assert out.params.alpha == pytest.approx(GENERIC.alpha + 1)
         assert out.parity == "odd"
@@ -231,7 +245,7 @@ class TestLadder:
         s = pr.alpha + pr.beta + 1
         for n in (0, 1, 5):
             h = HalfLineExpansion(pr, np.eye(7)[n + 1], "even")
-            out = ladder_down(h)
+            out = var_index_derivative(h, 1)
             expect = -math.sqrt((n + 1) * (n + 1 + s))
             assert out.coeffs[n] == pytest.approx(expect, rel=1e-14)
 
@@ -239,14 +253,14 @@ class TestLadder:
         # flat-weight case: lowering acts as d/dt, factor -n
         pr = JacobiParams(-0.5, -0.5)
         h = HalfLineExpansion(pr, np.eye(5)[3], "even")
-        out = ladder_down(h)
+        out = var_index_derivative(h, 1)
         assert out.coeffs[2] == pytest.approx(-3.0, rel=1e-14)
 
     def test_up_after_down_is_eigenvalue_gap(self):
         for pr in PAIRS:
             for n in (0, 2, 6):
                 h = HalfLineExpansion(pr, np.eye(8)[n + 1], "even")
-                back = ladder_up(ladder_down(h))
+                back = ladder_up(var_index_derivative(h, 1))
                 gap = eigenvalue(n + 1, pr) - eigenvalue(0, pr)
                 assert back.coeffs[n + 1] == pytest.approx(gap, rel=1e-13)
                 others = np.delete(back.coeffs, n + 1)
@@ -263,7 +277,7 @@ class TestLadder:
         # spectral route vs 5-point stencil on the first-order expression
         nodes = interior_nodes(margin=0.2)
         for pr in (GENERIC, JacobiParams(-0.7, 0.4)):
-            ladder = LadderCoefficients(pr).table(21)
+            ladder = ladder_constants(pr, 21)
             for n in (1, 7, 20):
                 def f(t, n=n, pr=pr):
                     return eigenfunction_table(n, pr, t)[n]
@@ -273,11 +287,39 @@ class TestLadder:
                 scale = np.max(np.abs(target))
                 np.testing.assert_allclose(fd_vals, target, atol=1e-5 * scale)
 
+    def test_ladder_constants_closed_form(self):
+        for pr in PAIRS + [JacobiParams(-0.999999, 0.0), JacobiParams(1e5, 0.0)]:
+            n = np.arange(30, dtype=float)
+            want = np.sqrt(n * (n + (pr.alpha + pr.beta + 1.0)))
+            assert np.array_equal(ladder_constants(pr, 30), want)
+            # the first-order lowering sends index n to n - 1 times minus entry n
+            h = HalfLineExpansion(pr, np.arange(1.0, 31.0), "even")
+            assert np.array_equal(var_index_derivative(h, 1).coeffs, -want[1:] * h.coeffs[1:])
+
+    @pytest.mark.parametrize("alpha", [1e4, 1e5])
+    def test_down_matches_finite_differences_at_large_alpha(self, alpha):
+        # the stencil step shrinks with alpha + beta + 1, so the rows, which
+        # live next to pi there, stay resolved at the 1e-5 bound
+        pr = JacobiParams(alpha, 0.0)
+        nodes = np.linspace(0.2, math.pi - 0.2, 9)
+        fd_vals = apply_ladder_down_fd(pr, lambda t: eigenfunction_table(20, pr, t), nodes)
+        lowered = eigenfunction_table(19, pr.shift(1), nodes)
+        ladder = ladder_constants(pr, 21)
+        for n in (1, 5, 10, 20):
+            target = -ladder[n] * lowered[n - 1]
+            scale = np.max(np.abs(target))
+            assert np.max(np.abs(fd_vals[n] - target)) <= 1e-5 * scale
+
+    def test_the_step_is_fd_step_up_to_a_hundred(self):
+        for pr in PAIRS + [JacobiParams(60.0, 39.0), JacobiParams(-0.9, -0.9)]:
+            assert _fd_step(pr) == FD_STEP
+        assert _fd_step(JacobiParams(999.0, 0.0)) == FD_STEP / 10.0
+
     def test_up_matches_finite_differences(self):
         nodes = interior_nodes(margin=0.2)
         for pr in (GENERIC, JacobiParams(1.0, 2.0)):
             up = pr.shift(1)
-            ladder = LadderCoefficients(pr).table(13)
+            ladder = ladder_constants(pr, 13)
             for n in (0, 3, 11):
                 def f(t, n=n, up=up):
                     return eigenfunction_table(n, up, t)[n]
@@ -368,7 +410,7 @@ class TestVarIndexDerivative:
     def test_composition_matches_single_shot(self):
         rng = np.random.default_rng(5)
         h = HalfLineExpansion(GENERIC, rng.uniform(-1, 1, 9), "odd")
-        two_steps = ladder_down(ladder_down(h))
+        two_steps = var_index_derivative(var_index_derivative(h, 1), 1)
         one_shot = var_index_derivative(h, 2)
         np.testing.assert_allclose(one_shot.coeffs, two_steps.coeffs, rtol=1e-13, atol=1e-15)
         assert one_shot.parity == two_steps.parity == "odd"

@@ -13,6 +13,7 @@ import pytest
 
 import symjacobi
 from symjacobi import cli, core, errors, norms, suites
+from symjacobi.basis import SymmExpansion
 from symjacobi.core import _GRID_TABLES, JacobiParams
 from symjacobi.errors import ConfigError
 from symjacobi.reporting import ExperimentReport, emit_plots, report_to_json, write_report
@@ -148,6 +149,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="open admissible interval"):
             validate_config(cfg)
 
+    def test_library_and_suites_refuse_p_in_one_wording(self):
+        # each caller raises its own error type over the same message
+        pr = JacobiParams(-0.7, 0.4)
+        e = SymmExpansion(pr, np.ones(5))
+        grid = core.symmetric_rule(8, pr)
+        with pytest.raises(errors.AdmissibilityError) as library:
+            norms.potential_norm(e, 6.0, 0.5, grid)
+        with pytest.raises(ConfigError) as suite:
+            validate_config(SuiteConfig(suite="decomposition", pairs=(pr,), p=6.0))
+        assert str(library.value) == str(suite.value) == (
+            "p=6.0 lies outside the open admissible interval (1.25, 5) for alpha=-0.7, beta=0.4"
+        )
+
     def test_potentials_rejects_zero_bottom_pair(self):
         cfg = SuiteConfig(suite="potentials", pairs=((-0.5, -0.5),))
         with pytest.raises(ConfigError, match="differ from -1"):
@@ -197,6 +211,20 @@ class TestConfigValidation:
         doc = json.loads((tmp_path / f"{suite}-report.json").read_text())
         assert doc["cases"] == given.cases
         assert doc["series"] == given.series
+
+    @pytest.mark.parametrize("given", [None, ((0.5, 0.5), (1.0, 2.0))])
+    def test_a_pinned_report_names_the_one_pair_it_ran(self, given):
+        # the built-in pair of each pinned suite, or the first pair given;
+        # a suite over the sweep echoes every pair
+        pairs = {} if given is None else {"pairs": given}
+        for suite in ("counterexample", "embed", "noninclusion", "schrodinger"):
+            if given is not None and suite in ("counterexample", "noninclusion"):
+                continue  # their hypotheses refuse (0.5, 0.5)
+            report = SUITES[suite](fast_config(suite, **pairs))
+            ran = given[0] if given else SUITES[suite].pinned
+            assert report.config["pairs"] == [list(ran)]
+        report = SUITES["inclusion"](fast_config("inclusion", trunc=8))
+        assert report.config["pairs"] == [list(pr) for pr in suites.DEFAULT_PAIR_VALUES]
 
     def test_all_runs_the_built_in_pairs(self):
         # run_suite re-creates each sub-config with the default pairs filled
@@ -631,6 +659,16 @@ class TestCli:
             ["basis", "--alpha", alpha, "--beta", "0", "--trunc", trunc, "--out", str(tmp_path)]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("alpha", ["1e4", "1e5"])
+    def test_eigen_resolves_the_ladder_at_large_alpha(self, tmp_path, capsys, alpha):
+        # a fixed stencil step read 8.1e-4 and 135 here against 1e-5
+        code = cli.main(["eigen", "--alpha", alpha, "--beta", "0", "--out", str(tmp_path)])
+        assert code == 0, capsys.readouterr().out
+        doc = json.loads((tmp_path / "eigen-report.json").read_text())
+        ladder = [c for c in doc["cases"] if c["name"].startswith("ladder-vs-fd-")]
+        assert [c["name"] for c in ladder] == [f"ladder-vs-fd-({float(alpha):g},0)"]
+        assert ladder[0]["value"] <= 1e-6
 
     @pytest.mark.parametrize(
         "argv, field",
