@@ -4,9 +4,11 @@ Even basis slots hold the half-line eigenfunctions extended evenly, odd slots
 hold sign(theta) times the parameter-shifted ones, both scaled by 1/sqrt(2).
 This module does the parity bookkeeping: reflection, even/odd splitting,
 analysis and synthesis, and the round trip between symmetric-interval
-expansions and pairs of half-line expansions. It alone knows the mirror
-test and the fold f(t) = even(|t|) + sign(t) odd(|t|), which lets every
-evaluation on a mirrored angle set run on the positive half only.
+expansions and pairs of half-line expansions. It alone knows the fold
+f(t) = even(|t|) + sign(t) odd(|t|), which lets every evaluation on a
+mirrored angle set run on the positive half only. The mirror test is one
+of the angle facts core derives once per node array and keeps beside the
+array's tables.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ from .core import (
     GridFunction,
     JacobiParams,
     QuadratureGrid,
+    _angle_facts,
+    _Angles,
+    _memo_by_pair,
+    _stored_table,
     eigenfunction_table,
     symmetric_rule,
 )
@@ -46,47 +52,35 @@ SQRT2 = math.sqrt(2.0)
 
 def symm_eigenvalues(n_coeffs: int, params: JacobiParams) -> np.ndarray:
     """Eigenvalues attached to symmetrized indices 0..n_coeffs-1: slot n
-    carries eigenvalue index floor((n + 1) / 2)."""
+    carries eigenvalue index floor((n + 1) / 2). Read-only, and shared by
+    repeat calls through a bounded cache."""
+    return _symm_eigenvalues(params, n_coeffs)
+
+
+@_memo_by_pair(maxsize=64)
+def _symm_eigenvalues(params: JacobiParams, n_coeffs: int) -> np.ndarray:
     return ((np.arange(n_coeffs) + 1) // 2 + params.eigen_shift) ** 2
 
 
-def _mirror_split(theta: np.ndarray) -> int | None:
-    """k when the second half of theta mirrors the first exactly, else None.
+def _fold(facts: _Angles, parts: dict, out: np.ndarray | None = None) -> np.ndarray:
+    """even(|th|) + sign(th) odd(|th|) at the angles of facts, from values
+    keyed by parity, into out when given.
 
-    Mirrored means theta[k:] > 0 and -theta[:k][::-1] == theta[k:] bitwise,
-    with k = theta.size / 2. A 0 node, a NaN, an odd count or a node one ulp
-    off its mirror image all give None.
-    """
-    if theta.size % 2:
-        return None
-    k = theta.size // 2
-    pos = theta[k:]
-    if np.all(pos > 0) and np.array_equal(-theta[:k][::-1], pos):
-        return k
-    return None
-
-
-def _fold_nodes(theta) -> tuple[np.ndarray, int | None, np.ndarray]:
-    # the angles, their mirror split, and the angles to evaluate on
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    k = _mirror_split(th)
-    return th, k, th if k is None else th[k:]
-
-
-def _fold(th: np.ndarray, k: int | None, parts: dict) -> np.ndarray:
-    """even(|th|) + sign(th) odd(|th|) at th from values keyed by parity.
-
-    The values lie on th[k:] when k is the mirror split of th, else on every
-    angle of th. A missing key is an exact zero part, so one part folds to
-    the two-part sum with a zero partner, up to the sign of exact zeros.
+    The values lie on the positive half when facts has a mirror split, else
+    on every angle. A missing key is an exact zero part, so one part folds
+    to the two-part sum with a zero partner, up to the sign of exact zeros.
+    A part may be the positive half of out itself: the negative half is
+    written first, from it, and the positive one in place.
     """
     even, odd = parts.get("even", 0.0), parts.get("odd", 0.0)
+    if out is None:
+        lead = (even if isinstance(even, np.ndarray) else odd).shape[:-1]
+        out = np.empty(lead + (facts.size,), np.result_type(even, odd))
+    k = facts.split
     if k is None:
-        return even + np.sign(th) * odd
+        return np.add(even, facts.sign * odd, out=out)
     # each half is written straight into its place, the negative one
     # through a reversed view, so no half-size copies are concatenated
-    lead = (even if isinstance(even, np.ndarray) else odd).shape[:-1]
-    out = np.empty(lead + th.shape, np.result_type(even, odd))
     np.subtract(even, odd, out=out[..., k - 1 :: -1])
     np.add(even, odd, out=out[..., k:])
     return out
@@ -99,16 +93,17 @@ def symm_eigenfunction_table(n_coeffs: int, params: JacobiParams, theta) -> np.n
     function. Odd n: sign(theta) times the ((n-1)/2)-th eigenfunction of the
     shifted pair over sqrt(2), an odd function vanishing at 0. On a mirrored
     angle set both half-line tables are requested on the positive half only.
+    Each parity is scaled straight into its rows and folded there.
     """
-    th, k, nodes = _fold_nodes(theta)
-    out = np.empty((n_coeffs, th.shape[0]))
+    store, facts = _angle_facts(theta)
+    out = np.empty((n_coeffs, facts.size))
     n_even, n_odd = _coeff_counts(n_coeffs)
-    if n_even:
-        even = eigenfunction_table(n_even - 1, params, nodes) / SQRT2
-        out[0::2] = _fold(th, k, {"even": even})
-    if n_odd:
-        odd = eigenfunction_table(n_odd - 1, params.shift(1), nodes) / SQRT2
-        out[1::2] = _fold(th, k, {"odd": odd})
+    for parity, count, rows in (("even", n_even, out[0::2]), ("odd", n_odd, out[1::2])):
+        if count:
+            pr = params if parity == "even" else params.shift(1)
+            folded = rows[..., facts.split :]
+            np.divide(_stored_table(count - 1, pr, store, facts.folded), SQRT2, out=folded)
+            _fold(facts, {parity: folded}, out=rows)
     return out
 
 
@@ -172,7 +167,7 @@ class SymmExpansion(_Expansion):
 
 
 def _require_symmetric(grid: QuadratureGrid) -> None:
-    if _mirror_split(grid.nodes) is None:
+    if _angle_facts(grid.nodes)[1].split is None:
         raise GridError("operation requires a mirror-symmetric grid")
 
 
@@ -273,13 +268,13 @@ def _evaluator(parts, theta):
     cached table is fetched once, here, on the angles counted: the positive
     half of a mirrored theta, else every angle.
     """
-    th, k, nodes = _fold_nodes(theta)
-    tables = [eigenfunction_table(len(h) - 1, h.params, nodes) for h in parts]
+    store, facts = _angle_facts(theta)
+    tables = [_stored_table(len(h) - 1, h.params, store, facts.folded) for h in parts]
 
     def evaluate(same_parts) -> np.ndarray:
-        return _fold(th, k, {h.parity: h.coeffs @ t for h, t in zip(same_parts, tables)})
+        return _fold(facts, {h.parity: h.coeffs @ t for h, t in zip(same_parts, tables)})
 
-    return evaluate, nodes.size
+    return evaluate, facts.folded.angles.size
 
 
 def _eval_parts(parts, theta) -> np.ndarray:

@@ -78,17 +78,50 @@ class JacobiParams:
         return self.p_lower < p < self.p_upper
 
     def shift(self, k: int) -> "JacobiParams":
-        """Both parameters moved up by the integer k."""
-        return JacobiParams(self.alpha + k, self.beta + k)
+        """Both parameters moved up by the integer k; a repeat returns the
+        same instance, from a bounded cache."""
+        return _shifted(self, k)
 
     def label(self) -> str:
         """The pair as case names write it, such as (0.3,0.7)."""
         return f"({self.alpha:g},{self.beta:g})"
 
-    @property
+    @functools.cached_property
     def key(self) -> bytes:
-        """Exact bytes of (alpha, beta): -0.0 and 0.0 never share a table or grid."""
+        """Exact bytes of (alpha, beta): -0.0 and 0.0 never share a table,
+        grid or memo. Formed once per instance."""
         return np.array([self.alpha, self.beta], dtype=float).tobytes()
+
+
+def _memo_by_pair(maxsize: int):
+    """Bounded memo of fn(params, *args); an array it returns is read-only.
+
+    Pairs are told apart by their exact bytes and the types of alpha and
+    beta, not by dataclass equality, under which (-0.0, 0) equals (0.0, 0)
+    and 1 equals 1.0.
+    """
+
+    def decorate(fn):
+        @functools.lru_cache(maxsize=maxsize, typed=True)
+        def cached(alpha, beta, key, *args):
+            out = fn(JacobiParams(alpha, beta), *args)
+            if isinstance(out, np.ndarray):
+                out.flags.writeable = False
+            return out
+
+        @functools.wraps(fn)
+        def memo(params: JacobiParams, *args):
+            return cached(params.alpha, params.beta, params.key, *args)
+
+        memo.cache_info, memo.cache_clear = cached.cache_info, cached.cache_clear
+        return memo
+
+    return decorate
+
+
+@_memo_by_pair(maxsize=64)
+def _shifted(params: JacobiParams, k: int) -> JacobiParams:
+    return JacobiParams(params.alpha + k, params.beta + k)
 
 
 def eigenvalue(n: int, params: JacobiParams) -> float:
@@ -189,17 +222,111 @@ def _log_beta(p: float, q: float) -> float:
 # its slices and the views in `grid.half` all reach one store.
 # An entry leaves when its owner is collected, so a caller that holds a grid
 # never rebuilds its tables and a one-shot grid leaves nothing behind.
-_GRID_TABLES: dict[int, dict] = {}
+_GRID_TABLES: dict[int, "_Store"] = {}
 
 # Largest table a store keeps; a larger one is returned and not kept, so a
 # degree-512 table does not stay as long as its grid, through its Gram product.
 _TABLE_CAP_BYTES = 2 * 1024 * 1024
 
 
+class _Store(dict):
+    """One grid's tables, keyed by (pair bytes, angle shape, angle bytes),
+    and in `angles` the facts of each array of its nodes that was asked
+    about, keyed by the array's shape and strides."""
+
+    __slots__ = ("angles",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.angles: dict[tuple, _Angles] = {}
+
+
 def _owner(a: np.ndarray) -> np.ndarray:
     while isinstance(a.base, np.ndarray):
         a = a.base
     return a
+
+
+def _mirror_split(theta: np.ndarray) -> int | None:
+    """k when the second half of theta mirrors the first exactly, else None.
+
+    Mirrored means theta[k:] > 0 and -theta[:k][::-1] == theta[k:] bitwise,
+    with k = theta.size / 2. A 0 node, a NaN, an odd count or a node one ulp
+    off its mirror image all give None.
+    """
+    if theta.size % 2:
+        return None
+    k = theta.size // 2
+    pos = theta[k:]
+    if np.all(pos > 0) and np.array_equal(-theta[:k][::-1], pos):
+        return k
+    return None
+
+
+class _Nodes:
+    """Read-only absolute angles and the exact bytes that key their tables;
+    the bytes object caches its hash, so a repeat lookup does not rehash."""
+
+    __slots__ = ("angles", "key")
+
+    def __init__(self, angles: np.ndarray) -> None:
+        angles.flags.writeable = False
+        self.angles, self.key = angles, angles.tobytes()
+
+
+class _Angles:
+    """What an angle array's tables and fold need, derived once from its bytes.
+
+    split is the mirror split, or None; sign the signs of the angles when
+    there is no split, for the unfolded path; whole the absolute values of
+    all angles, and folded those a parity part is evaluated on: the
+    positive half of a mirrored set, else whole. Each array is a read-only
+    copy, as a view of a grid's nodes would keep the grid's store alive.
+    """
+
+    __slots__ = ("raw", "size", "split", "sign", "whole", "folded")
+
+    def __init__(self, theta: np.ndarray, raw: bytes) -> None:
+        self.raw, self.size = raw, theta.size
+        self.split = _mirror_split(theta)
+        self.sign = None
+        if self.split is None:
+            self.sign = np.sign(theta)
+            self.sign.flags.writeable = False
+        self.whole = _Nodes(np.abs(theta))
+        self.folded = self.whole if self.split is None else _Nodes(np.abs(theta[self.split :]))
+
+
+def _angle_facts(theta) -> tuple[_Store, _Angles]:
+    """The table store of theta's grid, and the facts of theta kept in it.
+
+    Angles of no live grid get a store that is dropped on return. A stored
+    entry is served only while theta holds the bytes it was derived from,
+    so a node array written to after a call gets new facts.
+    """
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    store = _GRID_TABLES.get(id(_owner(theta)))
+    if store is None:
+        store = _Store()
+    raw = theta.tobytes()
+    slot = (theta.shape, theta.strides)
+    facts = store.angles.get(slot)
+    if facts is None or facts.raw != raw:
+        facts = store.angles[slot] = _Angles(theta, raw)
+    return store, facts
+
+
+def _stored_table(n_top: int, params: JacobiParams, store: _Store, nodes: _Nodes) -> np.ndarray:
+    """Rows n = 0..n_top at the angles of nodes, from store or built into it."""
+    # exact bytes, so nearby nodes never share a table
+    key = (params.key, nodes.angles.shape, nodes.key)
+    table = store.get(key)
+    if table is None or table.shape[0] <= n_top:
+        table = _eigenfunction_rows(n_top, params, nodes.angles)
+        table.flags.writeable = False
+        if table.nbytes <= _TABLE_CAP_BYTES:
+            store[key] = table
+    return table if table.shape[0] == n_top + 1 else table[: n_top + 1]
 
 
 def eigenfunction_table(n_top: int, params: JacobiParams, theta: np.ndarray) -> np.ndarray:
@@ -216,19 +343,8 @@ def eigenfunction_table(n_top: int, params: JacobiParams, theta: np.ndarray) -> 
     kept, and so is every table on other angles. Rows 0..n of any depth are
     bitwise the rows of a depth-n build.
     """
-    theta = np.asarray(theta, dtype=float)
-    # angles of no live grid get a store that is dropped on return
-    store = _GRID_TABLES.get(id(_owner(theta)), {})
-    th = np.abs(np.atleast_1d(theta))
-    # exact bytes, so nearby nodes never share a table
-    key = (params.key, th.shape, th.tobytes())
-    table = store.get(key)
-    if table is None or table.shape[0] <= n_top:
-        table = _eigenfunction_rows(n_top, params, th)
-        table.flags.writeable = False
-        if table.nbytes <= _TABLE_CAP_BYTES:
-            store[key] = table
-    return table if table.shape[0] == n_top + 1 else table[: n_top + 1]
+    store, facts = _angle_facts(theta)
+    return _stored_table(n_top, params, store, facts.whole)
 
 
 # Rows per block of a recurrence sweep. The factors that do not depend on
@@ -245,6 +361,7 @@ def _eigenfunction_rows(n_top: int, params: JacobiParams, th: np.ndarray) -> np.
     phi_0 = trig_weight / sqrt(B(a + 1, b + 1)), formed in logarithms.
     """
     _check_angles(params, th)
+    th, cut, order = _below_first(th)
     a, b = params.alpha, params.beta
     _, off, ends = _jacobi_matrix(n_top + 1, params)
     half = 0.5 * th
@@ -256,15 +373,14 @@ def _eigenfunction_rows(n_top: int, params: JacobiParams, th: np.ndarray) -> np.
     rows[0] = np.exp(log_w)
     # x - a_n is ends[n, 0] - 2 sin^2(th/2) below pi/2 and ends[n, 1] +
     # 2 cos^2(th/2) from pi/2 on, so rows next to 0 and pi keep their digits
-    side = (th >= 0.5 * np.pi).astype(np.intp)
-    shift = np.where(side, 2.0 * np.cos(half) ** 2, -2.0 * np.sin(half) ** 2)
+    shift = np.concatenate([-2.0 * np.sin(half[:cut]) ** 2, 2.0 * np.cos(half[cut:]) ** 2])
     ratio = np.concatenate([[0.0], off[:-1] / off[1:]])  # s_n / s_{n+1}
     linear = np.empty((min(_ROW_BLOCK, n_top), th.size))
     prev, cur = np.zeros(th.size), rows[0]
     for lo in range(0, n_top, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, n_top)
         block = linear[: hi - lo]
-        np.take(ends[lo:hi], side, axis=1, out=block)
+        _spread(ends[lo:hi], cut, block)
         block += shift
         block /= off[lo:hi, None]
         for n, row, r in zip(range(lo, hi), block, ratio[lo:hi].tolist()):
@@ -273,7 +389,36 @@ def _eigenfunction_rows(n_top: int, params: JacobiParams, th: np.ndarray) -> np.
             np.multiply(r, prev, out=nxt)
             np.subtract(row, nxt, out=nxt)
             prev, cur = cur, nxt
-    return rows
+    return _unpermute(rows, order)
+
+
+def _below_first(th: np.ndarray):
+    """th with its angles below pi/2 ahead of the rest, their count, and the
+    permutation that put them there: None when th already runs that way,
+    as every sorted angle set does. A NaN counts as below."""
+    above = th >= 0.5 * np.pi
+    cut = th.size - int(np.count_nonzero(above))
+    if not above[:cut].any():
+        return th, cut, None
+    order = np.argsort(above, kind="stable")
+    return th[order], cut, order
+
+
+def _spread(pair: np.ndarray, cut: int, out: np.ndarray) -> None:
+    # column 0 of the rows of pair over the first cut angles, column 1 over
+    # the rest: two broadcast writes where a gather by side would cost 2 ns
+    # per cell
+    out[:, :cut] = pair[:, :1]
+    out[:, cut:] = pair[:, 1:]
+
+
+def _unpermute(values: np.ndarray, order) -> np.ndarray:
+    # values along the last axis put back where _below_first took them from
+    if order is None:
+        return values
+    out = np.empty_like(values)
+    out[..., order] = values
+    return out
 
 
 @dataclass(frozen=True)
@@ -283,8 +428,9 @@ class QuadratureGrid:
     The nodes increase strictly inside (-pi, pi) and are never 0. They
     decide the layout, read as interval: "symmetric" when a node is
     negative, else "halfline". A layout passed as a third argument must
-    agree with them. The eigenfunction tables built on a grid's nodes are
-    kept for as long as its node array lives.
+    agree with them. The eigenfunction tables built on a grid's nodes, and
+    the facts derived from its angle arrays (mirror split, signs, absolute
+    values and table keys), are kept for as long as its node array lives.
     """
 
     nodes: np.ndarray
@@ -311,7 +457,7 @@ class QuadratureGrid:
         object.__setattr__(self, "interval", layout)
         owner = _owner(nodes)
         if id(owner) not in _GRID_TABLES:
-            _GRID_TABLES[id(owner)] = {}
+            _GRID_TABLES[id(owner)] = _Store()
             weakref.finalize(owner, _GRID_TABLES.pop, id(owner), None)
 
     def __len__(self) -> int:
@@ -330,7 +476,7 @@ class QuadratureGrid:
     def integrate(self, values: np.ndarray):
         """Weighted sum along the node axis approximating the integral of
         sampled values; a block of rows gives one integral per row."""
-        return np.sum(self.weights * values, axis=-1)
+        return np.add.reduce(self.weights * values, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -458,6 +604,7 @@ def _newton_step(n: int, params: JacobiParams, theta: np.ndarray) -> np.ndarray:
     s = a + b
     # side 0 for nodes below pi/2, where R_k runs in u with the pair (a, b);
     # side 1 above, in v with the pair (b, a)
+    theta, cut, order = _below_first(theta)
     side = (theta >= 0.5 * np.pi).astype(np.intp)
     sin2 = np.sin(0.5 * theta) ** 2
     cos2 = np.cos(0.5 * theta) ** 2
@@ -476,8 +623,8 @@ def _newton_step(n: int, params: JacobiParams, theta: np.ndarray) -> np.ndarray:
     tmp = np.empty_like(w)
     for lo in range(0, n - 1, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, n - 1)
-        np.take(coef_b[lo:hi], side, axis=1, out=rows_b[: hi - lo])
-        np.take(coef_c[lo:hi], side, axis=1, out=rows_cw[: hi - lo])
+        _spread(coef_b[lo:hi], cut, rows_b[: hi - lo])
+        _spread(coef_c[lo:hi], cut, rows_cw[: hi - lo])
         rows_cw[: hi - lo] *= w
         for row_b, row_cw in zip(rows_b[: hi - lo], rows_cw[: hi - lo]):
             np.multiply(row_cw, r, out=tmp)
@@ -489,7 +636,7 @@ def _newton_step(n: int, params: JacobiParams, theta: np.ndarray) -> np.ndarray:
     q = (r - d) * np.array([2.0 * n * (n + b), -2.0 * n * (n + a)])[side]
     # n ((a-b) - (2n+s) x) minus (2n+s) sin(t) trig_weight'(t) / trig_weight(t)
     lin = n * (a - b) - (2 * n + s) * ((n + a + 0.5) * cos2 - (n + b + 0.5) * sin2)
-    return theta + (2 * n + s) * np.sin(theta) * r / (lin * r + q)
+    return _unpermute(theta + (2 * n + s) * np.sin(theta) * r / (lin * r + q), order)
 
 
 def symmetric_rule(n_nodes_half: int, params: JacobiParams) -> QuadratureGrid:

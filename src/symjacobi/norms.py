@@ -5,15 +5,15 @@ import math
 
 import numpy as np
 
-from .basis import SymmExpansion, _eval_parts, synthesize
-from .core import GAUSS_LEGENDRE_32, GridFunction, JacobiParams, QuadratureGrid
+from .basis import SymmExpansion, _eval_parts, symm_eigenvalues, synthesize, to_halfline
+from .core import GAUSS_LEGENDRE_32, GridFunction, JacobiParams, QuadratureGrid, _memo_by_pair
 from .errors import (
     AdmissibilityError,
     DomainError,
     EnsembleError,
     GridError,
 )
-from .operators import spectral_base, symm_higher_derivative
+from .operators import spectral_base, var_index_derivative
 
 
 def lp_norm(f: GridFunction, p: float):
@@ -23,12 +23,14 @@ def lp_norm(f: GridFunction, p: float):
     """
     if p < 1:
         raise DomainError(f"p must be at least 1, got {p}")
-    mags = np.abs(f.values, dtype=float)  # a fresh array, so raised in place
+    # a fresh array, so raised and weighted in place: the one temporary
+    mags = np.abs(f.values, dtype=float)
     if math.isinf(p):
         norms = np.max(mags, axis=-1, initial=0.0)
     else:
         mags **= p
-        norms = f.grid.integrate(mags) ** (1.0 / p)
+        mags *= f.grid.weights
+        norms = np.add.reduce(mags, axis=-1) ** (1.0 / p)
     return float(norms) if norms.ndim == 0 else norms
 
 
@@ -47,24 +49,35 @@ def potential_norm(e: SymmExpansion, p: float, s: float, grid: QuadratureGrid):
 
     Band-limited input makes the preimage exact, so no integral operator is
     ever inverted. When the bottom eigenvalue is zero the shifted flow
-    (identity plus generator) replaces the plain one.
+    (identity plus generator) replaces the plain one. The rates come from
+    a bounded cache.
     """
     if s <= 0:
         raise DomainError(f"smoothness must be positive, got {s}")
     _require_admissible(e.params, p, AdmissibilityError)
-    rates = spectral_base(e.params, e.eigenvalues()) ** (s / 2.0)
-    sharpened = SymmExpansion(e.params, e.coeffs * rates)
+    sharpened = SymmExpansion(e.params, e.coeffs * _potential_rates(e.params, len(e), s))
     return lp_norm(synthesize(sharpened, grid), p)
 
 
+@_memo_by_pair(maxsize=64)
+def _potential_rates(params: JacobiParams, n_coeffs: int, s: float) -> np.ndarray:
+    # spectral_base(lambda)^(s/2) at the symmetrized slots
+    return spectral_base(params, symm_eigenvalues(n_coeffs, params)) ** (s / 2.0)
+
+
 def sobolev_norm(e: SymmExpansion, p: float, m: int, grid: QuadratureGrid):
-    """Sum over orders 0..m of the p-norms of the variable-index derivatives."""
+    """Sum over orders 0..m of the p-norms of the variable-index derivatives.
+
+    The expansion is split into its half-line parts once, and each part is
+    lowered k times for order k, as symm_higher_derivative does.
+    """
     if m < 1:
         raise DomainError(f"order must be a positive integer, got {m}")
     _require_admissible(e.params, p, AdmissibilityError)
+    parts = to_halfline(e)
     total = 0.0
     for k in range(m + 1):
-        values = _eval_parts(symm_higher_derivative(e, k), grid.nodes)
+        values = _eval_parts([var_index_derivative(h, k) for h in parts], grid.nodes)
         total += lp_norm(GridFunction(grid, values), p)
     return total
 

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from .basis import HalfLineExpansion, SymmExpansion, to_halfline
-from .core import JacobiParams
+from .core import JacobiParams, _memo_by_pair
 from .errors import DomainError, UnsupportedParametersError
 
 __all__ = [
@@ -179,7 +179,8 @@ def var_index_derivative(h: HalfLineExpansion, k: int) -> HalfLineExpansion:
 
     Coefficient a_n lands on index n-k carrying (-1)^k times the product of
     the step constants; indices below k are annihilated. Parity flips k
-    times. k = 0 is the identity.
+    times. k = 0 is the identity. The signed products come from a bounded
+    cache.
     """
     if k < 0:
         raise DomainError(f"derivative order must be nonnegative, got {k}")
@@ -189,15 +190,21 @@ def var_index_derivative(h: HalfLineExpansion, k: int) -> HalfLineExpansion:
     out_len = max(n_in - k, 1)
     out = np.zeros(h.coeffs.shape[:-1] + (out_len,), dtype=h.coeffs.dtype)
     if n_in > k:
-        n = np.arange(k, n_in, dtype=float)
-        s = h.params.alpha + h.params.beta + 1.0
-        factor = np.ones(n.size)
-        for j in range(k):
-            m = n - j
-            factor *= np.sqrt(m * (m + s + 2 * j))
-        out[...] = (-1.0) ** k * factor * h.coeffs[..., k:]
+        out[...] = _lowering_factors(h.params, k, n_in) * h.coeffs[..., k:]
     parity = h.parity if k % 2 == 0 else ("odd" if h.parity == "even" else "even")
     return HalfLineExpansion(h.params.shift(k), out, parity)
+
+
+@_memo_by_pair(maxsize=64)
+def _lowering_factors(params: JacobiParams, k: int, n_in: int) -> np.ndarray:
+    # (-1)^k times the product of the k step constants of indices k..n_in-1
+    n = np.arange(k, n_in, dtype=float)
+    s = params.alpha + params.beta + 1.0
+    factor = np.ones(n.size)
+    for j in range(k):
+        m = n - j
+        factor *= np.sqrt(m * (m + s + 2 * j))
+    return (-1.0) ** k * factor
 
 
 def symm_higher_derivative(

@@ -13,7 +13,6 @@ from symjacobi import basis, core
 from symjacobi.basis import (
     HalfLineExpansion,
     SymmExpansion,
-    _mirror_split,
     analyze,
     eval_halfline_expansion,
     eval_symm_expansion,
@@ -33,6 +32,7 @@ from symjacobi.core import (
     JacobiParams,
     QuadratureGrid,
     _eigenfunction_rows,
+    _mirror_split,
     eigenfunction_table,
     gauss_jacobi_rule,
     norm_constant_table,
@@ -467,18 +467,18 @@ class TestMirrorFold:
         # two-part one up to the sign of exact zeros
         nodes = symmetric_rule(10, JacobiParams(0.3, 0.7)).nodes
         theta = nodes if mirrored else near_mirrored("nudged")
-        th, k, on = basis._fold_nodes(theta)
-        assert (k is not None) == mirrored
+        facts = core._angle_facts(theta)[1]
+        assert (facts.split is not None) == mirrored
         rng = np.random.default_rng([mirrored, kind == "complex"])
-        values = rng.uniform(-1, 1, (3, on.size))
+        values = rng.uniform(-1, 1, (3, facts.folded.angles.size))
         if kind == "complex":
             values = values + 1j * rng.uniform(-1, 1, values.shape)
         values[:, ::4] = -0.0
         values[:, 1::4] = 0.0
         for parity, partner in (("even", "odd"), ("odd", "even")):
-            one = basis._fold(th, k, {parity: values})
-            two = basis._fold(th, k, {parity: values, partner: np.zeros_like(values)})
-            assert one.shape == two.shape == (3, th.size) and one.dtype == two.dtype
+            one = basis._fold(facts, {parity: values})
+            two = basis._fold(facts, {parity: values, partner: np.zeros_like(values)})
+            assert one.shape == two.shape == (3, theta.size) and one.dtype == two.dtype
             assert np.array_equal(one, two)
 
     def test_cache_keeps_only_the_positive_half(self):
@@ -553,6 +553,39 @@ class TestMirrorFold:
         off = QuadratureGrid(nodes, grid.weights)
         eval_symm_expansion(SymmExpansion(pr, np.ones(9)), off.nodes)
         assert {key[1] for key in _GRID_TABLES[id(nodes)]} == {(40,)}
+
+    def test_stored_facts_follow_changed_bytes(self):
+        # a grid on a writable node array keeps the facts of its nodes; once
+        # a write breaks the mirror, the next evaluation takes the unfolded
+        # path on every node
+        pr = JacobiParams(0.3, 0.7)
+        rule = symmetric_rule(24, pr)
+        nodes = rule.nodes.copy()
+        grid = QuadratureGrid(nodes, rule.weights)
+        e = random_band_limited(pr, 20, 3, seed=6)
+        assert_bitwise(eval_symm_expansion(e, grid.nodes), unfolded_synthesis(e, nodes))
+        assert core._angle_facts(grid.nodes)[1].split == 24
+        nodes[30] = np.nextafter(nodes[30], 0.0)
+        assert core._angle_facts(grid.nodes)[1].split is None
+        assert_bitwise(eval_symm_expansion(e, grid.nodes), unfolded_synthesis(e, nodes))
+        assert_bitwise(symm_eigenfunction_table(21, pr, grid.nodes), unfolded_table(21, pr, nodes))
+        assert {key[1] for key in _GRID_TABLES[id(nodes)]} == {(24,), (48,)}
+        # and a write that restores the mirror restores the fold
+        nodes[30] = rule.nodes[30]
+        assert core._angle_facts(grid.nodes)[1].split == 24
+        assert_bitwise(eval_symm_expansion(e, grid.nodes), unfolded_synthesis(e, nodes))
+
+    def test_stored_facts_hold_no_view_of_the_nodes(self):
+        pr = JacobiParams(0.3, 0.7)
+        grid = symmetric_rule(24, pr)
+        analyze(synthesize(SymmExpansion(pr, np.ones(9)), grid), pr, 9)
+        store = _GRID_TABLES[id(grid.nodes)]
+        assert store.angles
+        for facts in store.angles.values():
+            arrays = [facts.sign, facts.whole.angles, facts.folded.angles]
+            for arr in (a for a in arrays if a is not None):
+                assert core._owner(arr) is not grid.nodes and not np.shares_memory(arr, grid.nodes)
+                assert not arr.flags.writeable
 
     def test_symmetric_tag_needs_an_exact_mirror(self):
         grid = symmetric_rule(6, JacobiParams(0.3, 0.7))

@@ -19,11 +19,12 @@ from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
 from symjacobi import core
-from symjacobi.basis import _mirror_split, analyze, symm_eigenfunction_table
+from symjacobi.basis import analyze, symm_eigenfunction_table
 from symjacobi.core import (
     _GRID_TABLES,
     _TABLE_CAP_BYTES,
     _eigenfunction_rows,
+    _mirror_split,
     GridFunction,
     JacobiParams,
     QuadratureGrid,
@@ -516,6 +517,33 @@ def near_mirrored(case):
     elif case == "nan":
         nodes[0] = nodes[-1] = np.nan
     return nodes
+
+
+class TestSideOrder:
+    """The recurrences fill their coefficient blocks by side of pi/2 in two
+    broadcast writes; unsorted angles are permuted in and scattered back."""
+
+    @pytest.mark.parametrize("pr", PAIRS, ids=str)
+    def test_unsorted_rows_are_the_sorted_rows_permuted(self, pr):
+        th = np.sort(np.random.default_rng(3).uniform(0.05, 3.1, 97))
+        order = np.random.default_rng(4).permutation(th.size)
+        sorted_rows = _eigenfunction_rows(70, pr, th)
+        assert_bitwise(_eigenfunction_rows(70, pr, th[order]), sorted_rows[:, order])
+        # a reversed set, as the negative half of a symmetric rule gives
+        assert_bitwise(_eigenfunction_rows(70, pr, th[::-1].copy()), sorted_rows[:, ::-1])
+
+    def test_unsorted_newton_step_is_the_sorted_one_permuted(self):
+        pr = JacobiParams(0.3, 0.7)
+        theta = gauss_jacobi_rule(130, pr).nodes
+        order = np.random.default_rng(5).permutation(theta.size)
+        step = core._newton_step(130, pr, theta)
+        assert_bitwise(core._newton_step(130, pr, theta[order]), step[order])
+
+    @pytest.mark.parametrize("th", [[0.3, 0.7], [2.0, 3.0], [], [0.5 * np.pi]])
+    def test_one_sided_sets(self, th):
+        th = np.array(th, dtype=float)
+        _, cut, order = core._below_first(th)
+        assert order is None and cut == np.count_nonzero(th < 0.5 * np.pi)
 
 
 class TestMirrorFold:

@@ -1,19 +1,25 @@
 """Norm operations, admissibility arithmetic, ensembles, divergence flags."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from symjacobi import core
+from symjacobi import basis, norms, operators
 from symjacobi.basis import (
     SymmExpansion,
+    analyze,
     eval_halfline_expansion,
     eval_symm_expansion,
     symm_eigenfunction_table,
+    symm_eigenvalues,
     synthesize,
 )
 from symjacobi.core import (
+    _GRID_TABLES,
     GridFunction,
     JacobiParams,
     eigenvalue,
@@ -41,7 +47,7 @@ from symjacobi.norms import (
     truncated_lp_powers,
     uniform_time_grid,
 )
-from symjacobi.operators import symm_higher_derivative
+from symjacobi.operators import spectral_base, symm_higher_derivative, var_index_derivative
 from symjacobi.squarefn import SquareFunctionSpec, square_function
 from symjacobi.witnesses import growth_witness_coefficient
 
@@ -87,6 +93,20 @@ class TestLpNorm:
         neg = eval_symm_expansion(e, -half.nodes)
         recombined = np.sum(half.weights * (np.abs(pos) ** p + np.abs(neg) ** p))
         assert direct == pytest.approx(recombined, abs=1e-10)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_weighting_in_place_is_the_grid_integral(self, kind):
+        # lp_norm scales |f|^p by the weights in its one temporary; IEEE
+        # products commute, so it is bitwise the integral of |f|^p
+        grid = symmetric_rule(40, GENERIC)
+        rng = np.random.default_rng(2)
+        values = rng.standard_normal((3, len(grid)))
+        if kind == "complex":
+            values = values + 1j * rng.standard_normal(values.shape)
+        for p in (1.0, 1.5, 2.0, 3.0):
+            want = grid.integrate(np.abs(values) ** p) ** (1.0 / p)
+            assert lp_norm(GridFunction(grid, values), p).tobytes() == want.tobytes()
+            assert lp_norm(GridFunction(grid, values[1]), p) == want[1]
 
     def test_max_norm_and_validation(self):
         grid = symmetric_rule(8, CHEBYSHEV)
@@ -227,6 +247,122 @@ class TestHeldGrids:
         # one build per (pair, shift), and never a deeper rebuild
         assert len(builds) == 8
         assert {params for params, _ in builds} == {pr.shift(k) for pr in pairs for k in range(4)}
+
+
+# The bounded process-wide memos of coefficient-side constants
+MEMOS = (core._shifted, basis._symm_eigenvalues, norms._potential_rates, operators._lowering_factors)
+
+
+def warm_path_results(e, grid):
+    # every warm-path entry point on one grid, as arrays
+    spec = SquareFunctionSpec(0.5, 1)
+    values = synthesize(e, grid)
+    return [
+        values.values,
+        np.asarray(potential_norm(e, 2.0, 1.0, grid)),
+        np.asarray(potential_norm(e, 3.0, 1.0, grid)),
+        np.asarray(sobolev_norm(e, 2.0, 2, grid)),
+        square_function(e, spec, grid.nodes),
+        analyze(values, e.params, len(e)).coeffs,
+    ]
+
+
+class TestWarmPath:
+    """A held grid's repeat calls read stored angle facts and memoized
+    constants; each result is bitwise the one of a fresh grid after the
+    memos are cleared."""
+
+    @pytest.mark.parametrize("pr", [GENERIC, CHEBYSHEV], ids=str)
+    @pytest.mark.parametrize("count", [1, 3], ids=["member", "block"])
+    def test_warm_is_bitwise_cold(self, pr, count):
+        held = symmetric_rule(2 * 64 + 16, pr)
+        warm_path_results(random_band_limited(pr, 64, 1, seed=99)[0], held)
+        for seed in range(3):
+            block = random_band_limited(pr, 64, count, seed)
+            e = block[0] if count == 1 else block
+            warm = warm_path_results(e, held)
+            for memo in MEMOS:
+                memo.cache_clear()
+            cold = warm_path_results(e, symmetric_rule(2 * 64 + 16, pr))
+            for got, want in zip(warm, cold):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_the_split_once_sobolev_norm_is_the_per_order_sum(self):
+        # sobolev_norm lowers the two half-line parts it split once; the
+        # route through symm_higher_derivative splits again at every order
+        grid = symmetric_rule(80, GENERIC)
+        e = random_band_limited(GENERIC, 64, 4, seed=5)
+        for p, m in ((2.0, 2), (3.0, 1), (1.5, 3)):
+            want = 0.0
+            for k in range(m + 1):
+                values = basis._eval_parts(symm_higher_derivative(e, k), grid.nodes)
+                want += lp_norm(GridFunction(grid, values), p)
+            assert sobolev_norm(e, p, m, grid).tobytes() == want.tobytes()
+
+    def test_memoized_constants_are_the_formulas(self):
+        e = random_band_limited(CHEBYSHEV, 40, 2, seed=8)
+        for memo in MEMOS:
+            memo.cache_clear()
+        for s in (1.0, 0.5):
+            rates = spectral_base(e.params, e.eigenvalues()) ** (s / 2.0)
+            assert norms._potential_rates(e.params, len(e), s).tobytes() == rates.tobytes()
+        h = basis.to_halfline(e)[1]
+        n = np.arange(2, len(h), dtype=float)
+        s = h.params.alpha + h.params.beta + 1.0
+        factor = np.sqrt(n * (n + s)) * np.sqrt((n - 1) * (n - 1 + s + 2))
+        assert operators._lowering_factors(h.params, 2, len(h)).tobytes() == factor.tobytes()
+        assert var_index_derivative(h, 2).coeffs.tobytes() == (factor * h.coeffs[..., 2:]).tobytes()
+
+
+class TestMemos:
+    """Coefficient-side constants come from bounded caches keyed by exact bytes."""
+
+    def test_memoized_arrays_are_read_only_and_shared(self):
+        e = random_band_limited(GENERIC, 30, 2, seed=1)
+        h = basis.to_halfline(e)[0]
+        arrays = [
+            symm_eigenvalues(31, GENERIC),
+            e.eigenvalues(),
+            norms._potential_rates(GENERIC, 31, 1.0),
+            operators._lowering_factors(h.params, 2, len(h)),
+        ]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert e.eigenvalues() is symm_eigenvalues(31, GENERIC)
+        assert GENERIC.shift(1) is JacobiParams(0.3, 0.7).shift(1)
+        for memo in MEMOS:
+            assert 0 < memo.cache_info().maxsize <= 64
+
+    def test_memos_tell_pairs_apart_by_bytes_and_type(self):
+        # (-0.0, 0) equals (0.0, 0) as a dataclass, and 1 equals 1.0
+        signed, zero = JacobiParams(-0.0, 0.0), JacobiParams(0.0, 0.0)
+        assert signed == zero and signed.key != zero.key
+        assert symm_eigenvalues(9, signed) is not symm_eigenvalues(9, zero)
+        assert signed.shift(0).key == zero.key  # -0.0 + 0 is 0.0
+        assert signed.shift(2) is not zero.shift(2)
+        ints, floats = JacobiParams(1, 2), JacobiParams(1.0, 2.0)
+        assert type(ints.shift(1).alpha) is int and type(floats.shift(1).alpha) is float
+
+    def test_memos_stay_bounded(self):
+        limit = basis._symm_eigenvalues.cache_info().maxsize
+        for i in range(limit + 10):
+            symm_eigenvalues(5, JacobiParams(0.01 * i, 0.5))
+        assert basis._symm_eigenvalues.cache_info().currsize <= limit
+
+    def test_no_store_outlives_its_grid(self):
+        # the stored angle facts are copies: a view of the nodes would keep
+        # the node array, and with it the store, alive
+        stores = set(_GRID_TABLES)
+        grid = symmetric_rule(40, GENERIC)
+        e = random_band_limited(GENERIC, 30, 2, seed=4)
+        warm_path_results(e, grid)
+        owner = weakref.ref(grid.nodes)
+        assert set(_GRID_TABLES) - stores == {id(grid.nodes)}
+        del grid
+        gc.collect()
+        assert owner() is None and set(_GRID_TABLES) == stores
 
 
 class TestAdmissibility:

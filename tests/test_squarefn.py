@@ -13,7 +13,6 @@ from scipy.special import gammaln
 from symjacobi.basis import (
     HalfLineExpansion,
     SymmExpansion,
-    _mirror_split,
     analyze,
     reflect_coeffs,
     symm_eigenfunction_table,
@@ -21,7 +20,7 @@ from symjacobi.basis import (
     synthesize,
     to_halfline,
 )
-from symjacobi.core import JacobiParams, eigenfunction_table, symmetric_rule
+from symjacobi.core import JacobiParams, _mirror_split, eigenfunction_table, symmetric_rule
 from symjacobi.errors import ConfigError, DomainError
 from symjacobi.norms import random_band_limited
 from symjacobi.squarefn import (

@@ -422,8 +422,10 @@ class TestRunSuite:
     )
     def test_table_requests_do_not_grow_with_the_ensemble(self, suite, monkeypatch):
         # an ensemble is one coefficient block, so a suite asks for the same
-        # tables however many members the block holds
-        original = core.eigenfunction_table
+        # tables however many members the block holds; every table request,
+        # through eigenfunction_table or straight from basis, reaches the
+        # store through _stored_table
+        original = core._stored_table
         calls = []
 
         def counting(*args, **kwargs):
@@ -432,8 +434,8 @@ class TestRunSuite:
 
         for name in ("core", "basis", "squarefn", "suites"):
             module = getattr(symjacobi, name)
-            if getattr(module, "eigenfunction_table", None) is original:
-                monkeypatch.setattr(module, "eigenfunction_table", counting)
+            if getattr(module, "_stored_table", None) is original:
+                monkeypatch.setattr(module, "_stored_table", counting)
         counts = []
         for ensemble in (4, 40):
             calls.clear()
