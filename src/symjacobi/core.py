@@ -503,57 +503,73 @@ del _part
 
 
 # Largest Newton step, relative to the distance of the node from 0 or pi,
-# after which the rule takes its nodes as converged. The step converges
-# cubically, leaving about a quarter of the cube of the relative step as
-# error: up to 2.5e-13 here. Eigenvalues x within a few ulps of +-1 (alpha
-# or beta within about 1e-6 of -1 at several hundred nodes) start further
-# off and take a second step; a rule whose second step is still larger
-# raises.
+# after which a rule started from the eigenvalues takes its nodes as
+# converged. Such a start is off by the rounding of the eigenvalue solve
+# alone, so the step that passes is far below the bound. The bound would
+# not do for an asymptotic start: one step from it can pass and leave a node
+# 2e-10 off, which `_NEWTON_TOL` prevents. Eigenvalues x within a few ulps
+# of +-1 (alpha or beta within about 1e-6 of -1 at several hundred nodes)
+# start further off and take a second step; a rule whose second step is
+# still larger raises.
 _NEWTON_LIMIT = 1e-4
+
+# A Newton step on phi_n leaves an error of about omega^2 |step|^3 / 3 at a
+# node where the eigenfunction equation -phi'' + V phi = lambda phi has the
+# local frequency omega^2 = lambda - V, at most (n + A)^2 + 1 / (4 sin^2 t).
+# A node from an asymptotic start is converged once that bound is within
+# _NEWTON_TOL of its distance from 0 or pi.
+_NEWTON_TOL = 2.0**-53
+
+# The asymptotic starts are used for rules of at least 8 nodes with alpha
+# and beta at most 60, where a node that has not converged after 6 steps
+# sends the rule back to the eigenvalue start.
+_ASYMPTOTIC_MIN_NODES = 8
+_ASYMPTOTIC_MAX_PARAM = 60.0
+_ASYMPTOTIC_STEPS = 6
 
 
 def gauss_jacobi_rule(n_nodes: int, params: JacobiParams) -> QuadratureGrid:
     """Gauss-Jacobi rule of the given size, mapped to the angle variable.
 
-    The nodes are arccos of the eigenvalues of the Jacobi matrix, polished
-    by a Newton step in theta; a rule whose step is too large to have
-    converged takes a second one, and raises GridError if that is still too
-    large. Each weight is 1 / sum_{n < n_nodes} phi_n(t)^2 at its node, from
-    the rows `eigenfunction_table` builds, summed 64 at a time and not kept,
-    so the rule shares the tables' normalization; a weight that is not
-    finite raises GridError. The nodes and weights are read-only. The rule
-    integrates trig_weight(params, t)^2 times any polynomial in cos(t) of
-    degree at most 2*n_nodes - 1 exactly over (0, pi).
+    For 8 nodes or more and alpha, beta at most 60, the nodes start from
+    closed-form asymptotics (Hale & Townsend, SIAM J. Sci. Comput. 35(2),
+    2013): Gatteschi-Pittaluga's interior formula, and Gatteschi's
+    Bessel-zero formula next to each end. Newton steps in theta polish
+    each node until the cubic convergence of the step bounds its error by
+    2^-53 of its distance from 0 or pi. Each weight is
+    1 / sum_{n < n_nodes} phi_n(t)^2 at its node, from the rows
+    `eigenfunction_table` builds, summed 64 at a time and not kept, so the
+    rule shares the tables' normalization. The same rows certify the nodes:
+    by Sturm's theorem and the interlacing of zeros, the column of the k-th
+    node (in ascending theta) changes sign exactly k times, so a converged
+    node with that count is the k-th zero, and no root is missed or
+    repeated. A start out of its range, a node that has not converged
+    after 6 steps, or a failed count falls back to the eigenvalues of the
+    Jacobi matrix (LAPACK `dsterf`, scipy.linalg loaded then), polished by
+    a Newton step and a second one where the first is too large; that rule
+    raises GridError if the second is still too large, and so it does if its
+    count fails. A weight that is not finite raises GridError. The nodes and
+    weights are read-only. The rule integrates trig_weight(params, t)^2
+    times any polynomial in cos(t) of degree at most 2*n_nodes - 1 exactly
+    over (0, pi).
     """
     if n_nodes < 1:
         raise GridError(f"rule size must be positive, got {n_nodes}")
     try:
-        # the zeros of P_n as eigenvalues of the Jacobi matrix; scipy.linalg
-        # loads here, not on import
-        from scipy.linalg.lapack import dsterf
-
-        diag, off, _ = _jacobi_matrix(n_nodes, params)
-        x = dsterf(diag, off)[0][::-1] if n_nodes > 1 else diag
-        if not np.all(np.abs(x) < 1.0):  # negated, so a NaN root fails it too
-            raise GridError("a root is not finite or lies outside (-1, 1)")
-        theta = np.arccos(x)
-        for _ in range(2):
-            # the step's R_k, D_k recurrence overflows at large alpha or beta
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                start, theta = theta, _newton_step(n_nodes, params, theta)
-            if not np.all(np.isfinite(theta)):
-                raise GridError("the Newton step overflowed: a node is not finite")
-            if np.all(np.abs(theta - start) <= _NEWTON_LIMIT * np.minimum(start, np.pi - start)):
+        for nodes in (_asymptotic_nodes, _eigenvalue_nodes):
+            theta = nodes(n_nodes, params)
+            if theta is None:
+                continue
+            weights, changes = _weights_and_sign_changes(n_nodes, params, theta)
+            wrong = np.flatnonzero(changes != np.arange(n_nodes))
+            if not wrong.size:
                 break
         else:
-            raise GridError("a node moved too far in two Newton steps to have converged")
-        rows = _eigenfunction_rows(n_nodes - 1, params, theta)
-        total = np.zeros(n_nodes)
-        for lo in range(0, n_nodes, _ROW_BLOCK):
-            block = rows[lo : lo + _ROW_BLOCK]
-            total += np.einsum("ij,ij->j", block, block)
-        with np.errstate(divide="ignore"):  # inf where every row underflows
-            weights = 1.0 / total
+            k = wrong[0]
+            raise GridError(
+                f"the sign count of the weight table does not certify node {k}: "
+                f"its column changes sign {changes[k]} times, not {k}"
+            )
         theta.flags.writeable = weights.flags.writeable = False
         return QuadratureGrid(theta, weights)
     except GridError as exc:
@@ -561,6 +577,164 @@ def gauss_jacobi_rule(n_nodes: int, params: JacobiParams) -> QuadratureGrid:
             f"no Gauss-Jacobi rule of size {n_nodes} for alpha={params.alpha}, "
             f"beta={params.beta}: {exc}"
         ) from exc
+
+
+def _weights_and_sign_changes(n: int, params: JacobiParams, theta: np.ndarray):
+    # weights 1 / sum_k phi_k^2 at theta, and the sign changes down each
+    # column of rows 0..n-1, both a block of rows at a time; a zero cell
+    # between two rows of opposite sign counts once whatever its sign bit
+    rows = _eigenfunction_rows(n - 1, params, theta)
+    total = np.zeros(n)
+    changes = np.zeros(n, dtype=np.intp)
+    signs = np.empty((_ROW_BLOCK + 1, n), dtype=bool)
+    signs[0] = np.signbit(rows[0])
+    for lo in range(0, n, _ROW_BLOCK):
+        block = rows[lo : lo + _ROW_BLOCK]
+        total += np.einsum("ij,ij->j", block, block)
+        m = block.shape[0]
+        np.signbit(block, out=signs[1 : m + 1])
+        changes += np.count_nonzero(signs[1 : m + 1] != signs[:m], axis=0)
+        signs[0] = signs[m]
+    with np.errstate(divide="ignore"):  # inf where every row underflows
+        return 1.0 / total, changes
+
+
+def _eigenvalue_nodes(n: int, params: JacobiParams) -> np.ndarray:
+    # the zeros of P_n as eigenvalues of the Jacobi matrix, polished by one
+    # or two Newton steps; scipy.linalg loads here, not on import
+    from scipy.linalg.lapack import dsterf
+
+    diag, off, _ = _jacobi_matrix(n, params)
+    x = dsterf(diag, off)[0][::-1] if n > 1 else diag
+    if not np.all(np.abs(x) < 1.0):  # negated, so a NaN root fails it too
+        raise GridError("a root is not finite or lies outside (-1, 1)")
+    theta = np.arccos(x)
+    for _ in range(2):
+        # the step's R_k, D_k recurrence overflows at large alpha or beta
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            start, theta = theta, _newton_step(n, params, theta)
+        if not np.all(np.isfinite(theta)):
+            raise GridError("the Newton step overflowed: a node is not finite")
+        if np.all(np.abs(theta - start) <= _NEWTON_LIMIT * np.minimum(start, np.pi - start)):
+            return theta
+    raise GridError("a node moved too far in two Newton steps to have converged")
+
+
+def _asymptotic_nodes(n: int, params: JacobiParams) -> np.ndarray | None:
+    """Nodes by Newton steps from the asymptotic start, each node stepped
+    until its error bound passes; None out of the start's range, or when a
+    node has not passed after 6 steps. A node that leaves (0, pi) or is not
+    finite never passes."""
+    a, b = params.alpha, params.beta
+    if n < _ASYMPTOTIC_MIN_NODES or max(a, b) > _ASYMPTOTIC_MAX_PARAM:
+        return None
+    theta = _asymptotic_start(n, a, b)
+    top = (n + params.eigen_shift) ** 2
+    todo = np.arange(n)
+    for _ in range(_ASYMPTOTIC_STEPS):
+        start = theta[todo]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            step = _newton_step(n, params, start)
+            err = (top + 0.25 / np.sin(step) ** 2) * np.abs(step - start) ** 3 / 3.0
+            done = err <= _NEWTON_TOL * np.minimum(step, np.pi - step)
+        theta[todo] = step
+        todo = todo[~done]
+        if not todo.size:
+            return theta
+    return None
+
+
+def _asymptotic_start(n: int, a: float, b: float) -> np.ndarray:
+    # Gatteschi-Pittaluga's formula at every node, replaced next to each end
+    # by Gatteschi's as far as the two agree best: the interior formula is
+    # off by tenths of a spacing within about alpha / 4 + 2 nodes of the end,
+    # while the error of the boundary formula grows with the distance
+    c = 2 * n + a + b + 1
+    ang = (2 * np.arange(1, n + 1) + a - 0.5) * np.pi / c
+    half = np.tan(0.5 * ang)
+    theta = ang + ((0.25 - a * a) / half - (0.25 - b * b) * half) / c**2
+    m = n // 2
+    low = _boundary_nodes(n, a, b, m)
+    k = int(np.argmin(np.abs(low - theta[:m])))
+    theta[: k + 1] = low[: k + 1]
+    high = np.pi - _boundary_nodes(n, b, a, m)
+    k = int(np.argmin(np.abs(high - theta[: -m - 1 : -1])))
+    theta[n - 1 - k :] = high[k::-1]
+    return theta
+
+
+def _boundary_nodes(n: int, a: float, b: float, m: int) -> np.ndarray:
+    # Gatteschi's formula for the m nodes next to 0, from the zeros of J_a;
+    # its error is O(j^5 / n^7)
+    j = _bessel_zeros(a, m)
+    rho = n + 0.5 * (a + b + 1.0)
+    nu = math.sqrt(rho * rho + (1.0 - a * a - 3.0 * b * b) / 12.0)
+    corr = (4.0 - a * a - 15.0 * b * b) / (720.0 * nu**4) * (0.5 * j * j + a * a - 1.0)
+    return j / nu * (1.0 - corr)
+
+
+# The first zeros of the Airy function Ai, for Olver's expansion of the
+# Bessel zeros; later ones come from their own asymptotic series
+_AIRY_ZEROS = np.array([
+    -2.338107410459767, -4.087949444130971, -5.520559828095551,
+    -6.786708090071759, -7.944133587120853, -9.022650853340980,
+])
+
+
+def _bessel_zeros(nu: float, m: int) -> np.ndarray:
+    """The first m positive zeros of J_nu, nu > -1, from closed forms of
+    fixed cost in nu.
+
+    From nu = 2.5 on, Olver's uniform expansion (DLMF 10.21.43) to its
+    first correction, within 1e-5 of a spacing; below, McMahon's expansion
+    for large zeros (DLMF 10.21.19). For nu < 5 the first two zeros are
+    then refined by Newton on the power series of J_nu: the first tends to
+    0 as nu tends to -1, where McMahon's expansion fails.
+    """
+    k = np.arange(1, m + 1)
+    if nu >= 2.5:
+        t = 3.0 * np.pi / 8.0 * (4 * k - 1)  # DLMF 9.9.6 and 9.9.18
+        airy = -(t ** (2.0 / 3.0)) * (
+            1 + 5 / 48 * t**-2 - 5 / 36 * t**-4 + 77125 / 82944 * t**-6
+            - 108056875 / 6967296 * t**-8
+        )
+        airy[: _AIRY_ZEROS.size] = _AIRY_ZEROS[:m]
+        zeta = nu ** (-2.0 / 3.0) * airy
+        # z > 1 solves sqrt(z^2 - 1) - arccos(1 / z) = 2/3 (-zeta)^(3/2); the
+        # left side is convex and increasing, and z = rhs + pi/2 lies right
+        # of the root, so Newton descends to it
+        rhs = 2.0 / 3.0 * (-zeta) ** 1.5
+        z = rhs + 0.5 * np.pi
+        for _ in range(6):
+            s = np.sqrt(z * z - 1.0)
+            z -= (s - np.arccos(1.0 / z) - rhs) * z / s
+        s = np.sqrt(z * z - 1.0)
+        b0 = -5.0 / (48.0 * zeta**2) + (5.0 / (24.0 * s**3) + 1.0 / (8.0 * s)) / np.sqrt(-zeta)
+        j = nu * z + z * np.sqrt(zeta / (1.0 - z * z)) * b0 / nu
+    else:
+        mu = 4.0 * nu * nu
+        e = 8.0 * (k + 0.5 * nu - 0.25) * np.pi
+        j = (
+            e / 8 - (mu - 1) / e - 4 * (mu - 1) * (7 * mu - 31) / (3 * e**3)
+            - 32 * (mu - 1) * (83 * mu**2 - 982 * mu + 3779) / (15 * e**5)
+            - 64 * (mu - 1) * (6949 * mu**3 - 153855 * mu**2 + 1585743 * mu - 6277237)
+            / (105 * e**7)
+        )
+        # the first zero from 2 sqrt((nu + 1)(1 + (nu + 1) / 2)), its form
+        # as nu tends to -1; Newton below refines it
+        eps = nu + 1.0
+        j[0] = 2.0 * math.sqrt(eps * (1.0 + eps / 2.0) / (1.0 + eps / 25.0))
+    if nu < 5.0:
+        # Newton in y = x^2 / 4 on sum_i (-y)^i / (i! (nu + 1)_i), which is
+        # J_nu(x) Gamma(nu + 1) (x / 2)^-nu; 40 terms reach 1e-38 at these y
+        y = 0.25 * j[:2] ** 2
+        i = np.arange(1, 41)[:, None]
+        den = -i * (nu + i)
+        for _ in range(6):
+            terms = np.cumprod(y / den, axis=0)
+            y = y - (1.0 + terms.sum(axis=0)) * y / (i * terms).sum(axis=0)
+        j[:2] = 2.0 * np.sqrt(y)
+    return j
 
 
 def _jacobi_matrix(n: int, params: JacobiParams):

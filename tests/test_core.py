@@ -641,15 +641,18 @@ class TestGaussJacobiRule:
     @pytest.mark.parametrize(
         "alpha, beta, n",
         [(0.3, 1.7, 144), (-0.9, 2.0, 144), (30.0, 0.5, 144), (-0.999999, 0.0, 144),
-         (-0.999999, 0.0, 528)],
+         (-0.999999, 0.0, 528), (-0.999999999, 0.0, 1040)],
     )
     def test_end_nodes_match_an_mpmath_oracle(self, alpha, beta, n):
         # the three nodes next to each end, against zeros of P_n(cos t)
-        # refined in 40 digits by Newton steps from scipy's roots; at 528
-        # nodes the first eigenvalue starts too far off for one step
+        # refined in 40 digits by Newton steps from scipy's roots, or from
+        # the rule's own nodes where those round to +-1; at 528 nodes the
+        # first eigenvalue starts too far off for one step, and at 1,040
+        # an eigenvalue start raises
         mp = pytest.importorskip("mpmath")
         rule = gauss_jacobi_rule(n, JacobiParams(alpha, beta))
-        start = np.arccos(roots_jacobi(n, alpha, beta)[0][::-1])
+        x = roots_jacobi(n, alpha, beta)[0][::-1]
+        start = np.where(np.abs(x) < 1.0, np.arccos(x), rule.nodes)
         with mp.workdps(40):
             a, b = mp.mpf(alpha), mp.mpf(beta)
             for i in (0, 1, 2, n - 3, n - 2, n - 1):
@@ -729,6 +732,80 @@ class TestGaussJacobiRule:
         # at alpha = 1e20 every root of the Jacobi matrix rounds to -1
         with pytest.raises(GridError, match=r"a root is not finite or lies outside \(-1, 1\)"):
             gauss_jacobi_rule(8, JacobiParams(1e20, 0.0))
+
+
+SWEEP = (-0.999999, -0.99, -0.9, -0.5, 0.0, 0.5, 2.5, 8.0, 20.0, 40.0, 50.0)
+
+
+class TestAsymptoticStart:
+    """Nodes from closed-form starts, and the sign counts that certify
+    every rule, from either start."""
+
+    @pytest.mark.parametrize("n", [8, 9, 16, 33, 64, 144, 272, 528, 1040])
+    def test_nodes_match_the_eigenvalue_start(self, n):
+        # where the asymptotic start converges and its count holds, each
+        # node lies within 1e-13 of the eigenvalue start's, relative to its
+        # distance from the nearer end; from 33 nodes on every pair takes it
+        fast = 0
+        for alpha in SWEEP:
+            for beta in SWEEP:
+                pr = JacobiParams(alpha, beta)
+                theta = core._asymptotic_nodes(n, pr)
+                if theta is None:
+                    continue
+                _, changes = core._weights_and_sign_changes(n, pr, theta)
+                if not np.array_equal(changes, np.arange(n)):
+                    continue
+                fast += 1
+                ref = core._eigenvalue_nodes(n, pr)
+                assert np.max(np.abs(theta - ref) / np.minimum(ref, np.pi - ref)) <= 1e-13
+        assert fast == len(SWEEP) ** 2 if n >= 33 else fast > 0
+
+    def test_a_start_with_a_duplicated_node_is_refused(self, monkeypatch):
+        # Newton takes both copies to one zero, whose column shows one sign
+        # change too many for the first copy's place
+        n, pr = 64, JacobiParams(2.5, 1.5)
+        eigen = core._eigenvalue_nodes(n, pr)
+        start = core._asymptotic_start
+
+        def doubled(*args):
+            theta = start(*args)
+            theta[20] = theta[21]
+            return theta
+
+        monkeypatch.setattr(core, "_asymptotic_start", doubled)
+        assert gauss_jacobi_rule(n, pr).nodes.tobytes() == eigen.tobytes()
+        eigen[20] = eigen[21]
+        monkeypatch.setattr(core, "_eigenvalue_nodes", lambda *args: eigen.copy())
+        with pytest.raises(GridError, match="sign count .* node 20: .* 21 times, not 20"):
+            gauss_jacobi_rule(n, pr)
+
+    @pytest.mark.parametrize(
+        "alpha, beta, n",
+        [(0.3, 0.7, 7), (60.5, 0.0, 272), (0.0, 61.0, 272), (300.0, 0.0, 528), (1e5, 0.0, 144),
+         (2e5, 0.0, 64), (1e3, 1e3, 272)],
+    )
+    def test_out_of_range_rules_take_the_eigenvalue_start(self, alpha, beta, n):
+        # bitwise the eigenvalue start's nodes, whose sign counts hold out
+        # to these parameters
+        pr = JacobiParams(alpha, beta)
+        assert core._asymptotic_nodes(n, pr) is None
+        rule = gauss_jacobi_rule(n, pr)
+        assert rule.nodes.tobytes() == core._eigenvalue_nodes(n, pr).tobytes()
+        weights, changes = core._weights_and_sign_changes(n, pr, rule.nodes)
+        assert rule.weights.tobytes() == weights.tobytes()
+        assert np.array_equal(changes, np.arange(n))
+
+    def test_a_rule_builds_next_to_beta_minus_one(self):
+        # the eigenvalue start raises here, its last root rounding to -1;
+        # the alpha side is held by the mpmath oracle and the basis suite
+        pr = JacobiParams(0.0, -0.999999999999)
+        with pytest.raises(GridError):
+            core._eigenvalue_nodes(1040, pr)
+        rule = gauss_jacobi_rule(1040, pr)
+        table = eigenfunction_table(512, pr, rule.nodes)
+        gram = (table * rule.weights) @ table.T
+        assert np.max(np.abs(gram - np.eye(513))) <= 1e-10
 
 
 class TestSymmetricRule:

@@ -618,15 +618,16 @@ class TestCli:
         assert "exceed -1" in capsys.readouterr().err
 
     def test_exit_two_when_no_rule_can_be_built(self, tmp_path, capsys):
-        # this close to alpha = -1 the first eigenvalue rounds to within an
-        # ulp of x = 1, too far from the node for two Newton steps to converge
+        # alpha = 1e20 is beyond the asymptotic start's range, and every
+        # eigenvalue of its Jacobi matrix rounds to -1, which the root check
+        # refuses
         code = cli.main(
-            ["basis", "--alpha", "-0.999999999999999", "--beta", "50", "--trunc", "64",
-             "--quad", "1000", "--out", str(tmp_path)]
+            ["basis", "--alpha", "1e20", "--beta", "0", "--trunc", "64", "--out", str(tmp_path)]
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "alpha=-0.999999999999999, beta=50.0" in err
+        assert "config error" in err and "alpha=1e+20, beta=0.0" in err
+        assert "a root is not finite or lies outside (-1, 1)" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -642,14 +643,25 @@ class TestCli:
         # up to 33 against its bound of 1e-6 on these inputs
         assert cli.main(["squarefn", *argv, "--out", str(tmp_path)]) == 0
 
-    @pytest.mark.parametrize("trunc", ["64", "256"])
-    def test_basis_passes_next_to_alpha_minus_one(self, tmp_path, trunc):
-        # nodes from arccos of x-roots missed the odd rows' Gram identity
-        # here; at 256 the first node needs a second Newton step
-        code = cli.main(
-            ["basis", "--alpha", "-0.999999", "--beta", "0", "--trunc", trunc,
-             "--out", str(tmp_path)]
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["--alpha", "-0.999999", "--trunc", "64"], id="64"),
+            pytest.param(["--alpha", "-0.999999", "--trunc", "256"], id="256"),
+            pytest.param(["--alpha", "-0.999999999", "--trunc", "512"], id="1e-9-at-512"),
+            pytest.param(["--alpha", "-0.999999999999", "--trunc", "64"], id="1e-12"),
+            pytest.param(
+                ["--alpha", "-0.999999999999999", "--beta", "50", "--trunc", "64", "--quad", "1000"],
+                id="1e-15-beside-50",
+            ),
+        ],
+    )
+    def test_basis_passes_next_to_alpha_minus_one(self, tmp_path, argv):
+        # nodes from arccos of x-roots missed the odd rows' Gram identity at
+        # -0.999999; closer to -1 the first eigenvalue rounds to within an
+        # ulp of x = 1, too far from its node for two Newton steps, and only
+        # the asymptotic start, which has no x, builds the rule
+        code = cli.main(["basis", "--beta", "0", *argv, "--out", str(tmp_path)])
         assert code == 0
 
     @pytest.mark.parametrize("alpha, trunc", [("300", "256"), ("1e5", "64")])
