@@ -502,74 +502,60 @@ for _part in GAUSS_LEGENDRE_32:
 del _part
 
 
-# Largest Newton step, relative to the distance of the node from 0 or pi,
-# after which a rule started from the eigenvalues takes its nodes as
-# converged. Such a start is off by the rounding of the eigenvalue solve
-# alone, so the step that passes is far below the bound. The bound would
-# not do for an asymptotic start: one step from it can pass and leave a node
-# 2e-10 off, which `_NEWTON_TOL` prevents. Eigenvalues x within a few ulps
-# of +-1 (alpha or beta within about 1e-6 of -1 at several hundred nodes)
-# start further off and take a second step; a rule whose second step is
-# still larger raises.
-_NEWTON_LIMIT = 1e-4
-
 # A Newton step on phi_n leaves an error of about omega^2 |step|^3 / 3 at a
 # node where the eigenfunction equation -phi'' + V phi = lambda phi has the
 # local frequency omega^2 = lambda - V, at most (n + A)^2 + 1 / (4 sin^2 t).
-# A node from an asymptotic start is converged once that bound is within
-# _NEWTON_TOL of its distance from 0 or pi.
+# A node is converged once that bound is within _NEWTON_TOL of its distance
+# from 0 or pi, and a rule with a node not converged after _NEWTON_STEPS
+# steps moves on to the next start.
 _NEWTON_TOL = 2.0**-53
+_NEWTON_STEPS = 6
 
-# The asymptotic starts are used for rules of at least 8 nodes with alpha
-# and beta at most 60, where a node that has not converged after 6 steps
-# sends the rule back to the eigenvalue start.
+# The asymptotic start serves rules of at least 8 nodes with alpha and beta
+# at most 60; at alpha >= 1e3 it never converges.
 _ASYMPTOTIC_MIN_NODES = 8
 _ASYMPTOTIC_MAX_PARAM = 60.0
-_ASYMPTOTIC_STEPS = 6
 
 
 def gauss_jacobi_rule(n_nodes: int, params: JacobiParams) -> QuadratureGrid:
     """Gauss-Jacobi rule of the given size, mapped to the angle variable.
 
-    For 8 nodes or more and alpha, beta at most 60, the nodes start from
+    Each start is tried in turn until one gives a certified rule:
     closed-form asymptotics (Hale & Townsend, SIAM J. Sci. Comput. 35(2),
-    2013): Gatteschi-Pittaluga's interior formula, and Gatteschi's
-    Bessel-zero formula next to each end. Newton steps in theta polish
-    each node until the cubic convergence of the step bounds its error by
-    2^-53 of its distance from 0 or pi. Each weight is
-    1 / sum_{n < n_nodes} phi_n(t)^2 at its node, from the rows
-    `eigenfunction_table` builds, summed 64 at a time and not kept, so the
-    rule shares the tables' normalization. The same rows certify the nodes:
-    by Sturm's theorem and the interlacing of zeros, the column of the k-th
-    node (in ascending theta) changes sign exactly k times, so a converged
-    node with that count is the k-th zero, and no root is missed or
-    repeated. A start out of its range, a node that has not converged
-    after 6 steps, or a failed count falls back to the eigenvalues of the
-    Jacobi matrix (LAPACK `dsterf`, scipy.linalg loaded then), polished by
-    a Newton step and a second one where the first is too large; that rule
-    raises GridError if the second is still too large, and so it does if its
-    count fails. A weight that is not finite raises GridError. The nodes and
-    weights are read-only. The rule integrates trig_weight(params, t)^2
-    times any polynomial in cos(t) of degree at most 2*n_nodes - 1 exactly
-    over (0, pi).
+    2013) for 8 nodes or more with alpha, beta at most 60, then the
+    eigenvalues of the Jacobi matrix (LAPACK `dsterf`, scipy.linalg loaded
+    then). Newton steps in theta polish each node until the step's cubic
+    convergence bounds its error by 2^-53 of its distance from 0 or pi.
+    Each weight is 1 / sum_{n < n_nodes} phi_n(t)^2 from the rows
+    `eigenfunction_table` builds, and by Sturm's theorem the column of the
+    k-th node (ascending theta) must change sign exactly k times. GridError
+    names the rule, the pair and the last start's reason, or a weight that
+    is not finite. The nodes and weights are read-only. The rule integrates
+    trig_weight(params, t)^2 times any polynomial in cos(t) of degree at
+    most 2*n_nodes - 1 exactly over (0, pi).
     """
     if n_nodes < 1:
         raise GridError(f"rule size must be positive, got {n_nodes}")
     try:
-        for nodes in (_asymptotic_nodes, _eigenvalue_nodes):
-            theta = nodes(n_nodes, params)
-            if theta is None:
-                continue
-            weights, changes = _weights_and_sign_changes(n_nodes, params, theta)
-            wrong = np.flatnonzero(changes != np.arange(n_nodes))
-            if not wrong.size:
-                break
+        for start in (_asymptotic_start, _eigenvalue_start):
+            try:
+                theta = start(n_nodes, params)
+                if theta is None:
+                    continue
+                theta = _polish(n_nodes, params, theta)
+                weights, changes = _weights_and_sign_changes(n_nodes, params, theta)
+                wrong = np.flatnonzero(changes != np.arange(n_nodes))
+                if not wrong.size:
+                    break
+                k = wrong[0]
+                raise GridError(
+                    f"the sign count of the weight table does not certify node {k}: "
+                    f"its column changes sign {changes[k]} times, not {k}"
+                )
+            except GridError as exc:
+                reason = exc
         else:
-            k = wrong[0]
-            raise GridError(
-                f"the sign count of the weight table does not certify node {k}: "
-                f"its column changes sign {changes[k]} times, not {k}"
-            )
+            raise reason
         theta.flags.writeable = weights.flags.writeable = False
         return QuadratureGrid(theta, weights)
     except GridError as exc:
@@ -599,56 +585,49 @@ def _weights_and_sign_changes(n: int, params: JacobiParams, theta: np.ndarray):
         return 1.0 / total, changes
 
 
-def _eigenvalue_nodes(n: int, params: JacobiParams) -> np.ndarray:
-    # the zeros of P_n as eigenvalues of the Jacobi matrix, polished by one
-    # or two Newton steps; scipy.linalg loads here, not on import
+def _polish(n: int, params: JacobiParams, theta: np.ndarray) -> np.ndarray:
+    """theta, in place, after Newton steps on each node until its error
+    bound passes; GridError when a step overflows or a node has not passed
+    after 6 steps. A node that leaves (0, pi) never passes."""
+    top = (n + params.eigen_shift) ** 2
+    todo = np.arange(n)
+    for _ in range(_NEWTON_STEPS):
+        start = theta[todo]
+        # the step's R_k, D_k recurrence overflows at large alpha or beta
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            step = _newton_step(n, params, start)
+            err = (top + 0.25 / np.sin(step) ** 2) * np.abs(step - start) ** 3 / 3.0
+            done = err <= _NEWTON_TOL * np.minimum(step, np.pi - step)
+        if not np.all(np.isfinite(step)):
+            raise GridError("the Newton step overflowed: a node is not finite")
+        theta[todo] = step
+        todo = todo[~done]
+        if not todo.size:
+            return theta
+    raise GridError(f"node {todo[0]} has not converged in {_NEWTON_STEPS} Newton steps")
+
+
+def _eigenvalue_start(n: int, params: JacobiParams) -> np.ndarray:
+    # the zeros of P_n as eigenvalues of the Jacobi matrix; scipy.linalg
+    # loads here, not on import
     from scipy.linalg.lapack import dsterf
 
     diag, off, _ = _jacobi_matrix(n, params)
     x = dsterf(diag, off)[0][::-1] if n > 1 else diag
     if not np.all(np.abs(x) < 1.0):  # negated, so a NaN root fails it too
         raise GridError("a root is not finite or lies outside (-1, 1)")
-    theta = np.arccos(x)
-    for _ in range(2):
-        # the step's R_k, D_k recurrence overflows at large alpha or beta
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            start, theta = theta, _newton_step(n, params, theta)
-        if not np.all(np.isfinite(theta)):
-            raise GridError("the Newton step overflowed: a node is not finite")
-        if np.all(np.abs(theta - start) <= _NEWTON_LIMIT * np.minimum(start, np.pi - start)):
-            return theta
-    raise GridError("a node moved too far in two Newton steps to have converged")
+    return np.arccos(x)
 
 
-def _asymptotic_nodes(n: int, params: JacobiParams) -> np.ndarray | None:
-    """Nodes by Newton steps from the asymptotic start, each node stepped
-    until its error bound passes; None out of the start's range, or when a
-    node has not passed after 6 steps. A node that leaves (0, pi) or is not
-    finite never passes."""
-    a, b = params.alpha, params.beta
-    if n < _ASYMPTOTIC_MIN_NODES or max(a, b) > _ASYMPTOTIC_MAX_PARAM:
-        return None
-    theta = _asymptotic_start(n, a, b)
-    top = (n + params.eigen_shift) ** 2
-    todo = np.arange(n)
-    for _ in range(_ASYMPTOTIC_STEPS):
-        start = theta[todo]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            step = _newton_step(n, params, start)
-            err = (top + 0.25 / np.sin(step) ** 2) * np.abs(step - start) ** 3 / 3.0
-            done = err <= _NEWTON_TOL * np.minimum(step, np.pi - step)
-        theta[todo] = step
-        todo = todo[~done]
-        if not todo.size:
-            return theta
-    return None
-
-
-def _asymptotic_start(n: int, a: float, b: float) -> np.ndarray:
+def _asymptotic_start(n: int, params: JacobiParams) -> np.ndarray | None:
     # Gatteschi-Pittaluga's formula at every node, replaced next to each end
     # by Gatteschi's as far as the two agree best: the interior formula is
     # off by tenths of a spacing within about alpha / 4 + 2 nodes of the end,
-    # while the error of the boundary formula grows with the distance
+    # while the error of the boundary formula grows with the distance; None
+    # out of the start's range
+    a, b = params.alpha, params.beta
+    if n < _ASYMPTOTIC_MIN_NODES or max(a, b) > _ASYMPTOTIC_MAX_PARAM:
+        return None
     c = 2 * n + a + b + 1
     ang = (2 * np.arange(1, n + 1) + a - 0.5) * np.pi / c
     half = np.tan(0.5 * ang)

@@ -341,9 +341,9 @@ def test_criterion_10_schrodinger_convergence(capsys):
     slope = next(c for c in report.cases if c["name"] == "convergence-slope")
     ok = report.passed
     announce(capsys, 10, ok,
-             f"max-node error within t*lambda_max*l1 bound (ratio "
+             f"max-node error within t*sum|c_n|*lambda_n*max|phi_n| bound (ratio "
              f"{bound['value']:.3g}); log-log slope {slope['value']:.4f} "
-             "(target 1.0 +- 0.1) over t = 2^-4 .. 2^-14")
+             "(target 1.0 +- 0.1) over t = 2^-j / lambda_max, j = 0 .. 10")
     assert ok
 
 

@@ -737,6 +737,23 @@ class TestGaussJacobiRule:
 SWEEP = (-0.999999, -0.99, -0.9, -0.5, 0.0, 0.5, 2.5, 8.0, 20.0, 40.0, 50.0)
 
 
+def eigenvalue_nodes(n, pr):
+    # the polished nodes of the eigenvalue start
+    return core._polish(n, pr, core._eigenvalue_start(n, pr))
+
+
+def asymptotic_nodes(n, pr):
+    # the polished nodes of the asymptotic start; None out of its range or
+    # where the polish fails
+    theta = core._asymptotic_start(n, pr)
+    if theta is None:
+        return None
+    try:
+        return core._polish(n, pr, theta)
+    except GridError:
+        return None
+
+
 class TestAsymptoticStart:
     """Nodes from closed-form starts, and the sign counts that certify
     every rule, from either start."""
@@ -750,14 +767,14 @@ class TestAsymptoticStart:
         for alpha in SWEEP:
             for beta in SWEEP:
                 pr = JacobiParams(alpha, beta)
-                theta = core._asymptotic_nodes(n, pr)
+                theta = asymptotic_nodes(n, pr)
                 if theta is None:
                     continue
                 _, changes = core._weights_and_sign_changes(n, pr, theta)
                 if not np.array_equal(changes, np.arange(n)):
                     continue
                 fast += 1
-                ref = core._eigenvalue_nodes(n, pr)
+                ref = eigenvalue_nodes(n, pr)
                 assert np.max(np.abs(theta - ref) / np.minimum(ref, np.pi - ref)) <= 1e-13
         assert fast == len(SWEEP) ** 2 if n >= 33 else fast > 0
 
@@ -765,7 +782,7 @@ class TestAsymptoticStart:
         # Newton takes both copies to one zero, whose column shows one sign
         # change too many for the first copy's place
         n, pr = 64, JacobiParams(2.5, 1.5)
-        eigen = core._eigenvalue_nodes(n, pr)
+        eigen = eigenvalue_nodes(n, pr)
         start = core._asymptotic_start
 
         def doubled(*args):
@@ -776,7 +793,7 @@ class TestAsymptoticStart:
         monkeypatch.setattr(core, "_asymptotic_start", doubled)
         assert gauss_jacobi_rule(n, pr).nodes.tobytes() == eigen.tobytes()
         eigen[20] = eigen[21]
-        monkeypatch.setattr(core, "_eigenvalue_nodes", lambda *args: eigen.copy())
+        monkeypatch.setattr(core, "_eigenvalue_start", lambda *args: eigen.copy())
         with pytest.raises(GridError, match="sign count .* node 20: .* 21 times, not 20"):
             gauss_jacobi_rule(n, pr)
 
@@ -789,19 +806,34 @@ class TestAsymptoticStart:
         # bitwise the eigenvalue start's nodes, whose sign counts hold out
         # to these parameters
         pr = JacobiParams(alpha, beta)
-        assert core._asymptotic_nodes(n, pr) is None
+        assert core._asymptotic_start(n, pr) is None
         rule = gauss_jacobi_rule(n, pr)
-        assert rule.nodes.tobytes() == core._eigenvalue_nodes(n, pr).tobytes()
+        assert rule.nodes.tobytes() == eigenvalue_nodes(n, pr).tobytes()
         weights, changes = core._weights_and_sign_changes(n, pr, rule.nodes)
         assert rule.weights.tobytes() == weights.tobytes()
         assert np.array_equal(changes, np.arange(n))
+
+    def test_an_unconverged_node_hands_on_to_the_next_start(self, monkeypatch):
+        # with one step allowed, the asymptotic start of this rule has not
+        # converged, and the eigenvalue start gives the rule; at (-0.999999,
+        # 1e3) its first node needs a second step too, and the error names it
+        monkeypatch.setattr(core, "_NEWTON_STEPS", 1)
+        pr = JacobiParams(2.5, 1.5)
+        with pytest.raises(GridError, match="node .* has not converged in 1 Newton steps"):
+            core._polish(64, pr, core._asymptotic_start(64, pr))
+        assert gauss_jacobi_rule(64, pr).nodes.tobytes() == eigenvalue_nodes(64, pr).tobytes()
+        with pytest.raises(
+            GridError,
+            match=r"size 144 for alpha=-0\.999999, beta=1000\.0: node 0 has not converged in 1 ",
+        ):
+            gauss_jacobi_rule(144, JacobiParams(-0.999999, 1e3))
 
     def test_a_rule_builds_next_to_beta_minus_one(self):
         # the eigenvalue start raises here, its last root rounding to -1;
         # the alpha side is held by the mpmath oracle and the basis suite
         pr = JacobiParams(0.0, -0.999999999999)
         with pytest.raises(GridError):
-            core._eigenvalue_nodes(1040, pr)
+            eigenvalue_nodes(1040, pr)
         rule = gauss_jacobi_rule(1040, pr)
         table = eigenfunction_table(512, pr, rule.nodes)
         gram = (table * rule.weights) @ table.T

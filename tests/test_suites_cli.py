@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,9 @@ def fast_config(suite, **kw):
     merged = dict(FAST)
     merged.update(kw)
     return SuiteConfig(suite=suite, **merged)
+
+
+SCHRODINGER_SWEEP = (-0.99, -0.5, 0.0, 2.0, 10.0, 40.0)
 
 
 def stub_report(series):
@@ -658,9 +662,9 @@ class TestCli:
     )
     def test_basis_passes_next_to_alpha_minus_one(self, tmp_path, argv):
         # nodes from arccos of x-roots missed the odd rows' Gram identity at
-        # -0.999999; closer to -1 the first eigenvalue rounds to within an
-        # ulp of x = 1, too far from its node for two Newton steps, and only
-        # the asymptotic start, which has no x, builds the rule
+        # -0.999999; closer to -1 the first eigenvalue rounds to x = 1 or too
+        # close to it for the polish, and the asymptotic start, which has no
+        # x, builds these rules
         code = cli.main(["basis", "--beta", "0", *argv, "--out", str(tmp_path)])
         assert code == 0
 
@@ -683,6 +687,29 @@ class TestCli:
         ladder = [c for c in doc["cases"] if c["name"].startswith("ladder-vs-fd-")]
         assert [c["name"] for c in ladder] == [f"ladder-vs-fd-({float(alpha):g},0)"]
         assert ladder[0]["value"] <= 1e-6
+
+    def test_eigen_refuses_rows_that_underflow_at_every_check_node(self, tmp_path, capsys):
+        # the case read NaN here, after a RuntimeWarning, and exited 1
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["eigen", "--alpha", "2e5", "--beta", "0", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "alpha=200000.0, beta=0.0 row 1 or its lowered target underflows to 0" in err
+        assert "linspace(0.2, pi - 0.2, 9)" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("beta", SCHRODINGER_SWEEP)
+    @pytest.mark.parametrize("alpha", SCHRODINGER_SWEEP)
+    def test_schrodinger_passes_on_every_pair_of_the_sweep(self, tmp_path, capsys, alpha, beta):
+        # fixed times 2^-4 .. 2^-14 and a bound that took |phi_n| <= 1 failed
+        # on every pair with a 40 and on (10, 10)
+        argv = ["schrodinger", "--alpha", str(alpha), "--beta", str(beta), "--trunc", "16"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main([*argv, "--out", str(tmp_path)])
+        assert code == 0, capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "argv, field",
@@ -938,12 +965,12 @@ CASE_FAMILIES = {
     "witness1-derivative-diverges-growth": 0.95,
     "witness2-variable-derivatives-vanish": 1e-8,
     "witness2-mixed-second-derivative-diverges": 0.95,
-    "transform-columns-k1": 1.0,
-    "shifted-transform-columns-k1": 1.0,
-    "transform-columns-k2": 1.0,
-    "shifted-transform-columns-k2": 1.0,
-    "transform-columns-k3": 1.0,
-    "shifted-transform-columns-k3": 1.0,
+    "transform-columns-k1": 1.0 + 1e-12,
+    "shifted-transform-columns-k1": 1.0 + 1e-12,
+    "transform-columns-k2": 1.0 + 1e-12,
+    "shifted-transform-columns-k2": 1.0 + 1e-12,
+    "transform-columns-k3": 1.0 + 1e-12,
+    "shifted-transform-columns-k3": 1.0 + 1e-12,
     "eigenmode-constant-g0.5-k1": 1e-9,
     "eigenmode-constant-g0.7-k2": 1e-9,
     "eigenmode-constant-g1.5-k2": 1e-9,
