@@ -224,9 +224,11 @@ def _log_beta(p: float, q: float) -> float:
 # never rebuilds its tables and a one-shot grid leaves nothing behind.
 _GRID_TABLES: dict[int, "_Store"] = {}
 
-# Largest table a store keeps; a larger one is returned and not kept, so a
-# degree-512 table does not stay as long as its grid, through its Gram product.
-_TABLE_CAP_BYTES = 2 * 1024 * 1024
+# Largest table a store keeps; a larger one is returned and not kept. It is
+# the smallest power-of-two MiB above a half table of a degree-512 analysis,
+# 257 rows on 1,040 nodes (2,138,240 bytes), so a held grid builds each of
+# those once; a degree-1024 table on 2,064 nodes (8.5 MB) is not kept.
+_TABLE_CAP_BYTES = 4 * 1024 * 1024
 
 
 class _Store(dict):
@@ -339,7 +341,7 @@ def eigenfunction_table(n_top: int, params: JacobiParams, theta: np.ndarray) -> 
     keeps the deepest table built for a pair and angle set until the grid's
     node array is collected: a request at its depth gets that array, a
     shallower one a view of its leading rows, and a deeper one is built
-    from row 0 and replaces it. A table over 2 MiB is returned and not
+    from row 0 and replaces it. A table over 4 MiB is returned and not
     kept, and so is every table on other angles. Rows 0..n of any depth are
     bitwise the rows of a depth-n build.
     """
@@ -349,23 +351,36 @@ def eigenfunction_table(n_top: int, params: JacobiParams, theta: np.ndarray) -> 
 
 # Rows per block of a recurrence sweep. The factors that do not depend on
 # the previous rows are formed a block at a time, which leaves three array
-# operations per row; the rule sums its squared rows a block at a time too.
+# operations per row; the rule reduces its rows a block at a time too.
 _ROW_BLOCK = 64
 
 
 def _eigenfunction_rows(n_top: int, params: JacobiParams, th: np.ndarray) -> np.ndarray:
-    """Uncached rows phi_n(th), n = 0..n_top, written from row 0 into one table.
+    """Uncached rows phi_n(th), n = 0..n_top, written from row 0 into one table."""
+    th, cut, order = _below_first(th)
+    rows = np.empty((n_top + 1, th.size))
+    _sweep_rows(n_top, params, th, cut, rows)
+    return _unpermute(rows, order)
+
+
+def _sweep_rows(
+    n_top: int, params: JacobiParams, th: np.ndarray, cut: int, rows: np.ndarray, reduce=None
+) -> None:
+    """Rows phi_n(th), n = 0..n_top, at angles th whose first cut lie below
+    pi/2, written into rows from row 0.
 
     The recurrence s_{n+1} phi_{n+1} = (x - a_n) phi_n - s_n phi_{n-1} of the
     orthonormal polynomials runs on the entries of `_jacobi_matrix` from
     phi_0 = trig_weight / sqrt(B(a + 1, b + 1)), formed in logarithms.
+    Without reduce, rows is the whole table. With reduce, rows is a window
+    of _ROW_BLOCK + 1 rows: for lo = 0, 64, ..., reduce gets rows lo to
+    min(lo + 64, n_top), the block from lo and the first row of the next,
+    and that row is then carried to the window's top.
     """
     _check_angles(params, th)
-    th, cut, order = _below_first(th)
     a, b = params.alpha, params.beta
     _, off, ends = _jacobi_matrix(n_top + 1, params)
     half = 0.5 * th
-    rows = np.empty((n_top + 1, th.size))
     log_w = (b + 0.5) * np.log(np.cos(half)) - 0.5 * _log_beta(a + 1.0, b + 1.0)
     if a != -0.5:  # else sin^0 = 1, also in the limit at th = 0
         with np.errstate(divide="ignore"):  # log 0 at th = 0 gives phi_0 = 0
@@ -375,21 +390,28 @@ def _eigenfunction_rows(n_top: int, params: JacobiParams, th: np.ndarray) -> np.
     # 2 cos^2(th/2) from pi/2 on, so rows next to 0 and pi keep their digits
     shift = np.concatenate([-2.0 * np.sin(half[:cut]) ** 2, 2.0 * np.cos(half[cut:]) ** 2])
     ratio = np.concatenate([[0.0], off[:-1] / off[1:]])  # s_n / s_{n+1}
-    linear = np.empty((min(_ROW_BLOCK, n_top), th.size))
     prev, cur = np.zeros(th.size), rows[0]
+    tmp, carry = np.empty(th.size), np.empty(th.size)
+    top = 0  # the row held in rows[0]
     for lo in range(0, n_top, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, n_top)
-        block = linear[: hi - lo]
+        # the factors of rows lo + 1..hi are formed in those rows
+        block = rows[lo + 1 - top : hi + 1 - top]
         _spread(ends[lo:hi], cut, block)
         block += shift
         block /= off[lo:hi, None]
-        for n, row, r in zip(range(lo, hi), block, ratio[lo:hi].tolist()):
-            row *= cur
-            nxt = rows[n + 1]
-            np.multiply(r, prev, out=nxt)
-            np.subtract(row, nxt, out=nxt)
+        for nxt, r in zip(block, ratio[lo:hi].tolist()):
+            nxt *= cur
+            np.multiply(r, prev, out=tmp)
+            nxt -= tmp
             prev, cur = cur, nxt
-    return _unpermute(rows, order)
+        if reduce is not None:
+            reduce(rows[: hi - lo + 1])
+            rows[0] = cur
+            carry[:] = prev  # its row in the window is refilled next
+            prev, cur, top = carry, rows[0], hi
+    if reduce is not None and n_top % _ROW_BLOCK == 0:
+        reduce(rows[:1])  # the last block is the one row carried
 
 
 def _below_first(th: np.ndarray):
@@ -526,8 +548,9 @@ def gauss_jacobi_rule(n_nodes: int, params: JacobiParams) -> QuadratureGrid:
     eigenvalues of the Jacobi matrix (LAPACK `dsterf`, scipy.linalg loaded
     then). Newton steps in theta polish each node until the step's cubic
     convergence bounds its error by 2^-53 of its distance from 0 or pi.
-    Each weight is 1 / sum_{n < n_nodes} phi_n(t)^2 from the rows
-    `eigenfunction_table` builds, and by Sturm's theorem the column of the
+    Each weight is 1 / sum_{n < n_nodes} phi_n(t)^2 over the rows of
+    `eigenfunction_table`'s recurrence, summed a block of rows at a time
+    without forming the table, and by Sturm's theorem the column of the
     k-th node (ascending theta) must change sign exactly k times. GridError
     names the rule, the pair and the last start's reason, or a weight that
     is not finite. The nodes and weights are read-only. The rule integrates
@@ -567,22 +590,27 @@ def gauss_jacobi_rule(n_nodes: int, params: JacobiParams) -> QuadratureGrid:
 
 def _weights_and_sign_changes(n: int, params: JacobiParams, theta: np.ndarray):
     # weights 1 / sum_k phi_k^2 at theta, and the sign changes down each
-    # column of rows 0..n-1, both a block of rows at a time; a zero cell
+    # column of rows 0..n-1, both reduced a block of rows at a time as the
+    # sweep fills its window, so no n x n table is formed; a zero cell
     # between two rows of opposite sign counts once whatever its sign bit
-    rows = _eigenfunction_rows(n - 1, params, theta)
+    theta, cut, order = _below_first(theta)
     total = np.zeros(n)
     changes = np.zeros(n, dtype=np.intp)
-    signs = np.empty((_ROW_BLOCK + 1, n), dtype=bool)
-    signs[0] = np.signbit(rows[0])
-    for lo in range(0, n, _ROW_BLOCK):
-        block = rows[lo : lo + _ROW_BLOCK]
+    window = np.empty((min(_ROW_BLOCK + 1, n), n))
+    signs = np.empty(window.shape, dtype=bool)
+
+    def reduce(rows):
+        # the square of the row after the block goes into the next call's sum
+        nonlocal total, changes
+        block = rows[:_ROW_BLOCK]
         total += np.einsum("ij,ij->j", block, block)
-        m = block.shape[0]
-        np.signbit(block, out=signs[1 : m + 1])
-        changes += np.count_nonzero(signs[1 : m + 1] != signs[:m], axis=0)
-        signs[0] = signs[m]
+        m = rows.shape[0]
+        np.signbit(rows, out=signs[:m])
+        changes += np.count_nonzero(signs[1:m] != signs[: m - 1], axis=0)
+
+    _sweep_rows(n - 1, params, theta, cut, window, reduce)
     with np.errstate(divide="ignore"):  # inf where every row underflows
-        return 1.0 / total, changes
+        return _unpermute(1.0 / total, order), _unpermute(changes, order)
 
 
 def _polish(n: int, params: JacobiParams, theta: np.ndarray) -> np.ndarray:

@@ -313,6 +313,28 @@ class TestSynthesize:
         analyze(synthesize(e, grid), pr, 31)
         assert sorted(builds, key=lambda b: b[1]) == [(pr.shift(1), 14), (pr, 15)]
 
+    def test_a_degree_512_grid_builds_each_half_table_once(self, monkeypatch):
+        # the half tables of 257 and 256 rows on 1,040 nodes (2.1 MB each)
+        # fit under the store's cap, so the symmetrized table, synthesis and
+        # analysis on one held grid share one build per parity
+        pr = JacobiParams(0.3, 0.7)
+        grid = symmetric_rule(1040, pr)
+        builds = []
+        original = core._eigenfunction_rows
+
+        def counting(n_top, params, th):
+            builds.append((params, n_top))
+            return original(n_top, params, th)
+
+        monkeypatch.setattr(core, "_eigenfunction_rows", counting)
+        table = symm_eigenfunction_table(513, pr, grid.nodes)
+        gram = (table * grid.weights) @ table.T
+        assert np.max(np.abs(gram - np.eye(513))) <= 1e-12
+        e = SymmExpansion(pr, np.random.default_rng(5).uniform(-1, 1, 513))
+        back = analyze(synthesize(e, grid), pr, 513)
+        np.testing.assert_allclose(back.coeffs, e.coeffs, atol=1e-12)
+        assert sorted(builds, key=lambda b: b[1]) == [(pr.shift(1), 255), (pr, 256)]
+
     def test_a_hand_built_grid_derives_its_half(self, monkeypatch):
         # a mirrored grid built without symmetric_rule: its half is views of
         # its own positive half, so analysis and synthesis on it share one

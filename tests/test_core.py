@@ -9,6 +9,7 @@ Gauss nodes, that they are the zeros of the top polynomial.
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -390,12 +391,13 @@ class TestTableCache:
         assert eigenfunction_table(12, pr, grid.half.nodes) is pos
 
     def test_a_held_grid_keeps_every_table(self):
-        # ten tables of 0.5 MiB, more than the whole budget of the least
-        # recently used cache this store replaced; every one stays
+        # ten tables of 0.5 MiB, more than twice the 2 MiB budget of the
+        # least recently used cache this store replaced; every one stays
         grid = grid_on(np.linspace(0.05, 3.0, 256))
         pairs = [JacobiParams(0.1 * i, 0.5) for i in range(10)]
         tables = [eigenfunction_table(255, pr, grid.nodes) for pr in pairs]
-        assert sum(t.nbytes for t in tables) > 2 * _TABLE_CAP_BYTES
+        lru_budget = 2 * 1024 * 1024
+        assert sum(t.nbytes for t in tables) > 2 * lru_budget
         assert all(eigenfunction_table(255, pr, grid.nodes) is t for pr, t in zip(pairs, tables))
         assert len(store_of(grid)) == 10
 
@@ -423,12 +425,12 @@ class TestTableCache:
     def test_oversized_table_is_returned_not_retained(self):
         # a deeper table over the budget leaves the small one's entry as it was
         pr = JacobiParams(0.3, 0.7)
-        grid = grid_on(np.linspace(0.05, 3.0, 300))
+        grid = grid_on(np.linspace(0.05, 3.0, 600))
         th = grid.nodes
         small = eigenfunction_table(8, pr, th)
         big = eigenfunction_table(1023, pr, th)
         assert big.nbytes > _TABLE_CAP_BYTES
-        assert big.shape == (1024, 300)
+        assert big.shape == (1024, 600)
         assert not big.flags.writeable
         # the oversized table neither stays nor replaces the small one
         (kept,) = store_of(grid).values()
@@ -532,6 +534,17 @@ class TestSideOrder:
         # a reversed set, as the negative half of a symmetric rule gives
         assert_bitwise(_eigenfunction_rows(70, pr, th[::-1].copy()), sorted_rows[:, ::-1])
 
+    def test_unsorted_weights_are_the_sorted_ones_permuted(self):
+        # the rule's sweep reduces its columns in side order and scatters
+        # the weights and sign counts back
+        pr = JacobiParams(0.3, 0.7)
+        theta = gauss_jacobi_rule(130, pr).nodes
+        order = np.random.default_rng(6).permutation(theta.size)
+        weights, changes = core._weights_and_sign_changes(130, pr, theta)
+        shuffled = core._weights_and_sign_changes(130, pr, theta[order])
+        assert_bitwise(shuffled[0], weights[order])
+        assert np.array_equal(shuffled[1], changes[order])
+
     def test_unsorted_newton_step_is_the_sorted_one_permuted(self):
         pr = JacobiParams(0.3, 0.7)
         theta = gauss_jacobi_rule(130, pr).nodes
@@ -629,6 +642,38 @@ class TestGaussJacobiRule:
             rows = _eigenfunction_rows(n - 1, pr, rule.nodes)
             np.testing.assert_allclose(rule.weights, 1.0 / np.sum(rows**2, axis=0), rtol=1e-14)
 
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 1040])
+    def test_weights_are_the_block_sums_of_the_whole_table(self, n):
+        # the sweep reduces each block of 64 rows as it fills its window:
+        # bitwise a reference summed 64 rows at a time over the full
+        # table, and a sign change across a block edge counts once
+        pr = JacobiParams(0.3, 1.7)
+        rule = gauss_jacobi_rule(n, pr)
+        rows = _eigenfunction_rows(n - 1, pr, rule.nodes)
+        total = np.zeros(n)
+        for lo in range(0, n, 64):
+            block = rows[lo : lo + 64]
+            total += np.einsum("ij,ij->j", block, block)
+        assert_bitwise(rule.weights, 1.0 / total)
+        weights, changes = core._weights_and_sign_changes(n, pr, rule.nodes)
+        assert_bitwise(weights, rule.weights)
+        signs = np.signbit(rows)
+        assert np.array_equal(np.count_nonzero(signs[1:] != signs[:-1], axis=0), np.arange(n))
+        assert np.array_equal(changes, np.arange(n))
+
+    def test_the_weight_sweep_forms_no_full_table(self):
+        # the 1,040 x 1,040 table of the rows is 8.65 MB; the rule's peak
+        # is its window, its Newton blocks and a few rows
+        pr = JacobiParams(0.3, 1.7)
+        gauss_jacobi_rule(1040, pr)
+        tracemalloc.start()
+        try:
+            gauss_jacobi_rule(1040, pr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_smallest_rules_are_exact(self, n):
         # n nodes integrate the products of rows 0..n-1 exactly
@@ -641,14 +686,16 @@ class TestGaussJacobiRule:
     @pytest.mark.parametrize(
         "alpha, beta, n",
         [(0.3, 1.7, 144), (-0.9, 2.0, 144), (30.0, 0.5, 144), (-0.999999, 0.0, 144),
-         (-0.999999, 0.0, 528), (-0.999999999, 0.0, 1040)],
+         (-0.999999, 0.0, 528), (-0.999999999, 0.0, 1040), (-0.999999, 61.0, 144),
+         (-0.999999, 61.0, 272), (-0.999999, 1e3, 144), (-0.999999, 1e3, 272)],
     )
     def test_end_nodes_match_an_mpmath_oracle(self, alpha, beta, n):
         # the three nodes next to each end, against zeros of P_n(cos t)
         # refined in 40 digits by Newton steps from scipy's roots, or from
         # the rule's own nodes where those round to +-1; at 528 nodes the
         # first eigenvalue starts too far off for one step, and at 1,040
-        # an eigenvalue start raises
+        # an eigenvalue start raises; beta of 61 and 1e3 is out of the
+        # asymptotic start's range, so those rules are eigenvalue starts
         mp = pytest.importorskip("mpmath")
         rule = gauss_jacobi_rule(n, JacobiParams(alpha, beta))
         x = roots_jacobi(n, alpha, beta)[0][::-1]
