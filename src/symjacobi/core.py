@@ -324,7 +324,7 @@ def _stored_table(n_top: int, params: JacobiParams, store: _Store, nodes: _Nodes
     key = (params.key, nodes.angles.shape, nodes.key)
     table = store.get(key)
     if table is None or table.shape[0] <= n_top:
-        table = _eigenfunction_rows(n_top, params, nodes.angles)
+        table = _eigenfunction_rows(n_top, params, nodes.angles, table)
         table.flags.writeable = False
         if table.nbytes <= _TABLE_CAP_BYTES:
             store[key] = table
@@ -340,10 +340,10 @@ def eigenfunction_table(n_top: int, params: JacobiParams, theta: np.ndarray) -> 
     read-only. On the nodes of a live grid, or a slice of them, the grid
     keeps the deepest table built for a pair and angle set until the grid's
     node array is collected: a request at its depth gets that array, a
-    shallower one a view of its leading rows, and a deeper one is built
-    from row 0 and replaces it. A table over 4 MiB is returned and not
-    kept, and so is every table on other angles. Rows 0..n of any depth are
-    bitwise the rows of a depth-n build.
+    shallower one a view of its leading rows, and a deeper one is
+    continued from its stored rows and replaces it. A table over 4 MiB is
+    returned and not kept, and so is every table on other angles. Rows
+    0..n of any depth are bitwise the rows of a depth-n build.
     """
     store, facts = _angle_facts(theta)
     return _stored_table(n_top, params, store, facts.whole)
@@ -355,24 +355,39 @@ def eigenfunction_table(n_top: int, params: JacobiParams, theta: np.ndarray) -> 
 _ROW_BLOCK = 64
 
 
-def _eigenfunction_rows(n_top: int, params: JacobiParams, th: np.ndarray) -> np.ndarray:
-    """Uncached rows phi_n(th), n = 0..n_top, written from row 0 into one table."""
+def _eigenfunction_rows(
+    n_top: int, params: JacobiParams, th: np.ndarray, head: np.ndarray | None = None
+) -> np.ndarray:
+    """Uncached rows phi_n(th), n = 0..n_top, in one table: from row 0, or
+    continued from head, the leading rows of such a table on th."""
     th, cut, order = _below_first(th)
     rows = np.empty((n_top + 1, th.size))
-    _sweep_rows(n_top, params, th, cut, rows)
+    start = 0
+    if head is not None:
+        start = head.shape[0]
+        rows[:start] = head if order is None else head[:, order]
+    _sweep_rows(n_top, params, th, cut, rows, start=start)
     return _unpermute(rows, order)
 
 
 def _sweep_rows(
-    n_top: int, params: JacobiParams, th: np.ndarray, cut: int, rows: np.ndarray, reduce=None
+    n_top: int,
+    params: JacobiParams,
+    th: np.ndarray,
+    cut: int,
+    rows: np.ndarray,
+    reduce=None,
+    start: int = 0,
 ) -> None:
-    """Rows phi_n(th), n = 0..n_top, at angles th whose first cut lie below
-    pi/2, written into rows from row 0.
+    """Rows phi_n(th), n = start..n_top, at angles th whose first cut lie
+    below pi/2, written into rows.
 
     The recurrence s_{n+1} phi_{n+1} = (x - a_n) phi_n - s_n phi_{n-1} of the
     orthonormal polynomials runs on the entries of `_jacobi_matrix` from
-    phi_0 = trig_weight / sqrt(B(a + 1, b + 1)), formed in logarithms.
-    Without reduce, rows is the whole table. With reduce, rows is a window
+    phi_0 = trig_weight / sqrt(B(a + 1, b + 1)), formed in logarithms, or
+    from rows start - 2 and start - 1 when start > 0; each row is bitwise
+    the same either way. Without reduce, rows is the whole table, holding
+    rows 0..start-1 already. With reduce, start is 0 and rows is a window
     of _ROW_BLOCK + 1 rows: for lo = 0, 64, ..., reduce gets rows lo to
     min(lo + 64, n_top), the block from lo and the first row of the next,
     and that row is then carried to the window's top.
@@ -381,19 +396,22 @@ def _sweep_rows(
     a, b = params.alpha, params.beta
     _, off, ends = _jacobi_matrix(n_top + 1, params)
     half = 0.5 * th
-    log_w = (b + 0.5) * np.log(np.cos(half)) - 0.5 * _log_beta(a + 1.0, b + 1.0)
-    if a != -0.5:  # else sin^0 = 1, also in the limit at th = 0
-        with np.errstate(divide="ignore"):  # log 0 at th = 0 gives phi_0 = 0
-            log_w += (a + 0.5) * np.log(np.sin(half))
-    rows[0] = np.exp(log_w)
+    if start == 0:
+        log_w = (b + 0.5) * np.log(np.cos(half)) - 0.5 * _log_beta(a + 1.0, b + 1.0)
+        if a != -0.5:  # else sin^0 = 1, also in the limit at th = 0
+            with np.errstate(divide="ignore"):  # log 0 at th = 0 gives phi_0 = 0
+                log_w += (a + 0.5) * np.log(np.sin(half))
+        rows[0] = np.exp(log_w)
+        start = 1
+    prev = rows[start - 2] if start > 1 else np.zeros(th.size)
+    cur = rows[start - 1]
     # x - a_n is ends[n, 0] - 2 sin^2(th/2) below pi/2 and ends[n, 1] +
     # 2 cos^2(th/2) from pi/2 on, so rows next to 0 and pi keep their digits
     shift = np.concatenate([-2.0 * np.sin(half[:cut]) ** 2, 2.0 * np.cos(half[cut:]) ** 2])
     ratio = np.concatenate([[0.0], off[:-1] / off[1:]])  # s_n / s_{n+1}
-    prev, cur = np.zeros(th.size), rows[0]
     tmp, carry = np.empty(th.size), np.empty(th.size)
     top = 0  # the row held in rows[0]
-    for lo in range(0, n_top, _ROW_BLOCK):
+    for lo in range(start - 1, n_top, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, n_top)
         # the factors of rows lo + 1..hi are formed in those rows
         block = rows[lo + 1 - top : hi + 1 - top]
@@ -606,7 +624,8 @@ def _weights_and_sign_changes(n: int, params: JacobiParams, theta: np.ndarray):
         total += np.einsum("ij,ij->j", block, block)
         m = rows.shape[0]
         np.signbit(rows, out=signs[:m])
-        changes += np.count_nonzero(signs[1:m] != signs[: m - 1], axis=0)
+        # a block spans at most 64 row pairs, so its counts fit a uint8
+        changes += np.add.reduce(signs[1:m] != signs[: m - 1], axis=0, dtype=np.uint8)
 
     _sweep_rows(n - 1, params, theta, cut, window, reduce)
     with np.errstate(divide="ignore"):  # inf where every row underflows
@@ -744,10 +763,35 @@ def _bessel_zeros(nu: float, m: int) -> np.ndarray:
     return j
 
 
+# The Jacobi-matrix entries of the pairs asked for last, most recent last:
+# read-only, built for a power-of-two size and replaced by a larger one when
+# a deeper request comes
+_JACOBI_PAIRS = 32
+_JACOBI_ENTRIES: dict[tuple, tuple] = {}
+
+
 def _jacobi_matrix(n: int, params: JacobiParams):
-    # Jacobi matrix of the orthonormal polynomials p_0..p_{n-1}: diagonal a_k,
-    # off-diagonal s_k (k >= 1) and rows ends[k] = (1 - a_k, -1 - a_k), each
-    # one quotient, since near -1 or at large alpha or beta one is small
+    """Jacobi matrix of the orthonormal polynomials p_0..p_{n-1}: diagonal
+    a_k, off-diagonal s_k (k >= 1) and rows ends[k] = (1 - a_k, -1 - a_k),
+    as read-only slices of the pair's cached entries. Each entry depends
+    on k alone, so a slice is bitwise a direct build of size n."""
+    # the types too, as in _memo_by_pair: 1 and 1.0 never share an entry
+    key = (type(params.alpha), type(params.beta), params.key)
+    entry = _JACOBI_ENTRIES.pop(key, None)
+    if entry is None or entry[0].size < n:
+        entry = _jacobi_entries(1 << (int(n) - 1).bit_length(), params)
+        for part in entry:
+            part.flags.writeable = False
+    _JACOBI_ENTRIES[key] = entry
+    if len(_JACOBI_ENTRIES) > _JACOBI_PAIRS:
+        del _JACOBI_ENTRIES[next(iter(_JACOBI_ENTRIES))]
+    diag, off, ends = entry
+    return diag[:n], off[: n - 1], ends[:n]
+
+
+def _jacobi_entries(n: int, params: JacobiParams):
+    # _jacobi_matrix's entries for size n, uncached; the ends are each one
+    # quotient, since near -1 or at large alpha or beta one is small
     a, b = params.alpha, params.beta
     s = a + b
     k = np.arange(1, n)

@@ -71,15 +71,21 @@ def sobolev_norm(e: SymmExpansion, p: float, m: int, grid: QuadratureGrid):
     The expansion is split into its half-line parts once, and each part is
     lowered k times for order k, as symm_higher_derivative does.
     """
+    return sum(_sobolev_terms(e, p, m, grid))
+
+
+def _sobolev_terms(e: SymmExpansion, p: float, m: int, grid: QuadratureGrid) -> list:
+    # the p-norms of orders 0..m that sobolev_norm sums in order, so a sum
+    # of the first k + 1 is bitwise the order-k norm
     if m < 1:
         raise DomainError(f"order must be a positive integer, got {m}")
     _require_admissible(e.params, p, AdmissibilityError)
     parts = to_halfline(e)
-    total = 0.0
+    terms = []
     for k in range(m + 1):
         values = _eval_parts([var_index_derivative(h, k) for h in parts], grid.nodes)
-        total += lp_norm(GridFunction(grid, values), p)
-    return total
+        terms.append(lp_norm(GridFunction(grid, values), p))
+    return terms
 
 
 @dataclasses.dataclass(frozen=True)

@@ -276,18 +276,25 @@ def _check_margin(theta: np.ndarray) -> None:
 
 
 def fd_derivative(f, theta) -> np.ndarray:
-    """First derivative by the central 5-point stencil, away from singular points."""
-    return _stencil(f, np.atleast_1d(np.asarray(theta, dtype=float)), FD_STEP)
+    """First derivative by the central 5-point stencil, away from singular
+    points. f is called once, on the four offset angle sets and theta
+    stacked along the last axis, so it must act elementwise along its last
+    axis."""
+    return _stencil(f, np.atleast_1d(np.asarray(theta, dtype=float)), FD_STEP)[0]
 
 
-def _stencil(f, th: np.ndarray, h: float) -> np.ndarray:
+def _stencil(f, th: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The 5-point stencil of f at th with step h, and f(th).
+
+    f is called once, on th + 2h, th + h, th - h, th - 2h and th stacked
+    along the last axis, and its result is split along that axis; so f must
+    act elementwise along its last axis, and each part is then bitwise the
+    value of a call on its own angles.
+    """
     _check_margin(th)
-    return (
-        -np.asarray(f(th + 2 * h))
-        + 8 * np.asarray(f(th + h))
-        - 8 * np.asarray(f(th - h))
-        + np.asarray(f(th - 2 * h))
-    ) / (12 * h)
+    stacked = np.concatenate([th + 2 * h, th + h, th - h, th - 2 * h, th], axis=-1)
+    far_up, up, down, far_down, centre = np.split(np.asarray(f(stacked)), 5, axis=-1)
+    return (-far_up + 8 * up - 8 * down + far_down) / (12 * h), centre
 
 
 def _coefficient_terms(params: JacobiParams, theta: np.ndarray) -> np.ndarray:
@@ -301,16 +308,19 @@ def _coefficient_terms(params: JacobiParams, theta: np.ndarray) -> np.ndarray:
 def apply_ladder_down_fd(params: JacobiParams, f, theta) -> np.ndarray:
     """Pointwise first-order lowering operator of the given pair: f' plus
     cotangent/tangent terms. The stencil step is FD_STEP, shrunk in
-    proportion to alpha + beta + 1 above 100."""
+    proportion to alpha + beta + 1 above 100. f is called once, as in
+    fd_derivative, and must act elementwise along its last axis."""
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    return _stencil(f, th, _fd_step(params)) + _coefficient_terms(params, th) * np.asarray(f(th))
+    derivative, values = _stencil(f, th, _fd_step(params))
+    return derivative + _coefficient_terms(params, th) * values
 
 
 def apply_ladder_up_fd(params: JacobiParams, f, theta) -> np.ndarray:
     """Pointwise raising operator: the lowering expression minus twice f',
     at the lowering operator's step."""
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    return -_stencil(f, th, _fd_step(params)) + _coefficient_terms(params, th) * np.asarray(f(th))
+    derivative, values = _stencil(f, th, _fd_step(params))
+    return -derivative + _coefficient_terms(params, th) * values
 
 
 def apply_dunkl_fd(params: JacobiParams, f, theta) -> np.ndarray:

@@ -42,6 +42,7 @@ from .core import (
 from .errors import ConfigError, UnsupportedParametersError
 from .norms import (
     _require_admissible,
+    _sobolev_terms,
     admissibility,
     equivalence_ratio,
     flag_divergent_by_exponent,
@@ -50,7 +51,6 @@ from .norms import (
     mixed_norm,
     potential_norm,
     random_band_limited,
-    sobolev_norm,
     truncated_lp_powers,
     uniform_time_grid,
 )
@@ -531,9 +531,9 @@ def run_eigen(config: SuiteConfig):
         nodes = np.linspace(0.2, math.pi - 0.2, 9)
         fd_worst = 0.0
         ladder = ladder_constants(pr, 21)
-        # the stencil is elementwise, so one pass over whole tables gives
-        # each row bitwise; the stencil angles are no grid's, so nothing
-        # keeps these tables between calls
+        # the stencil is elementwise, so one table on its five stacked angle
+        # sets gives each row bitwise; those angles are no grid's, so
+        # nothing keeps the table between calls
         degrees = (1, 5, 10, 20)
         top = max(degrees)
         fd_vals = apply_ladder_down_fd(pr, lambda t: eigenfunction_table(top, pr, t), nodes)
@@ -692,12 +692,21 @@ def run_sobolev(config: SuiteConfig):
     for pr in config.pairs:
         label = pr.label()
         grid = _grid(config, pr)
+        # the per-order norms of the draw at each degree, to the highest
+        # order, so both m sum one list, bitwise as sobolev_norm does
+        terms = {}
+
+        def sobolev(e, m):
+            if len(e) not in terms:
+                terms[len(e)] = _sobolev_terms(e, config.p, max(orders), grid)
+            return sum(terms[len(e)][: m + 1])
+
         for m in orders:
             case, lo, hi = _degree_doubling(
                 config,
                 pr,
                 f"sobolev-window-m{m}-{label}",
-                lambda e: sobolev_norm(e, config.p, m, grid),
+                lambda e: sobolev(e, m),
                 lambda e: potential_norm(e, config.p, float(m), grid),
                 ("window", "maximum"),
                 "window {lo.window:.6g} -> {hi.window:.6g}, "

@@ -302,9 +302,9 @@ class TestSynthesize:
         builds = []
         original = core._eigenfunction_rows
 
-        def counting(n_top, params, th):
+        def counting(n_top, params, th, head=None):
             builds.append((params, n_top))
-            return original(n_top, params, th)
+            return original(n_top, params, th, head)
 
         monkeypatch.setattr(core, "_eigenfunction_rows", counting)
         e = SymmExpansion(pr, np.random.default_rng(3).uniform(-1, 1, 31))
@@ -322,9 +322,9 @@ class TestSynthesize:
         builds = []
         original = core._eigenfunction_rows
 
-        def counting(n_top, params, th):
+        def counting(n_top, params, th, head=None):
             builds.append((params, n_top))
-            return original(n_top, params, th)
+            return original(n_top, params, th, head)
 
         monkeypatch.setattr(core, "_eigenfunction_rows", counting)
         table = symm_eigenfunction_table(513, pr, grid.nodes)
@@ -351,9 +351,9 @@ class TestSynthesize:
         builds = []
         original = core._eigenfunction_rows
 
-        def counting(n_top, params, th):
+        def counting(n_top, params, th, head=None):
             builds.append((params, n_top))
-            return original(n_top, params, th)
+            return original(n_top, params, th, head)
 
         monkeypatch.setattr(core, "_eigenfunction_rows", counting)
         e = SymmExpansion(pr, np.random.default_rng(4).uniform(-1, 1, 31))

@@ -465,13 +465,13 @@ class TestTableCache:
         assert eigenfunction_table(40, pr, th) is deep
         assert np.shares_memory(eigenfunction_table(10, pr, th), deep)
 
-    def test_a_deeper_request_is_built_from_row_0(self, monkeypatch):
+    def test_a_deeper_request_continues_from_the_stored_rows(self, monkeypatch):
         builds = []
         original = core._eigenfunction_rows
 
-        def counting(n_top, params, th):
-            builds.append(n_top + 1)
-            return original(n_top, params, th)
+        def counting(n_top, params, th, head=None):
+            builds.append((0 if head is None else head.shape[0], n_top + 1))
+            return original(n_top, params, th, head)
 
         monkeypatch.setattr(core, "_eigenfunction_rows", counting)
         pr = JacobiParams(2.5, 1.5)
@@ -479,9 +479,11 @@ class TestTableCache:
         eigenfunction_table(20, pr, th)
         for n_top in (5, 20, 70, 33, 70):
             eigenfunction_table(n_top, pr, th)
-        # 21 rows, then all 71 of the deeper table from row 0; every other
-        # request was served from the store
-        assert builds == [21, 71]
+        # 21 rows from row 0, then the deeper table from the 21 stored ones;
+        # every other request was served from the store
+        assert builds == [(0, 21), (21, 71)]
+        monkeypatch.undo()
+        assert_bitwise(eigenfunction_table(70, pr, th), _eigenfunction_rows(70, pr, th))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -499,6 +501,77 @@ class TestTableCache:
             table = eigenfunction_table(n_top, pr, th)
             assert not table.flags.writeable
             assert_bitwise(table, _eigenfunction_rows(n_top, pr, th))
+
+
+class TestContinuedTables:
+    """A request deeper than a stored table continues the recurrence from
+    the stored rows, and every row is bitwise the row of a build from 0."""
+
+    @pytest.mark.parametrize("head", [1, 63, 64, 65])
+    def test_continued_rows_are_a_fresh_build(self, head):
+        # heads on either side of a 64-row block edge
+        pr = JacobiParams(0.3, 1.7)
+        th = np.sort(np.random.default_rng(7).uniform(0.02, 3.12, 83))
+        fresh = _eigenfunction_rows(200, pr, th)
+        assert_bitwise(_eigenfunction_rows(200, pr, th, fresh[:head]), fresh)
+        grid = grid_on(th)
+        eigenfunction_table(head - 1, pr, grid.nodes)
+        assert_bitwise(eigenfunction_table(200, pr, grid.nodes), fresh)
+
+    def test_unsorted_angles(self):
+        # the stored head is in the caller's order, the sweep in side order
+        pr = JacobiParams(-0.7, 0.4)
+        th = np.random.default_rng(8).uniform(0.02, 3.12, 77)
+        assert core._below_first(th)[2] is not None
+        fresh = _eigenfunction_rows(150, pr, th)
+        for head in (1, 2, 64, 65):
+            assert_bitwise(_eigenfunction_rows(150, pr, th, fresh[:head]), fresh)
+        # a reversed view of a grid's nodes is stored unsorted
+        grid = grid_on(np.sort(th))
+        rev = grid.nodes[::-1]
+        assert core._below_first(rev)[2] is not None
+        eigenfunction_table(40, pr, rev)
+        assert_bitwise(eigenfunction_table(150, pr, rev), _eigenfunction_rows(150, pr, rev))
+
+    def test_a_grids_half_view(self):
+        # the positive half of a symmetric rule, and the folded tables that
+        # synthesis reads on the whole grid
+        pr = JacobiParams(2.5, 1.5)
+        grid = symmetric_rule(100, pr)
+        half = grid.half.nodes
+        shallow = eigenfunction_table(40, pr, half)
+        deep = eigenfunction_table(130, pr, half)
+        assert_bitwise(deep, _eigenfunction_rows(130, pr, half.copy()))
+        assert_bitwise(deep[:41], shallow)
+        assert eigenfunction_table(130, pr, grid.nodes[99::-1]) is deep
+        symm_eigenfunction_table(31, pr, grid.nodes)
+        assert_bitwise(
+            symm_eigenfunction_table(201, pr, grid.nodes),
+            symm_eigenfunction_table(201, pr, grid.nodes.copy()),
+        )
+
+    def test_a_table_above_the_cap_continues_from_the_stored_one(self, monkeypatch):
+        # the oversized table is not kept, so each request continues from
+        # the 301 stored rows, which stay the entry
+        pr = JacobiParams(0.3, 0.7)
+        grid = grid_on(np.linspace(0.05, 3.0, 600))
+        small = eigenfunction_table(300, pr, grid.nodes)
+        heads = []
+        original = core._eigenfunction_rows
+
+        def counting(n_top, params, th, head=None):
+            heads.append(None if head is None else head.shape[0])
+            return original(n_top, params, th, head)
+
+        monkeypatch.setattr(core, "_eigenfunction_rows", counting)
+        tables = [eigenfunction_table(1023, pr, grid.nodes) for _ in range(2)]
+        assert heads == [301, 301]
+        assert tables[0].nbytes > _TABLE_CAP_BYTES and tables[0] is not tables[1]
+        (kept,) = store_of(grid).values()
+        assert kept is small
+        monkeypatch.undo()
+        fresh = _eigenfunction_rows(1023, pr, grid.nodes)
+        assert all(t.tobytes() == fresh.tobytes() for t in tables)
 
 
 def assert_bitwise(got, want):
@@ -782,6 +855,66 @@ class TestGaussJacobiRule:
 
 
 SWEEP = (-0.999999, -0.99, -0.9, -0.5, 0.0, 0.5, 2.5, 8.0, 20.0, 40.0, 50.0)
+
+
+class TestJacobiEntries:
+    """_jacobi_matrix reads read-only slices of a per-pair cache that holds
+    at most 32 pairs and grows by powers of two."""
+
+    def test_cached_entries_are_a_direct_build_and_read_only(self):
+        for pr in (JacobiParams(0.3, 1.7), JacobiParams(-0.5, -0.5), JacobiParams(-0.999999, 40.0)):
+            for n in (1, 2, 3, 64, 65, 100, 3, 1040, 7):
+                got, want = core._jacobi_matrix(n, pr), core._jacobi_entries(n, pr)
+                for part, direct in zip(got, want):
+                    assert_bitwise(part, direct)
+                    assert not part.flags.writeable
+        diag = core._jacobi_matrix(5, JacobiParams(0.3, 1.7))[0]
+        with pytest.raises(ValueError):
+            diag[0] = 1.0
+
+    def test_the_cache_grows_by_powers_of_two_and_keeps_32_pairs(self, monkeypatch):
+        monkeypatch.setattr(core, "_JACOBI_ENTRIES", {})
+        sizes = []
+        original = core._jacobi_entries
+
+        def counting(n, params):
+            sizes.append(n)
+            return original(n, params)
+
+        monkeypatch.setattr(core, "_jacobi_entries", counting)
+        pr = JacobiParams(0.3, 1.7)
+        for n in (5, 8, 3, 9, 100, 64, 128):
+            core._jacobi_matrix(n, pr)
+        assert sizes == [8, 16, 128]
+        # the least recently used pair leaves first
+        others = [JacobiParams(0.1 * i, 0.5) for i in range(32)]
+        for q in others:
+            core._jacobi_matrix(4, q)
+        assert len(core._JACOBI_ENTRIES) == 32
+        sizes.clear()
+        core._jacobi_matrix(4, others[0])
+        core._jacobi_matrix(4, pr)
+        assert sizes == [4]
+        # 1 and 1.0 never share an entry
+        core._jacobi_matrix(4, JacobiParams(1, 2))
+        core._jacobi_matrix(4, JacobiParams(1.0, 2.0))
+        assert sizes == [4, 4, 4]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 7])
+    def test_a_small_rule_starts_from_dsterf_on_the_cached_entries(self, n):
+        # under 8 nodes the eigenvalue start runs on read-only slices of a
+        # larger cached entry, which LAPACK leaves as it was
+        from scipy.linalg.lapack import dsterf
+
+        pr = JacobiParams(0.3, 0.7)
+        before = [part.copy() for part in core._jacobi_matrix(512, pr)]
+        assert core._asymptotic_start(n, pr) is None
+        rule = gauss_jacobi_rule(n, pr)
+        diag, off, _ = core._jacobi_entries(n, pr)
+        x = dsterf(diag, off)[0][::-1] if n > 1 else diag
+        assert_bitwise(rule.nodes, core._polish(n, pr, np.arccos(x)))
+        for part, old in zip(core._jacobi_matrix(512, pr), before):
+            assert_bitwise(part, old)
 
 
 def eigenvalue_nodes(n, pr):

@@ -222,6 +222,21 @@ class TestSobolevNorm:
             got = sobolev_norm(block, 3.0, m, grid)
             assert got.shape == (3,) and got.tobytes() == want.tobytes()
 
+    def test_the_norm_is_the_sum_of_its_order_terms(self):
+        # the terms of order 0..m that the sobolev suite shares between
+        # m = 1 and m = 2; their leading sums are the lower-order norms
+        grid = symmetric_rule(48, GENERIC)
+        block = random_band_limited(GENERIC, 32, 4, seed=6)
+        for e in (block, block[1]):
+            terms = norms._sobolev_terms(e, 3.0, 3, grid)
+            assert len(terms) == 4
+            for m in (1, 2, 3):
+                want = np.asarray(sobolev_norm(e, 3.0, m, grid))
+                assert np.asarray(sum(terms[: m + 1])).tobytes() == want.tobytes()
+                assert np.asarray(sum(norms._sobolev_terms(e, 3.0, m, grid))).tobytes() == (
+                    want.tobytes()
+                )
+
 
 class TestHeldGrids:
     def test_norms_on_held_grids_build_each_table_once(self, monkeypatch):
@@ -234,9 +249,9 @@ class TestHeldGrids:
         builds = []
         original = core._eigenfunction_rows
 
-        def counting(n_top, params, th):
+        def counting(n_top, params, th, head=None):
             builds.append((params, n_top))
-            return original(n_top, params, th)
+            return original(n_top, params, th, head)
 
         monkeypatch.setattr(core, "_eigenfunction_rows", counting)
         spec = SquareFunctionSpec(0.5, 1)

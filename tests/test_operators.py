@@ -27,7 +27,9 @@ from symjacobi.errors import DomainError, UnsupportedParametersError
 from symjacobi.operators import (
     FD_MARGIN,
     FD_STEP,
+    _coefficient_terms,
     _fd_step,
+    _stencil,
     apply_dunkl_fd,
     apply_ladder_down_fd,
     apply_ladder_up_fd,
@@ -543,6 +545,35 @@ class TestFiniteDifferenceHelpers:
             fd_derivative(np.sin, np.array([FD_MARGIN / 2]))
         with pytest.raises(DomainError):
             fd_derivative(np.sin, np.array([math.pi - FD_MARGIN / 2]))
+
+    @pytest.mark.parametrize("case", ["table", "witness"])
+    def test_one_stacked_call_is_five_separate_calls(self, case):
+        # the stencil calls f once on its stacked angle sets; each part is
+        # bitwise the value of a call on its own angles
+        if case == "table":
+            pr = JacobiParams(2.5, 1.5)
+            th = np.linspace(0.2, math.pi - 0.2, 9)
+
+            def f(t):
+                return eigenfunction_table(20, pr, t)
+        else:
+            pr = JacobiParams(-0.3, -0.3)
+            th = interior_nodes(9, 0.3)
+            f = decay_witness(pr)
+        h = _fd_step(pr)
+        calls = []
+
+        def counted(t):
+            calls.append(t.shape)
+            return f(t)
+
+        derivative, values = _stencil(counted, th, h)
+        assert calls == [(5 * th.size,)]
+        separate = (-f(th + 2 * h) + 8 * f(th + h) - 8 * f(th - h) + f(th - 2 * h)) / (12 * h)
+        assert derivative.tobytes() == separate.tobytes()
+        assert values.tobytes() == f(th).tobytes()
+        up = apply_ladder_up_fd(pr, f, th)
+        assert up.tobytes() == (-separate + _coefficient_terms(pr, th) * f(th)).tobytes()
 
 
 class TestWitnessClosedForms:

@@ -356,19 +356,20 @@ class TestRunSuite:
         run_suite(SuiteConfig(suite="all", trunc=before, quad=48, ensemble=4), write=False)
         assert reports() == cold
 
-    def test_the_eigen_suite_builds_six_tables_per_pair(self, monkeypatch):
-        # five stencil angle sets of depth 20 and one lowered table
+    def test_the_eigen_suite_builds_two_tables_per_pair(self, monkeypatch):
+        # one table of depth 20 on the stencil's five stacked angle sets of
+        # 9 angles, and one lowered table
         builds = []
         original = core._eigenfunction_rows
 
-        def counting(n_top, params, th):
+        def counting(n_top, params, th, head=None):
             builds.append((n_top, th.size))
-            return original(n_top, params, th)
+            return original(n_top, params, th, head)
 
         monkeypatch.setattr(core, "_eigenfunction_rows", counting)
         config = fast_config("eigen")
         run_suite(config, write=False)
-        assert builds == ([(20, 9)] * 5 + [(19, 9)]) * len(config.pairs)
+        assert builds == [(20, 45), (19, 9)] * len(config.pairs)
 
     def test_each_grid_and_draw_is_built_once_per_run(self, monkeypatch):
         rules, draws = [], []
@@ -396,6 +397,45 @@ class TestRunSuite:
         assert (len(rules), len(draws)) == (6, 2)
         run_suite(config, write=False)
         assert (len(rules), len(draws)) == (12, 4)
+
+    def test_the_sobolev_suite_lowers_each_draw_once(self, monkeypatch):
+        # one list of per-order norms per pair and degree serves m = 1 and 2
+        calls = []
+        original = suites._sobolev_terms
+
+        def counting(e, p, m, grid):
+            calls.append((len(e), m))
+            return original(e, p, m, grid)
+
+        monkeypatch.setattr(suites, "_sobolev_terms", counting)
+        config = fast_config("sobolev")
+        run_suite(config, write=False)
+        degrees = (suites._window_degree(config.trunc), config.trunc)
+        assert calls == [(d + 1, 2) for d in degrees] * len(config.pairs)
+
+    def test_the_work_of_a_run_is_pinned(self, monkeypatch, tmp_path):
+        # the rows core._sweep_rows writes, in sweeps, rows and cells (rows
+        # times angles), and the misses of the Jacobi-matrix cache, in one
+        # verif all --trunc 128 from an empty cache; a change to the work
+        # updates these figures and says why
+        work = dict.fromkeys(("sweeps", "rows", "cells", "misses"), 0)
+        sweep, entries = core._sweep_rows, core._jacobi_entries
+
+        def counting_sweep(n_top, params, th, cut, rows, reduce=None, start=0):
+            work["sweeps"] += 1
+            work["rows"] += n_top + 1 - start
+            work["cells"] += (n_top + 1 - start) * th.size
+            return sweep(n_top, params, th, cut, rows, reduce, start)
+
+        def counting_entries(n, params):
+            work["misses"] += 1
+            return entries(n, params)
+
+        monkeypatch.setattr(core, "_JACOBI_ENTRIES", {})
+        monkeypatch.setattr(core, "_sweep_rows", counting_sweep)
+        monkeypatch.setattr(core, "_jacobi_entries", counting_entries)
+        assert cli.main(["all", "--trunc", "128", "--out", str(tmp_path)]) == 0
+        assert work == {"sweeps": 90, "rows": 3463, "cells": 882418, "misses": 42}
 
     def test_shared_inputs_are_read_only_and_keyed_exactly(self, monkeypatch):
         ran = []
