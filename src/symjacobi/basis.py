@@ -7,8 +7,8 @@ analysis and synthesis, and the round trip between symmetric-interval
 expansions and pairs of half-line expansions. It alone knows the fold
 f(t) = even(|t|) + sign(t) odd(|t|), which lets every evaluation on a
 mirrored angle set run on the positive half only. The mirror test is one
-of the angle facts core derives once per node array and keeps beside the
-array's tables.
+of the angle facts a grid derives once for its node arrays and keeps
+beside their tables.
 """
 
 from __future__ import annotations
@@ -95,14 +95,14 @@ def symm_eigenfunction_table(n_coeffs: int, params: JacobiParams, theta) -> np.n
     angle set both half-line tables are requested on the positive half only.
     Each parity is scaled straight into its rows and folded there.
     """
-    store, facts = _angle_facts(theta)
+    facts = _angle_facts(theta)
     out = np.empty((n_coeffs, facts.size))
     n_even, n_odd = _coeff_counts(n_coeffs)
     for parity, count, rows in (("even", n_even, out[0::2]), ("odd", n_odd, out[1::2])):
         if count:
             pr = params if parity == "even" else params.shift(1)
             folded = rows[..., facts.split :]
-            np.divide(_stored_table(count - 1, pr, store, facts.folded), SQRT2, out=folded)
+            np.divide(_stored_table(count - 1, pr, facts.tables, facts.folded), SQRT2, out=folded)
             _fold(facts, {parity: folded}, out=rows)
     return out
 
@@ -167,7 +167,7 @@ class SymmExpansion(_Expansion):
 
 
 def _require_symmetric(grid: QuadratureGrid) -> None:
-    if _angle_facts(grid.nodes)[1].split is None:
+    if _angle_facts(grid.nodes).split is None:
         raise GridError("operation requires a mirror-symmetric grid")
 
 
@@ -268,8 +268,8 @@ def _evaluator(parts, theta):
     cached table is fetched once, here, on the angles counted: the positive
     half of a mirrored theta, else every angle.
     """
-    store, facts = _angle_facts(theta)
-    tables = [_stored_table(len(h) - 1, h.params, store, facts.folded) for h in parts]
+    facts = _angle_facts(theta)
+    tables = [_stored_table(len(h) - 1, h.params, facts.tables, facts.folded) for h in parts]
 
     def evaluate(same_parts) -> np.ndarray:
         return _fold(facts, {h.parity: h.coeffs @ t for h, t in zip(same_parts, tables)})

@@ -217,36 +217,17 @@ def _log_beta(p: float, q: float) -> float:
     )
 
 
-# The table store of each live grid, keyed by the id of the array that owns
-# the grid's nodes: the array reached by following `.base`, so `grid.nodes`,
-# its slices and the views in `grid.half` all reach one store.
-# An entry leaves when its owner is collected, so a caller that holds a grid
-# never rebuilds its tables and a one-shot grid leaves nothing behind.
-_GRID_TABLES: dict[int, "_Store"] = {}
+# The angle facts of each live grid's own node arrays, `grid.nodes` and
+# `grid.half.nodes`, keyed by the array's id. A grid holds its facts and the
+# facts hold the node array, so an entry leaves as soon as the last grid on
+# that array is dropped, and an id is never reused while its entry lives.
+_GRID_FACTS: "weakref.WeakValueDictionary[int, _Angles]" = weakref.WeakValueDictionary()
 
 # Largest table a store keeps; a larger one is returned and not kept. It is
 # the smallest power-of-two MiB above a half table of a degree-512 analysis,
 # 257 rows on 1,040 nodes (2,138,240 bytes), so a held grid builds each of
 # those once; a degree-1024 table on 2,064 nodes (8.5 MB) is not kept.
 _TABLE_CAP_BYTES = 4 * 1024 * 1024
-
-
-class _Store(dict):
-    """One grid's tables, keyed by (pair bytes, angle shape, angle bytes),
-    and in `angles` the facts of each array of its nodes that was asked
-    about, keyed by the array's shape and strides."""
-
-    __slots__ = ("angles",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.angles: dict[tuple, _Angles] = {}
-
-
-def _owner(a: np.ndarray) -> np.ndarray:
-    while isinstance(a.base, np.ndarray):
-        a = a.base
-    return a
 
 
 def _mirror_split(theta: np.ndarray) -> int | None:
@@ -277,19 +258,20 @@ class _Nodes:
 
 
 class _Angles:
-    """What an angle array's tables and fold need, derived once from its bytes.
+    """What an angle array's tables and fold need, derived once from it.
 
-    split is the mirror split, or None; sign the signs of the angles when
-    there is no split, for the unfolded path; whole the absolute values of
-    all angles, and folded those a parity part is evaluated on: the
-    positive half of a mirrored set, else whole. Each array is a read-only
-    copy, as a view of a grid's nodes would keep the grid's store alive.
+    theta is the array and tables the store its tables are kept in, keyed
+    by (pair bytes, angle shape, angle bytes). split is the mirror split,
+    or None; sign the signs of the angles when there is no split, for the
+    unfolded path; whole the absolute values of all angles, and folded
+    those a parity part is evaluated on: the positive half of a mirrored
+    set, else whole.
     """
 
-    __slots__ = ("raw", "size", "split", "sign", "whole", "folded")
+    __slots__ = ("theta", "tables", "size", "split", "sign", "whole", "folded", "__weakref__")
 
-    def __init__(self, theta: np.ndarray, raw: bytes) -> None:
-        self.raw, self.size = raw, theta.size
+    def __init__(self, theta: np.ndarray, tables: dict) -> None:
+        self.theta, self.tables, self.size = theta, tables, theta.size
         self.split = _mirror_split(theta)
         self.sign = None
         if self.split is None:
@@ -299,35 +281,30 @@ class _Angles:
         self.folded = self.whole if self.split is None else _Nodes(np.abs(theta[self.split :]))
 
 
-def _angle_facts(theta) -> tuple[_Store, _Angles]:
-    """The table store of theta's grid, and the facts of theta kept in it.
+def _angle_facts(theta) -> _Angles:
+    """The facts of theta: its grid's when theta is a live grid's own node
+    array, else derived for this call, with a store dropped on return.
 
-    Angles of no live grid get a store that is dropped on return. A stored
-    entry is served only while theta holds the bytes it was derived from,
-    so a node array written to after a call gets new facts.
+    Any other array, a view, slice or copy of a grid's nodes too, gets
+    facts derived afresh; the tables built on them are bitwise those a
+    grid keeps.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    store = _GRID_TABLES.get(id(_owner(theta)))
-    if store is None:
-        store = _Store()
-    raw = theta.tobytes()
-    slot = (theta.shape, theta.strides)
-    facts = store.angles.get(slot)
-    if facts is None or facts.raw != raw:
-        facts = store.angles[slot] = _Angles(theta, raw)
-    return store, facts
+    facts = _GRID_FACTS.get(id(theta))
+    if facts is None:
+        facts = _Angles(np.atleast_1d(np.asarray(theta, dtype=float)), {})
+    return facts
 
 
-def _stored_table(n_top: int, params: JacobiParams, store: _Store, nodes: _Nodes) -> np.ndarray:
-    """Rows n = 0..n_top at the angles of nodes, from store or built into it."""
+def _stored_table(n_top: int, params: JacobiParams, tables: dict, nodes: _Nodes) -> np.ndarray:
+    """Rows n = 0..n_top at the angles of nodes, from tables or built into it."""
     # exact bytes, so nearby nodes never share a table
     key = (params.key, nodes.angles.shape, nodes.key)
-    table = store.get(key)
+    table = tables.get(key)
     if table is None or table.shape[0] <= n_top:
         table = _eigenfunction_rows(n_top, params, nodes.angles, table)
         table.flags.writeable = False
         if table.nbytes <= _TABLE_CAP_BYTES:
-            store[key] = table
+            tables[key] = table
     return table if table.shape[0] == n_top + 1 else table[: n_top + 1]
 
 
@@ -337,16 +314,17 @@ def eigenfunction_table(n_top: int, params: JacobiParams, theta: np.ndarray) -> 
     The rows come from the orthonormal recurrence in theta that also gives
     the rule weights, so they stay normalized at large alpha and beta. They
     depend on |theta| only, so -theta gives the same table. The result is
-    read-only. On the nodes of a live grid, or a slice of them, the grid
-    keeps the deepest table built for a pair and angle set until the grid's
-    node array is collected: a request at its depth gets that array, a
-    shallower one a view of its leading rows, and a deeper one is
-    continued from its stored rows and replaces it. A table over 4 MiB is
-    returned and not kept, and so is every table on other angles. Rows
-    0..n of any depth are bitwise the rows of a depth-n build.
+    read-only. On a live grid's own node array, `grid.nodes` or
+    `grid.half.nodes`, the grid keeps the deepest table built for a pair
+    and angle set for as long as it lives: a request at its depth gets
+    that array, a shallower one a view of its leading rows, and a deeper
+    one is continued from its stored rows and replaces it. A table over
+    4 MiB is returned and not kept, and so is every table on other angles,
+    a slice or copy of a grid's nodes among them. Rows 0..n of any depth
+    are bitwise the rows of a depth-n build.
     """
-    store, facts = _angle_facts(theta)
-    return _stored_table(n_top, params, store, facts.whole)
+    facts = _angle_facts(theta)
+    return _stored_table(n_top, params, facts.tables, facts.whole)
 
 
 # Rows per block of a recurrence sweep. The factors that do not depend on
@@ -461,6 +439,15 @@ def _unpermute(values: np.ndarray, order) -> np.ndarray:
     return out
 
 
+def _read_only(a) -> np.ndarray:
+    # a as a read-only float array, copied when it is writable
+    a = np.asarray(a, dtype=float)
+    if a.flags.writeable:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Nodes and positive weights for quadrature in the angle variable.
@@ -468,9 +455,13 @@ class QuadratureGrid:
     The nodes increase strictly inside (-pi, pi) and are never 0. They
     decide the layout, read as interval: "symmetric" when a node is
     negative, else "halfline". A layout passed as a third argument must
-    agree with them. The eigenfunction tables built on a grid's nodes, and
-    the facts derived from its angle arrays (mirror split, signs, absolute
-    values and table keys), are kept for as long as its node array lives.
+    agree with them. The nodes and weights are read-only: a writable input
+    is copied, so the caller's array stays as it was, and a read-only one,
+    such as a rule's, is taken as it is. A grid derives the facts of its
+    nodes once (mirror split, signs, absolute values and table keys) and
+    keeps the eigenfunction tables built on `grid.nodes` and
+    `grid.half.nodes` for as long as it lives; grids on one node array
+    share them.
     """
 
     nodes: np.ndarray
@@ -478,8 +469,7 @@ class QuadratureGrid:
     interval: str | None = None
 
     def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        nodes, weights = _read_only(self.nodes), _read_only(self.weights)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         if nodes.ndim != 1 or nodes.shape != weights.shape:
@@ -495,10 +485,10 @@ class QuadratureGrid:
         if self.interval not in (None, layout):
             raise GridError(f"the nodes make a {layout} grid, not {self.interval!r}")
         object.__setattr__(self, "interval", layout)
-        owner = _owner(nodes)
-        if id(owner) not in _GRID_TABLES:
-            _GRID_TABLES[id(owner)] = _Store()
-            weakref.finalize(owner, _GRID_TABLES.pop, id(owner), None)
+        facts = _GRID_FACTS.get(id(nodes))
+        if facts is None:
+            facts = _GRID_FACTS[id(nodes)] = _Angles(nodes, {})
+        object.__setattr__(self, "_facts", facts)
 
     def __len__(self) -> int:
         return self.nodes.size
@@ -511,7 +501,9 @@ class QuadratureGrid:
         if self.interval == "halfline":
             return None
         k = int(np.searchsorted(self.nodes, 0.0))
-        return QuadratureGrid(self.nodes[k:], self.weights[k:])
+        half = QuadratureGrid(self.nodes[k:], self.weights[k:])
+        half._facts.tables = self._facts.tables
+        return half
 
     def integrate(self, values: np.ndarray):
         """Weighted sum along the node axis approximating the integral of

@@ -122,7 +122,7 @@ def test_the_table_stores_stay_inside_core(module):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
-    assert "_GRID_TABLES" not in names
+    assert "_GRID_FACTS" not in names
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])

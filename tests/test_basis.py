@@ -27,7 +27,7 @@ from symjacobi.basis import (
     to_halfline,
 )
 from symjacobi.core import (
-    _GRID_TABLES,
+    _GRID_FACTS,
     GridFunction,
     JacobiParams,
     QuadratureGrid,
@@ -344,7 +344,7 @@ class TestSynthesize:
         nodes = np.concatenate([-rule.nodes[::-1], rule.nodes])
         weights = np.concatenate([rule.weights[::-1], rule.weights])
         grid = QuadratureGrid(nodes, weights)
-        assert grid.half.nodes.base is nodes and grid.half.weights.base is weights
+        assert grid.half.nodes.base is grid.nodes and grid.half.weights.base is grid.weights
         assert grid.half.interval == "halfline" and grid.half is grid.half
         assert_bitwise(grid.half.nodes, rule.nodes)
         assert_bitwise(grid.half.weights, rule.weights)
@@ -364,10 +364,9 @@ class TestSynthesize:
 
     def test_a_callables_rule_keeps_no_tables(self):
         # the rule analyze builds for a callable lives only for the call
-        stores = set(_GRID_TABLES)
+        stores = set(_GRID_FACTS)
         analyze(np.cos, JacobiParams(0.3, 0.7), 9)
-        gc.collect()
-        assert set(_GRID_TABLES) - stores == set()
+        assert set(_GRID_FACTS) - stores == set()
 
     def test_round_trip_and_parseval(self):
         for pr in PAIRS:
@@ -489,7 +488,7 @@ class TestMirrorFold:
         # two-part one up to the sign of exact zeros
         nodes = symmetric_rule(10, JacobiParams(0.3, 0.7)).nodes
         theta = nodes if mirrored else near_mirrored("nudged")
-        facts = core._angle_facts(theta)[1]
+        facts = core._angle_facts(theta)
         assert (facts.split is not None) == mirrored
         rng = np.random.default_rng([mirrored, kind == "complex"])
         values = rng.uniform(-1, 1, (3, facts.folded.angles.size))
@@ -506,7 +505,7 @@ class TestMirrorFold:
     def test_cache_keeps_only_the_positive_half(self):
         pr = JacobiParams(0.3, 0.7)
         grid = symmetric_rule(24, pr)
-        store = _GRID_TABLES[id(grid.nodes)]
+        store = grid._facts.tables
         full = symm_eigenfunction_table(61, pr, grid.nodes)
         assert full.shape == (61, 48)
         # one half table per parity, under the key of the half-line rule
@@ -567,47 +566,47 @@ class TestMirrorFold:
         grid = symmetric_rule(20, pr)
         synthesize(SymmExpansion(pr, np.ones(9)), grid)
         eval_halfline_expansion(HalfLineExpansion(pr, np.ones(5), "odd"), grid.nodes)
-        assert {key[1] for key in _GRID_TABLES[id(grid.nodes)]} == {(20,)}
+        assert {key[1] for key in grid._facts.tables} == {(20,)}
         # a node one ulp off its mirror image takes the full-set path; a
         # grid on those nodes keeps the table it builds
         nodes = grid.nodes.copy()
         nodes[3] = np.nextafter(nodes[3], 0.0)
         off = QuadratureGrid(nodes, grid.weights)
         eval_symm_expansion(SymmExpansion(pr, np.ones(9)), off.nodes)
-        assert {key[1] for key in _GRID_TABLES[id(nodes)]} == {(40,)}
+        assert {key[1] for key in off._facts.tables} == {(40,)}
 
-    def test_stored_facts_follow_changed_bytes(self):
-        # a grid on a writable node array keeps the facts of its nodes; once
-        # a write breaks the mirror, the next evaluation takes the unfolded
-        # path on every node
+    def test_a_write_to_the_callers_nodes_leaves_the_grid_alone(self):
+        # a grid on a writable node array holds a copy: a write that breaks
+        # the mirror of the caller's array changes neither the grid's facts
+        # nor what is evaluated on the grid, while the caller's array itself
+        # takes the unfolded path
         pr = JacobiParams(0.3, 0.7)
         rule = symmetric_rule(24, pr)
         nodes = rule.nodes.copy()
         grid = QuadratureGrid(nodes, rule.weights)
         e = random_band_limited(pr, 20, 3, seed=6)
-        assert_bitwise(eval_symm_expansion(e, grid.nodes), unfolded_synthesis(e, nodes))
-        assert core._angle_facts(grid.nodes)[1].split == 24
+        before = eval_symm_expansion(e, grid.nodes)
+        assert_bitwise(before, unfolded_synthesis(e, nodes))
         nodes[30] = np.nextafter(nodes[30], 0.0)
-        assert core._angle_facts(grid.nodes)[1].split is None
-        assert_bitwise(eval_symm_expansion(e, grid.nodes), unfolded_synthesis(e, nodes))
-        assert_bitwise(symm_eigenfunction_table(21, pr, grid.nodes), unfolded_table(21, pr, nodes))
-        assert {key[1] for key in _GRID_TABLES[id(nodes)]} == {(24,), (48,)}
-        # and a write that restores the mirror restores the fold
-        nodes[30] = rule.nodes[30]
-        assert core._angle_facts(grid.nodes)[1].split == 24
-        assert_bitwise(eval_symm_expansion(e, grid.nodes), unfolded_synthesis(e, nodes))
+        assert core._angle_facts(grid.nodes).split == 24
+        assert core._angle_facts(nodes).split is None
+        assert_bitwise(eval_symm_expansion(e, grid.nodes), before)
+        assert_bitwise(eval_symm_expansion(e, nodes), unfolded_synthesis(e, nodes))
+        assert_bitwise(symm_eigenfunction_table(21, pr, nodes), unfolded_table(21, pr, nodes))
+        assert {key[1] for key in grid._facts.tables} == {(24,)}
 
-    def test_stored_facts_hold_no_view_of_the_nodes(self):
+    def test_a_grids_facts_are_read_only_and_hold_its_nodes(self):
+        # what keeps an id from being reused while its entry lives
         pr = JacobiParams(0.3, 0.7)
         grid = symmetric_rule(24, pr)
         analyze(synthesize(SymmExpansion(pr, np.ones(9)), grid), pr, 9)
-        store = _GRID_TABLES[id(grid.nodes)]
-        assert store.angles
-        for facts in store.angles.values():
+        for g in (grid, grid.half):
+            facts = core._angle_facts(g.nodes)
+            assert facts is g._facts and facts.theta is g.nodes
             arrays = [facts.sign, facts.whole.angles, facts.folded.angles]
             for arr in (a for a in arrays if a is not None):
-                assert core._owner(arr) is not grid.nodes and not np.shares_memory(arr, grid.nodes)
                 assert not arr.flags.writeable
+        assert grid.half._facts.tables is grid._facts.tables
 
     def test_symmetric_tag_needs_an_exact_mirror(self):
         grid = symmetric_rule(6, JacobiParams(0.3, 0.7))

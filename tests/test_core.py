@@ -7,7 +7,6 @@ Gauss nodes, that they are the zeros of the top polynomial.
 """
 
 import dataclasses
-import gc
 import math
 import tracemalloc
 import weakref
@@ -22,7 +21,7 @@ from scipy.special import roots_jacobi
 from symjacobi import core
 from symjacobi.basis import analyze, symm_eigenfunction_table
 from symjacobi.core import (
-    _GRID_TABLES,
+    _GRID_FACTS,
     _TABLE_CAP_BYTES,
     _eigenfunction_rows,
     _mirror_split,
@@ -329,24 +328,23 @@ class TestEigenfunction:
 
 
 def grid_on(th):
-    # a half-line grid on the angles th, so th owns a table store
+    # a half-line grid on a read-only copy of the angles th
     return QuadratureGrid(th, np.ones_like(th))
 
 
 def store_of(grid):
-    return _GRID_TABLES[id(core._owner(grid.nodes))]
+    return grid._facts.tables
 
 
 class TestTableCache:
-    """Each grid keeps the tables built on its nodes while its node array lives."""
+    """Each grid keeps the tables built on its own node arrays while it lives."""
 
     def test_hit_is_fresh_build_and_read_only(self):
         pr = JacobiParams(0.3, 0.7)
         grid = grid_on(np.linspace(0.1, 3.0, 40))
         th = grid.nodes
         first = eigenfunction_table(12, pr, th)
-        # a view of the grid's nodes reaches the same store
-        hit = eigenfunction_table(12, pr, th[:])
+        hit = eigenfunction_table(12, pr, th)
         assert hit is first
         assert_bitwise(hit, _eigenfunction_rows(12, pr, th))
         # the x-form product is an independent oracle for the rows; 1e-13 of
@@ -367,28 +365,64 @@ class TestTableCache:
         grid = grid_on(np.linspace(0.1, 3.0, 40))
         th = grid.nodes
         base = eigenfunction_table(12, pr, th)
-        # slices of one node array share a store; one shape, other bytes
-        others = [
-            eigenfunction_table(12, JacobiParams(0.3, 0.7 + 1e-15), th),
-            eigenfunction_table(12, pr, th[1:]),
-            eigenfunction_table(12, pr, th[:-1]),
-        ]
-        assert all(not np.shares_memory(t, base) for t in others)
-        assert not np.shares_memory(others[1], others[2])
-        assert len(store_of(grid)) == 4
+        other = eigenfunction_table(12, JacobiParams(0.3, 0.7 + 1e-15), th)
+        assert not np.shares_memory(other, base)
+        assert len(store_of(grid)) == 2
+        # grids on two slices of the read-only nodes: one shape, other bytes
+        ends = [QuadratureGrid(th[cut], grid.weights[cut]) for cut in (slice(1, None), slice(-1))]
+        parts = [eigenfunction_table(12, pr, g.nodes) for g in ends]
+        assert not np.shares_memory(*parts)
+        assert not any(np.shares_memory(t, base) for t in parts)
+        assert [len(store_of(g)) for g in ends] == [1, 1]
+        assert len(store_of(grid)) == 2
         # a shallower request is a view of the leading rows of the same entry
         prefix = eigenfunction_table(11, pr, th)
         assert prefix.shape == (12, 40) and np.shares_memory(prefix, base)
         assert_bitwise(prefix, _eigenfunction_rows(11, pr, th))
 
     def test_mirrored_nodes_share_the_positive_half_table(self):
-        # the table depends on |theta| only, so the reversed negative half of
-        # a symmetric rule reaches the entry of its positive half
+        # a symmetric grid's folded tables are its half's tables; the
+        # reversed negative half is no grid's node array, and the table built
+        # on it, on the same |theta|, is equal and not kept
         pr = JacobiParams(0.3, 0.7)
         grid = symmetric_rule(20, pr)
-        pos = eigenfunction_table(12, pr, grid.nodes[20:])
-        assert eigenfunction_table(12, pr, grid.nodes[19::-1]) is pos
+        assert store_of(grid.half) is store_of(grid)
+        pos = eigenfunction_table(12, pr, grid.half.nodes)
+        symm_eigenfunction_table(25, pr, grid.nodes)
         assert eigenfunction_table(12, pr, grid.half.nodes) is pos
+        neg = eigenfunction_table(12, pr, grid.nodes[19::-1])
+        assert neg is not pos
+        assert_bitwise(neg, pos)
+        assert len(store_of(grid)) == 2
+
+    def test_other_arrays_of_a_grids_nodes_get_equal_unstored_tables(self):
+        pr = JacobiParams(0.3, 0.7)
+        grid = grid_on(np.linspace(0.1, 3.0, 40))
+        stored = eigenfunction_table(12, pr, grid.nodes)
+        kept = dict(store_of(grid))
+        for cols in (slice(None), slice(None, None, -1), slice(5, 30)):
+            for th in (grid.nodes[cols], grid.nodes[cols].copy()):
+                table = eigenfunction_table(12, pr, th)
+                assert not np.shares_memory(table, stored)
+                assert_bitwise(table, stored[:, cols])
+        assert store_of(grid) == kept and all(store_of(grid)[k] is v for k, v in kept.items())
+
+    def test_grids_on_one_read_only_node_array_share_one_store(self):
+        # as a grid with one weight changed on a rule's nodes; the entry
+        # lives while either grid does
+        pr = JacobiParams(0.3, 0.7)
+        rule = symmetric_rule(20, pr)
+        weights = rule.weights.copy()
+        weights[3] *= 2.0
+        other = QuadratureGrid(rule.nodes, weights, "symmetric")
+        assert other.nodes is rule.nodes and other.weights is not weights
+        assert store_of(other) is store_of(rule)
+        assert store_of(other.half) is store_of(rule.half) is store_of(rule)
+        table = eigenfunction_table(12, pr, rule.nodes)
+        assert eigenfunction_table(12, pr, other.nodes) is table
+        del rule
+        assert id(other.nodes) in _GRID_FACTS
+        assert eigenfunction_table(12, pr, other.nodes) is table
 
     def test_a_held_grid_keeps_every_table(self):
         # ten tables of 0.5 MiB, more than twice the 2 MiB budget of the
@@ -404,23 +438,23 @@ class TestTableCache:
     def test_the_store_leaves_with_its_grid(self):
         pr = JacobiParams(0.3, 0.7)
         grid = symmetric_rule(24, pr)
-        owner = id(grid.nodes)
+        owners = {id(grid.nodes), id(grid.half.nodes)}
         kept = weakref.ref(eigenfunction_table(20, pr, grid.half.nodes))
-        assert owner in _GRID_TABLES and kept() is not None
+        assert owners <= set(_GRID_FACTS) and kept() is not None
         del grid
-        gc.collect()
-        assert owner not in _GRID_TABLES and kept() is None
+        assert not owners & set(_GRID_FACTS) and kept() is None
 
     def test_angles_off_a_grid_keep_nothing(self):
         pr = JacobiParams(0.3, 0.7)
         grid = symmetric_rule(24, pr)
-        stores = set(_GRID_TABLES)
-        for th in (grid.nodes.copy(), np.linspace(0.1, 3.0, 40), list(grid.half.nodes)):
+        half = list(grid.half.nodes)
+        stores = set(_GRID_FACTS)
+        for th in (grid.nodes.copy(), np.linspace(0.1, 3.0, 40), half):
             first, again = eigenfunction_table(12, pr, th), eigenfunction_table(12, pr, th)
             assert first is not again and not np.shares_memory(first, again)
             assert not first.flags.writeable
             assert_bitwise(first, again)
-        assert store_of(grid) == {} and set(_GRID_TABLES) == stores
+        assert store_of(grid) == {} and set(_GRID_FACTS) == stores
 
     def test_oversized_table_is_returned_not_retained(self):
         # a deeper table over the budget leaves the small one's entry as it was
@@ -441,7 +475,7 @@ class TestTableCache:
         np.testing.assert_array_equal(again, big)
 
     def test_failed_calls_store_nothing(self):
-        # each angle set shares its owner with a grid on its valid part
+        # nor does a grid on the valid part of each angle set
         singular = np.array([0.0, 0.5, 1.0])
         past_pi = np.array([0.5, 1.0, math.pi])
         grids = [grid_on(singular[1:]), grid_on(past_pi[:2])]
@@ -475,7 +509,8 @@ class TestTableCache:
 
         monkeypatch.setattr(core, "_eigenfunction_rows", counting)
         pr = JacobiParams(2.5, 1.5)
-        th = grid_on(np.linspace(0.05, 3.0, 30)).nodes
+        grid = grid_on(np.linspace(0.05, 3.0, 30))
+        th = grid.nodes
         eigenfunction_table(20, pr, th)
         for n_top in (5, 20, 70, 33, 70):
             eigenfunction_table(n_top, pr, th)
@@ -495,7 +530,8 @@ class TestTableCache:
     def test_every_served_table_is_a_cold_build(self, alpha, beta, count, depths):
         # shallow, then deeper, then back to a depth at or below the deepest
         pr = JacobiParams(alpha, beta)
-        th = grid_on(np.linspace(0.01, 3.13, count)).nodes
+        grid = grid_on(np.linspace(0.01, 3.13, count))
+        th = grid.nodes
         shallow, gap, back = depths
         for n_top in (shallow, shallow + gap, min(back, shallow + gap)):
             table = eigenfunction_table(n_top, pr, th)
@@ -526,12 +562,14 @@ class TestContinuedTables:
         fresh = _eigenfunction_rows(150, pr, th)
         for head in (1, 2, 64, 65):
             assert_bitwise(_eigenfunction_rows(150, pr, th, fresh[:head]), fresh)
-        # a reversed view of a grid's nodes is stored unsorted
-        grid = grid_on(np.sort(th))
-        rev = grid.nodes[::-1]
-        assert core._below_first(rev)[2] is not None
-        eigenfunction_table(40, pr, rev)
-        assert_bitwise(eigenfunction_table(150, pr, rev), _eigenfunction_rows(150, pr, rev))
+        # the absolute values of an unmirrored symmetric grid's nodes are
+        # stored unsorted
+        grid = grid_on(np.sort(np.concatenate([-th[:30], th[30:]])))
+        folded = np.abs(grid.nodes)
+        assert core._below_first(folded)[2] is not None
+        eigenfunction_table(40, pr, grid.nodes)
+        table = eigenfunction_table(150, pr, grid.nodes)
+        assert_bitwise(table, _eigenfunction_rows(150, pr, folded))
 
     def test_a_grids_half_view(self):
         # the positive half of a symmetric rule, and the folded tables that
@@ -543,7 +581,7 @@ class TestContinuedTables:
         deep = eigenfunction_table(130, pr, half)
         assert_bitwise(deep, _eigenfunction_rows(130, pr, half.copy()))
         assert_bitwise(deep[:41], shallow)
-        assert eigenfunction_table(130, pr, grid.nodes[99::-1]) is deep
+        assert_bitwise(eigenfunction_table(130, pr, grid.nodes[99::-1]), deep)
         symm_eigenfunction_table(31, pr, grid.nodes)
         assert_bitwise(
             symm_eigenfunction_table(201, pr, grid.nodes),
@@ -653,14 +691,15 @@ class TestMirrorFold:
     def test_near_mirrored_sets_take_the_unfolded_path(self, case):
         pr = JacobiParams(0.3, 0.7)
         nodes = near_mirrored(case)
-        # a grid on the last node gives the set a store
-        store = store_of(grid_on(nodes[-1:]))
         table = eigenfunction_table(6, pr, nodes)
-        # one entry, built at every node of the set
-        ((key, kept),) = store.items()
-        assert key[1] == nodes.shape
-        assert kept is table
         assert_bitwise(table, _eigenfunction_rows(6, pr, np.abs(nodes)))
+        if case == "nudged":
+            # the one set a grid accepts: it keeps one entry, built at every node
+            grid = grid_on(nodes)
+            assert eigenfunction_table(6, pr, grid.nodes) is not table
+            ((key, kept),) = store_of(grid).items()
+            assert key[1] == nodes.shape
+            assert_bitwise(kept, table)
 
     @pytest.mark.parametrize("n_half", [1, 23, 24, 144])
     def test_table_is_bitwise_the_unfolded_one(self, n_half):
@@ -1045,7 +1084,7 @@ class TestSymmetricRule:
 
 
 class TestReadOnlyRules:
-    """Rules are read-only where core makes them, and only there."""
+    """A grid's nodes and weights are read-only; a writable input is copied."""
 
     @pytest.mark.parametrize(
         "array",
@@ -1064,11 +1103,27 @@ class TestReadOnlyRules:
             target[0] = 1.0
 
     def test_a_hand_built_grid_leaves_the_callers_arrays_writable(self):
+        # the caller's arrays stay writable and unchanged, and a later write
+        # to them changes neither the grid nor a table kept on it
+        pr = JacobiParams(0.3, 0.7)
         nodes, weights = np.array([-0.5, 0.2, 0.5]), np.array([1.0, 2.0, 3.0])
         grid = QuadratureGrid(nodes, weights)
-        assert grid.nodes is nodes and grid.weights is weights
-        for arr in (nodes, weights, grid.half.nodes, grid.half.weights):
-            assert arr.flags.writeable
+        assert nodes.tolist() == [-0.5, 0.2, 0.5] and weights.tolist() == [1.0, 2.0, 3.0]
+        assert nodes.flags.writeable and weights.flags.writeable
+        assert not np.shares_memory(grid.nodes, nodes)
+        assert not np.shares_memory(grid.weights, weights)
+        for arr in (grid.nodes, grid.weights, grid.half.nodes, grid.half.weights):
+            assert not arr.flags.writeable
+        table = eigenfunction_table(4, pr, grid.nodes)
+        before = table.copy()
+        nodes[1], weights[1] = 0.3, 5.0
+        assert grid.nodes.tolist() == [-0.5, 0.2, 0.5] and grid.weights.tolist() == [1.0, 2.0, 3.0]
+        assert eigenfunction_table(4, pr, grid.nodes) is table
+        assert_bitwise(table, before)
+        # a read-only input is taken as it is
+        rule = gauss_jacobi_rule(6, pr)
+        again = QuadratureGrid(rule.nodes, rule.weights)
+        assert again.nodes is rule.nodes and again.weights is rule.weights
 
     def test_analyze_hands_a_callable_read_only_angles(self):
         pr = JacobiParams(0.3, 0.7)
@@ -1128,7 +1183,7 @@ class TestGridTypes:
         # weights; a half-line grid has none, and none can be given
         nodes, weights = np.array([-0.5, 0.2, 0.5]), np.array([1.0, 2.0, 3.0])
         grid = QuadratureGrid(nodes, weights)
-        assert grid.half.nodes.base is nodes and grid.half.weights.base is weights
+        assert grid.half.nodes.base is grid.nodes and grid.half.weights.base is grid.weights
         assert grid.half.nodes.tolist() == [0.2, 0.5] and grid.half.weights.tolist() == [2.0, 3.0]
         assert grid.half.interval == "halfline"
         assert gauss_jacobi_rule(4, JacobiParams(0.0, 0.0)).half is None

@@ -19,7 +19,7 @@ from symjacobi.basis import (
     synthesize,
 )
 from symjacobi.core import (
-    _GRID_TABLES,
+    _GRID_FACTS,
     GridFunction,
     JacobiParams,
     eigenvalue,
@@ -370,19 +370,22 @@ class TestMemos:
         assert basis._symm_eigenvalues.cache_info().currsize <= limit
 
     def test_no_store_outlives_its_grid(self):
-        # the stored angle facts are copies: a view of the nodes would keep
-        # the node array, and with it the store, alive; earlier tests'
-        # grids are collected first, so the snapshot holds only live stores
+        # nothing but the grid holds its facts, so its entries leave the
+        # moment it goes, with the collector off; earlier tests' grids are
+        # collected first, so the snapshot holds only live entries
         gc.collect()
-        stores = set(_GRID_TABLES)
-        grid = symmetric_rule(40, GENERIC)
-        e = random_band_limited(GENERIC, 30, 2, seed=4)
-        warm_path_results(e, grid)
-        owner = weakref.ref(grid.nodes)
-        assert set(_GRID_TABLES) - stores == {id(grid.nodes)}
-        del grid
-        gc.collect()
-        assert owner() is None and set(_GRID_TABLES) == stores
+        stores = set(_GRID_FACTS)
+        gc.disable()
+        try:
+            grid = symmetric_rule(40, GENERIC)
+            e = random_band_limited(GENERIC, 30, 2, seed=4)
+            warm_path_results(e, grid)
+            owner = weakref.ref(grid.nodes)
+            assert set(_GRID_FACTS) - stores == {id(grid.nodes), id(grid.half.nodes)}
+            del grid
+            assert owner() is None and set(_GRID_FACTS) == stores
+        finally:
+            gc.enable()
 
 
 class TestAdmissibility:

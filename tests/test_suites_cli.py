@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import gc
+import itertools
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import pytest
 import symjacobi
 from symjacobi import cli, core, errors, norms, suites
 from symjacobi.basis import SymmExpansion
-from symjacobi.core import _GRID_TABLES, JacobiParams
+from symjacobi.core import _GRID_FACTS, JacobiParams
 from symjacobi.errors import ConfigError
 from symjacobi.reporting import ExperimentReport, emit_plots, report_to_json, write_report
 from symjacobi.suites import (
@@ -53,7 +54,21 @@ def fast_config(suite, **kw):
     return SuiteConfig(suite=suite, **merged)
 
 
-SCHRODINGER_SWEEP = (-0.99, -0.5, 0.0, 2.0, 10.0, 40.0)
+DOMAIN_SWEEP = (-0.99, -0.5, 0.0, 2.0, 10.0, 40.0)
+
+
+def domain_sweep_cells():
+    # every suite on every pair of the sweep; the sobolev cells with a
+    # parameter of 10 or 40, and (2, 2), fail the window protocol's 10 %
+    # growth bound (the FOUND on suites._degree_doubling)
+    pairs = list(itertools.product(DOMAIN_SWEEP, repeat=2))
+    for suite, (alpha, beta) in itertools.product(EXPECTED_SUITES, pairs):
+        marks = ()
+        if suite == "sobolev" and ({10.0, 40.0} & {alpha, beta} or alpha == beta == 2.0):
+            marks = pytest.mark.xfail(
+                strict=True, raises=AssertionError, reason="window growth bound"
+            )
+        yield pytest.param(suite, alpha, beta, marks=marks)
 
 
 def stub_report(series):
@@ -341,12 +356,12 @@ class TestRunSuite:
         # the first pass runs on rules of the second one's size (quad 48) at
         # a deeper (trunc 32) or shallower (trunc 8) degree; its grids go
         # with the run, and their tables with them
-        stores = set(_GRID_TABLES)
+        stores = set(_GRID_FACTS)
 
         def reports():
             run = run_suite(SuiteConfig(suite="all", trunc=16, ensemble=4), write=False)
             gc.collect()
-            assert set(_GRID_TABLES) - stores == set()
+            assert set(_GRID_FACTS) - stores == set()
             return [
                 json.dumps({k: v for k, v in vars(r).items() if k != "wall_clock_s"}, sort_keys=True)
                 for r in run
@@ -487,6 +502,16 @@ class TestRunSuite:
             counts.append(len(calls))
         assert counts[0] > 0
         assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("suite, alpha, beta", domain_sweep_cells())
+    def test_every_suite_passes_or_refuses_on_the_domain_sweep(self, suite, alpha, beta):
+        # a refusal is a SymJacobiError; a RuntimeWarning is an error here
+        try:
+            config = SuiteConfig(suite=suite, pairs=((alpha, beta),), trunc=16)
+            (report,) = run_suite(config, write=False)
+        except errors.SymJacobiError:
+            return
+        assert report.passed, [case["name"] for case in report.cases if not case["passed"]]
 
 
 class TestCli:
@@ -740,8 +765,8 @@ class TestCli:
         assert "linspace(0.2, pi - 0.2, 9)" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("beta", SCHRODINGER_SWEEP)
-    @pytest.mark.parametrize("alpha", SCHRODINGER_SWEEP)
+    @pytest.mark.parametrize("beta", DOMAIN_SWEEP)
+    @pytest.mark.parametrize("alpha", DOMAIN_SWEEP)
     def test_schrodinger_passes_on_every_pair_of_the_sweep(self, tmp_path, capsys, alpha, beta):
         # fixed times 2^-4 .. 2^-14 and a bound that took |phi_n| <= 1 failed
         # on every pair with a 40 and on (10, 10)
